@@ -90,9 +90,20 @@ def sample_matrix_normal_factor(
 
     Row-major vectorization of the result has covariance
     ``sigma_c^2 * kron(R_rx, R_tx)``.
+
+    Both factors are real, so the smaller one is applied to the complex core
+    first, and the larger one multiplies the ``float64`` view of that
+    intermediate (real and imaginary parts interleaved in its columns): one
+    real matrix product whose output is viewed back as ``complex128``.  No
+    complex copy of the large factor is made.
     """
     h_iid = _iid_cn(rng, (r_rx.n, r_tx.n), sigma_c * sigma_c)
-    return r_rx.sqrt_factor @ h_iid @ r_tx.sqrt_factor.T
+    if r_rx.n >= r_tx.n:
+        small = h_iid @ r_tx.sqrt_factor.T
+        return (r_rx.sqrt_factor @ small.view(np.float64)).view(np.complex128)
+    # Rbar_rx @ H @ Rbar_tx.T == (Rbar_tx @ (Rbar_rx @ H).T).T
+    small = np.ascontiguousarray((r_rx.sqrt_factor @ h_iid).T)
+    return (r_tx.sqrt_factor @ small.view(np.float64)).view(np.complex128).T
 
 
 def sample_matrix_normal_vec(

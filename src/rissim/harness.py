@@ -33,7 +33,7 @@ from .correlation import CorrelationMatrix, sample_matrix_normal_factor, sinc_co
 from .geometry import ArrayGeometry, fraunhofer_distance, pairwise_distance
 from .precoding import InfeasibleError, min_power_precoder
 from .ris import build_codebook, build_tile_partition, configure_tiles
-from .scenario import ScenarioConfig, with_q
+from .scenario import ScenarioConfig, tile_grid_for, with_q
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +86,15 @@ def noise_power(config: ScenarioConfig) -> float:
 
 
 class SimContext:
-    """Per-configuration caches shared across trials (read-only once built)."""
+    """Caches shared by every trial of one (model, Q) in a sweep.
+
+    Nothing here depends on the UE count: the array geometries, tile
+    partition, codebook, noise power and correlation factors are the same
+    for every ``n_ue`` cell of that (model, Q), so :func:`run_sweep` builds
+    one context and runs each of those cells on it.  The context lives only
+    as long as its (model, Q), so at most one surface size's factors are
+    held at a time.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -310,27 +318,58 @@ def aggregate(results: list[TrialResult]) -> AggregateRow:
     )
 
 
-def run_cell(config: ScenarioConfig, model: ChannelModel) -> list[TrialResult]:
-    """All trials of one (model, Q, N_UE) cell with a shared context."""
-    ctx = SimContext(config)
+def run_cell(
+    config: ScenarioConfig, model: ChannelModel, ctx: SimContext | None = None
+) -> list[TrialResult]:
+    """All trials of one (model, Q, N_UE) cell on one context.
+
+    ``ctx`` may come from another cell of the same (model, Q); without it a
+    fresh context is built for the cell.
+    """
+    if ctx is None:
+        ctx = SimContext(config)
     return [run_trial(config, i, model=model, ctx=ctx) for i in range(config.trials)]
 
 
+def _check_sweep(config: ScenarioConfig) -> None:
+    """Raise ``ValueError`` for a sweep that would fail in one of its cells.
+
+    Checks every axis up front: non-empty and without repeats, every Q a
+    multiple of the tile size, and every UE count between 1 and N_t.
+    """
+    axes = {"models": config.models, "sweep_q": config.sweep_q, "sweep_n_ue": config.sweep_n_ue}
+    for name, values in axes.items():
+        if not values:
+            raise ValueError("sweep axes must be non-empty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} repeats a value: {values}")
+    for q in config.sweep_q:
+        tile_grid_for(q, config.tile_shape)
+    n_t = config.bs_counts[0] * config.bs_counts[1]
+    for n_ue in config.sweep_n_ue:
+        if not 1 <= n_ue <= n_t:
+            raise ValueError(f"n_ue={n_ue} is outside 1..N_t={n_t}")
+
+
 def run_sweep(config: ScenarioConfig) -> SweepResult:
-    """Cartesian sweep over (model, Q, N_UE) with paired per-trial seeds."""
-    if not (config.models and config.sweep_q and config.sweep_n_ue):
-        raise ValueError("sweep axes must be non-empty")
+    """Cartesian sweep over (model, Q, N_UE) with paired per-trial seeds.
+
+    The whole sweep is checked (:func:`_check_sweep`) before its first trial.
+    """
+    _check_sweep(config)
     aggregates: list[AggregateRow] = []
     raw: list[TrialResult] = []
     for model in config.models:
         for q in config.sweep_q:
-            for n_ue in config.sweep_n_ue:
-                cell = replace(with_q(config, q), ue_count=n_ue, models=[model])
+            sized = with_q(config, q)
+            cells = [replace(sized, ue_count=n_ue, models=[model]) for n_ue in config.sweep_n_ue]
+            ctx = SimContext(cells[0])
+            for cell in cells:
                 t0 = time.perf_counter()
-                results = run_cell(cell, model)
+                results = run_cell(cell, model, ctx)
                 logger.info(
                     "cell model=%s q=%d n_ue=%d: %d trials in %.1f s",
-                    model.value, q, n_ue, len(results), time.perf_counter() - t0,
+                    model.value, q, cell.ue_count, len(results), time.perf_counter() - t0,
                 )
                 raw.extend(results)
                 aggregates.append(aggregate(results))

@@ -102,15 +102,14 @@ class Codebook:
         return self._coefficients
 
 
-def build_codebook(tile_shape, wavelength=None, spacing=None) -> Codebook:
+def build_codebook(tile_shape) -> Codebook:
     """Reflection/wavefront product codebook for one tile.
 
     The reflection set contains every 2-D DFT linear phase gradient over the
     ``Q_y x Q_z`` tile, ``2*pi*(k_y*q_y/Q_y + k_z*q_z/Q_z)``; the wavefront
     set adds one of eight global offsets ``2*pi*b/8`` to all elements, giving
     ``8 * Q_y * Q_z`` entries in total.  The gradients are index-based, so
-    ``wavelength`` and ``spacing`` are accepted for interface symmetry but do
-    not enter the construction.
+    neither the wavelength nor the element spacing enters the construction.
     """
     q_y, q_z = tile_shape
     if q_y < 1 or q_z < 1:

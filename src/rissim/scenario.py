@@ -89,9 +89,10 @@ class ScenarioConfig:
     sweep_n_ue: list[int] = field(default_factory=lambda: [2])
 
     def __post_init__(self):
-        for name in ("carrier_hz", "bandwidth_hz", "gamma_thr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("carrier_hz", "bandwidth_hz", "gamma_thr", "spacing_wavelengths"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.ue_count < 1:

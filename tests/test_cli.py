@@ -1,5 +1,7 @@
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +56,25 @@ class TestConfigRoundTrip:
         cfg = full_config()
         assert cfg.trials == 1000
         assert 4096 in cfg.sweep_q
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "name", ["carrier_hz", "bandwidth_hz", "gamma_thr", "spacing_wavelengths"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_not_finite_or_not_positive_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            replace(default_config(), **{name: value})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("system", "carrier_hz"), ("system", "bandwidth_hz"), ("system", "gamma_thr"),
+         ("ris", "spacing_wavelengths")],
+    )
+    def test_nan_in_ini_rejected(self, section, key):
+        with pytest.raises(ValueError, match=key):
+            load_config(f"[{section}]\n{key} = nan\n")
 
 
 class TestCliRun:

@@ -6,6 +6,7 @@ from scipy import stats
 
 from rissim.correlation import (
     CorrelationMatrix,
+    _iid_cn,
     NotPositiveSemidefiniteError,
     path_sum_covariance_error,
     matrix_sqrt_factor,
@@ -114,6 +115,25 @@ class TestMatrixNormalRoutes:
         np.testing.assert_array_equal(
             sample_matrix_normal_factor(rng, r_rx, r_tx, 0.0), np.zeros((3, 2))
         )
+
+    @pytest.mark.parametrize(
+        "rx, tx",
+        [
+            (ArrayGeometry.upa(8, 8, LAM / 2), ArrayGeometry.upa(2, 2, LAM / 2)),  # Q x N_t
+            (ArrayGeometry.single((0, 0, 0)), ArrayGeometry.upa(8, 8, LAM / 2)),  # 1 x Q
+            (ArrayGeometry.single((0, 0, 0)), ArrayGeometry.single((1, 0, 0))),  # 1 x 1
+            (ArrayGeometry.upa(2, 2, LAM / 2), ArrayGeometry.upa(8, 8, LAM / 2)),  # N x Q
+        ],
+    )
+    def test_factor_route_matches_dense_product(self, rx, tx):
+        r_rx, r_tx = sinc_correlation(rx, LAM), sinc_correlation(tx, LAM)
+        rng_draw, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        h = sample_matrix_normal_factor(rng_draw, r_rx, r_tx, 1.3)
+        dense = r_rx.sqrt_factor @ _iid_cn(rng_ref, (r_rx.n, r_tx.n), 1.3**2) @ r_tx.sqrt_factor.T
+        assert h.shape == dense.shape and h.dtype == np.complex128
+        assert np.linalg.norm(h - dense) <= 1e-12 * np.linalg.norm(dense)
+        # same random stream consumed
+        assert rng_draw.standard_normal() == rng_ref.standard_normal()
 
     def test_factor_route_covariance(self, small_correlations):
         r_rx, r_tx = small_correlations

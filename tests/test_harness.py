@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rissim import units
+from rissim import correlation, harness, units
 from rissim.channels import ChannelModel, LinkRole
 from rissim.harness import (
     SimContext,
@@ -191,6 +191,29 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(small_config(sweep_q=[]))
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            dict(sweep_q=[8, 6]),  # 6 is not a multiple of the 2x2 tile
+            dict(sweep_n_ue=[2, 5]),  # N_t = 4
+            dict(models=[ChannelModel.IID_RAYLEIGH, ChannelModel.IID_RAYLEIGH]),
+            dict(sweep_q=[8, 4, 8]),
+            dict(sweep_n_ue=[1, 2, 1]),
+        ],
+    )
+    def test_bad_axis_fails_before_first_trial(self, monkeypatch, axes):
+        trials = []
+
+        def no_trial(*args, **kwargs):
+            trials.append(args)
+            raise RuntimeError("a trial ran before the sweep was checked")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        cfg = small_config(models=[ChannelModel.IID_RAYLEIGH], sweep_n_ue=[2])
+        with pytest.raises(ValueError):
+            run_sweep(replace(cfg, **axes))
+        assert trials == []
+
     def test_csv_headers_and_determinism(self):
         cfg = small_config(models=[ChannelModel.IID_RICIAN], trials=3)
         r1, r2 = run_sweep(cfg), run_sweep(cfg)
@@ -205,6 +228,31 @@ class TestSweep:
         res = run_sweep(cfg)
         text = raw_csv(res.raw)
         assert len(text.strip().splitlines()) == 6  # header + 5 trials
+
+
+class TestContextPerModelAndQ:
+    def test_factor_built_once_and_output_unchanged(self, monkeypatch):
+        built = []
+        factor = correlation.matrix_sqrt_factor
+
+        def counting_factor(corr, *args, **kwargs):
+            built.append(corr.n)
+            return factor(corr, *args, **kwargs)
+
+        monkeypatch.setattr(correlation, "matrix_sqrt_factor", counting_factor)
+        model = ChannelModel.CORRELATED_RAYLEIGH
+        cfg = small_config(models=[model], sweep_q=[8, 16], sweep_n_ue=[1, 2, 4], trials=3)
+        shared = run_sweep(cfg)
+        # RIS (8, 16), BS (4) and single-antenna UE (1) factors, once per (model, Q)
+        assert sorted(built) == [1, 1, 4, 4, 8, 16]
+
+        fresh = [
+            run_cell(replace(with_q(cfg, q), ue_count=n_ue, models=[model]), model)
+            for q in cfg.sweep_q
+            for n_ue in cfg.sweep_n_ue
+        ]
+        assert aggregate_csv(shared.aggregates) == aggregate_csv([aggregate(c) for c in fresh])
+        assert raw_csv(shared.raw) == raw_csv([r for c in fresh for r in c])
 
 
 class TestSimContext:
