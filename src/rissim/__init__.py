@@ -41,7 +41,6 @@ from .harness import noise_power, run_sweep, run_trial
 from .precoding import InfeasibleError, PrecodingSolution, achieved_sinr, min_power_precoder
 from .ris import (
     Codebook,
-    EffectiveChannel,
     RisConfiguration,
     TilePartition,
     assemble_gamma,
@@ -62,7 +61,6 @@ __all__ = [
     "ChannelModel",
     "Codebook",
     "CorrelationMatrix",
-    "EffectiveChannel",
     "InfeasibleError",
     "LinkParams",
     "LinkRole",

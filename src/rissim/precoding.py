@@ -34,9 +34,8 @@ class PrecodingSolution:
     iterations: int
 
 
-def achieved_sinr(w: np.ndarray, effective, noise_power: float) -> np.ndarray:
+def achieved_sinr(w: np.ndarray, h: np.ndarray, noise_power: float) -> np.ndarray:
     """Per-UE SINR ``|h_k^H w_k|^2 / (sum_{j != k} |h_k^H w_j|^2 + noise)``."""
-    h = getattr(effective, "h", effective)
     gains = np.abs(np.conj(h).T @ w) ** 2  # (K, K): gains[k, j] = |h_k^H w_j|^2
     signal = np.diag(gains)
     interference = gains.sum(axis=1) - signal
@@ -44,7 +43,7 @@ def achieved_sinr(w: np.ndarray, effective, noise_power: float) -> np.ndarray:
 
 
 def min_power_precoder(
-    effective,
+    h: np.ndarray,
     gamma_thr: float,
     noise_power: float,
     max_iters: int = 500,
@@ -54,7 +53,7 @@ def min_power_precoder(
 
     Parameters
     ----------
-    effective : (N_t, K) stacked effective channels (or an object with ``.h``).
+    h : (N_t, K) stacked effective channels.
     gamma_thr : SINR target (linear), > 0.
     noise_power : receiver noise power in watts, > 0.
 
@@ -64,7 +63,6 @@ def min_power_precoder(
         If the dual fixed point diverges or fails to converge within
         ``max_iters`` (e.g. zero or collinear channels for the target).
     """
-    h = getattr(effective, "h", effective)
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError("effective channel must be a 2-D matrix")

@@ -2,19 +2,42 @@
 
 The surface is split into rectangular tiles that are configured one at a
 time: for each tile the codebook entry maximizing the minimum singular value
-of the stacked effective BS-to-UE channel matrix is chosen by exhaustive
-evaluation, so the search cost is linear in the codebook size per tile and
-independent of the total element count otherwise.
+of the stacked effective BS-to-UE channel matrix ``H = [h_1, ..., h_K]`` is
+chosen by exhaustive evaluation, so the search cost is linear in the codebook
+size per tile and independent of the total element count otherwise.
+
+Each codebook entry is a DFT phase gradient ``g`` plus one of eight global
+offsets ``theta_b``, so its reflected contribution to ``H`` is
+``e^{-j theta_b} D_g``: the offset only scales the gradient's contribution.
+A tile's ``G`` gradient contributions come from one matrix product, and each
+candidate is scored through its ``K x K`` Gramian
+
+    H_gb^H H_gb = H^H H + e^{-j theta_b} H^H D_g + e^{j theta_b} D_g^H H + D_g^H D_g,
+
+so the eight offsets cost only ``K x K`` work.  For ``K >= 3`` the exact
+score needs an eigensolve; Cauchy interlacing bounds each candidate's
+smallest Gram eigenvalue by the smallest eigenvalue of any of its 2 x 2
+principal minors, and only candidates whose bound reaches the best exact
+score found so far (less a rounding margin) are solved.  Pruned candidates
+cannot win, so the choice, including lowest-index tie-breaking, is the one
+an exhaustive evaluation makes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 WAVEFRONT_PHASE_COUNT = 8  # three-bit global phase offsets per tile
+
+# Candidates solved exactly, by bound, to set the pruning floor (K >= 3).
+_FLOOR_CANDIDATES = 8
+# Pruning margin as a multiple of the tile's largest Gram trace.  It covers
+# the rounding of the bound and of the eigensolve; the 2 x 2 closed form
+# loses up to ~sqrt(eps) of the trace when a minor's eigenvalues coincide.
+_PRUNE_MARGIN = 1e-6
 
 
 @dataclass
@@ -80,50 +103,51 @@ def build_tile_partition(
 
 @dataclass
 class Codebook:
-    """Per-tile phase configurations: DFT gradients times global offsets.
+    """Per-tile phase configurations: phase gradients plus global offsets.
 
-    ``phases[m]`` holds the per-element phase vector of entry ``m`` over a
-    tile, flattened y-major.  Entry ordering is gradient-major: entry
-    ``(k_y, k_z, b)`` sits at index ``(k_y * Q_z + k_z) * 8 + b``.
+    Entry ``m = g * B + b`` applies ``gradients[g] + offsets[b]`` (mod
+    ``2*pi``) to the tile's elements, flattened y-major; ``phases`` lists
+    every entry in that order.
     """
 
     tile_shape: tuple[int, int]
-    phases: np.ndarray  # (M, tile_size), values in [0, 2*pi)
-    _coefficients: np.ndarray | None = field(default=None, repr=False)
+    gradients: np.ndarray  # (G, tile_size)
+    offsets: np.ndarray  # (B,)
 
     def __len__(self) -> int:
-        return self.phases.shape[0]
+        return self.gradients.shape[0] * self.offsets.shape[0]
+
+    def entry_phases(self, m: int) -> np.ndarray:
+        """Per-element phases of entry ``m``, in ``[0, 2*pi)``."""
+        g, b = divmod(m, self.offsets.shape[0])
+        return np.mod(self.gradients[g] + self.offsets[b], 2.0 * math.pi)
 
     @property
-    def coefficients(self) -> np.ndarray:
-        """Cached unit-modulus reflection coefficients ``exp(j*phases)``."""
-        if self._coefficients is None:
-            self._coefficients = np.exp(1j * self.phases)
-        return self._coefficients
+    def phases(self) -> np.ndarray:
+        """(M, tile_size) phases of every entry, values in ``[0, 2*pi)``."""
+        grid = self.gradients[:, None, :] + self.offsets[None, :, None]
+        return np.mod(grid, 2.0 * math.pi).reshape(len(self), -1)
 
 
 def build_codebook(tile_shape) -> Codebook:
     """Reflection/wavefront product codebook for one tile.
 
     The reflection set contains every 2-D DFT linear phase gradient over the
-    ``Q_y x Q_z`` tile, ``2*pi*(k_y*q_y/Q_y + k_z*q_z/Q_z)``; the wavefront
-    set adds one of eight global offsets ``2*pi*b/8`` to all elements, giving
-    ``8 * Q_y * Q_z`` entries in total.  The gradients are index-based, so
-    neither the wavelength nor the element spacing enters the construction.
+    ``Q_y x Q_z`` tile, ``2*pi*(k_y*q_y/Q_y + k_z*q_z/Q_z)``, ordered
+    ``k_y * Q_z + k_z``; the wavefront set adds one of eight global offsets
+    ``2*pi*b/8`` to all elements, giving ``8 * Q_y * Q_z`` entries in total.
+    The gradients are index-based, so neither the wavelength nor the element
+    spacing enters the construction.
     """
     q_y, q_z = tile_shape
     if q_y < 1 or q_z < 1:
         raise ValueError("tile shape must be positive")
-    e_y = np.repeat(np.arange(q_y), q_z)  # y-major element coordinates
+    # y-major element coordinates; in the same order, the gradient indices
+    e_y = np.repeat(np.arange(q_y), q_z)
     e_z = np.tile(np.arange(q_z), q_y)
-    entries = []
-    for k_y in range(q_y):
-        for k_z in range(q_z):
-            gradient = 2.0 * math.pi * (k_y * e_y / q_y + k_z * e_z / q_z)
-            for b in range(WAVEFRONT_PHASE_COUNT):
-                offset = 2.0 * math.pi * b / WAVEFRONT_PHASE_COUNT
-                entries.append(np.mod(gradient + offset, 2.0 * math.pi))
-    return Codebook(tile_shape=(q_y, q_z), phases=np.array(entries))
+    gradients = 2.0 * math.pi * (e_y[:, None] * e_y / q_y + e_z[:, None] * e_z / q_z)
+    offsets = 2.0 * math.pi * np.arange(WAVEFRONT_PHASE_COUNT) / WAVEFRONT_PHASE_COUNT
+    return Codebook(tile_shape=(q_y, q_z), gradients=gradients, offsets=offsets)
 
 
 @dataclass
@@ -134,17 +158,6 @@ class RisConfiguration:
     codebook: Codebook
     chosen_indices: np.ndarray  # (n_tiles,)
     element_phases: np.ndarray  # (Q,)
-
-
-@dataclass
-class EffectiveChannel:
-    """Stacked per-UE effective channels ``H = [h_1, ..., h_K]`` of shape (N_t, K)."""
-
-    h: np.ndarray
-
-    @property
-    def n_ue(self) -> int:
-        return self.h.shape[1]
 
 
 def tile_effective_channel(
@@ -159,24 +172,55 @@ def tile_effective_channel(
     return h_k + np.conj(row)
 
 
-def min_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Minimum singular value of each matrix in a (M, N, K) batch, K <= N.
+def _lambda_min_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue of Hermitian ``[[a, b], [conj(b), d]]``, elementwise."""
+    tr = a + d
+    det = a * d - np.abs(b) ** 2
+    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
 
-    Computed from the K x K Gramian; K = 1 and K = 2 use closed forms, larger
-    K falls back to a batched Hermitian eigensolve.
+
+def min_singular_values(grams: np.ndarray) -> np.ndarray:
+    """Minimum singular value of each matrix given by its (M, K, K) Gramian.
+
+    K = 1 and K = 2 use closed forms, larger K a batched Hermitian
+    eigensolve.
     """
-    m, n, k = stack.shape
+    k = grams.shape[-1]
     if k == 1:
-        return np.linalg.norm(stack[:, :, 0], axis=1)
-    gram = np.einsum("mnk,mnl->mkl", np.conj(stack), stack)
-    if k == 2:
-        tr = np.real(gram[:, 0, 0] + gram[:, 1, 1])
-        det = np.real(gram[:, 0, 0] * gram[:, 1, 1]) - np.abs(gram[:, 0, 1]) ** 2
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        lam_min = 0.5 * (tr - disc)
+        lam_min = np.real(grams[:, 0, 0])
+    elif k == 2:
+        lam_min = _lambda_min_2x2(
+            np.real(grams[:, 0, 0]), np.real(grams[:, 1, 1]), grams[:, 0, 1]
+        )
     else:
-        lam_min = np.linalg.eigvalsh(gram)[:, 0]
+        lam_min = np.linalg.eigvalsh(grams)[:, 0]
     return np.sqrt(np.maximum(lam_min, 0.0))
+
+
+def _best_candidate(grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> int:
+    """Lowest index maximizing :func:`min_singular_values` over ``grams``.
+
+    For K >= 3 the eigensolve runs first on the few candidates with the
+    highest interlacing bounds (over the 2 x 2 principal minors on
+    ``pairs``), then only on those whose bound reaches the best of those
+    exact scores less the rounding margin; the rest cannot win and are left
+    at ``-inf``.
+    """
+    if grams.shape[-1] <= 2:
+        return int(np.argmax(min_singular_values(grams)))
+    diag = np.real(np.diagonal(grams, axis1=1, axis2=2))  # (M, K)
+    i, j = pairs
+    bound = _lambda_min_2x2(diag[:, i], diag[:, j], grams[:, i, j]).min(axis=1)
+    margin = _PRUNE_MARGIN * diag.sum(axis=1).max()
+    scores = np.full(grams.shape[0], -np.inf)
+    n_top = min(_FLOOR_CANDIDATES, grams.shape[0])
+    top = np.argpartition(bound, -n_top)[-n_top:]
+    scores[top] = min_singular_values(grams[top])
+    rest = bound >= scores[top].max() ** 2 - margin
+    rest[top] = False
+    if rest.any():
+        scores[rest] = min_singular_values(grams[rest])
+    return int(np.argmax(scores))
 
 
 def configure_tiles(
@@ -185,7 +229,7 @@ def configure_tiles(
     h_r: np.ndarray,
     partition: TilePartition,
     codebook: Codebook,
-) -> tuple[RisConfiguration, EffectiveChannel]:
+) -> tuple[RisConfiguration, np.ndarray]:
     """Greedy per-tile codebook selection maximizing the minimum singular value.
 
     Parameters
@@ -195,10 +239,18 @@ def configure_tiles(
     h_r : (Q, K) per-UE RIS-to-UE channels as columns ``h_{r,k}``.
     partition, codebook : tile layout and per-tile phase configurations.
 
+    Returns the configuration and the final (N_t, K) effective channel
+    ``H = [h_1, ..., h_K]``.
+
     For every tile, all codebook entries are evaluated against the current
-    effective channel and the entry with the largest minimum singular value
-    of ``[h_1, ..., h_K]`` wins (ties broken by lowest index).  Requires
-    ``K <= N_t`` so the stacked matrix can stay full column rank.
+    effective channel ``H`` and the entry with the largest minimum singular
+    value of ``[h_1, ..., h_K]`` wins (ties broken by lowest index).  Entry
+    ``(g, b)`` turns ``H`` into ``H + e^{-j theta_b} D_g``, where column ``k``
+    of ``D_g = conj(H_t)^T diag(e^{-j g}) h_{r,k}`` is gradient ``g``'s
+    reflected contribution; the candidates are scored from their ``K x K``
+    Gramians, with interlacing pruning for ``K >= 3`` (see the module
+    docstring).  Requires ``K <= N_t`` so the stacked matrix can stay full
+    column rank.
     """
     if len(codebook) == 0:
         raise ValueError("empty codebook")
@@ -210,30 +262,44 @@ def configure_tiles(
     if h_t.shape != (partition.n_elements, n_t) or h_r.shape != (partition.n_elements, n_ue):
         raise ValueError("channel dimensions do not match the tile partition")
 
-    coeffs = codebook.coefficients  # (M, q)
-    h_eff = direct.astype(complex).copy()  # (N_t, K)
+    n_grad, n_off = codebook.gradients.shape[0], codebook.offsets.shape[0]
+    grad_phasors = np.exp(-1j * codebook.gradients)  # (G, q)
+    h_t_conj = np.conj(h_t)
+    # The Gramian of entry (g, b) is S_g + cos(theta_b) U_g + sin(theta_b) V_g
+    # with S_g = H^H H + D_g^H D_g, U_g = P_g + P_g^H, V_g = -j (P_g - P_g^H)
+    # and P_g = H^H D_g: one real product over the three terms.
+    offset_weights = np.stack(
+        [np.ones(n_off), np.cos(codebook.offsets), np.sin(codebook.offsets)], axis=1
+    )  # (B, 3)
+    terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
+    pairs = np.triu_indices(n_ue, 1)
+    h_eff = direct.astype(complex)  # (N_t, K)
     chosen = np.empty(partition.n_tiles, dtype=np.intp)
     element_phases = np.empty(partition.n_elements, dtype=float)
     for t, ids in enumerate(partition.element_ids):
-        h_t_tile = h_t[ids]  # (q, N_t)
-        # Candidate effective channels for every codebook entry at once:
-        # rows of (coeffs * conj(h_rk)) @ h_t_tile are the per-entry
-        # reflected contributions h_rk^H diag(e^{j w}) H_t.
-        stack = np.empty((len(codebook), n_t, n_ue), dtype=complex)
-        for k in range(n_ue):
-            contrib = (coeffs * np.conj(h_r[ids, k])) @ h_t_tile  # (M, N_t)
-            stack[:, :, k] = h_eff[:, k] + np.conj(contrib)
-        best = int(np.argmax(min_singular_values(stack)))
+        # All UEs' gradient contributions in one product, (G, q) @ (q, K*N_t):
+        # row k of d_rows[g] is column k of D_g.
+        weighted = h_r[ids][:, :, None] * h_t_conj[ids][:, None, :]  # (q, K, N_t)
+        d_rows = (grad_phasors @ weighted.reshape(len(ids), -1)).reshape(n_grad, n_ue, n_t)
+        p_t = (d_rows.reshape(n_grad * n_ue, n_t) @ np.conj(h_eff)).reshape(n_grad, n_ue, n_ue)
+        p, p_h = p_t.swapaxes(1, 2), np.conj(p_t)  # P_g = H^H D_g and P_g^H
+        terms[0] = np.conj(h_eff).T @ h_eff + np.conj(d_rows) @ d_rows.swapaxes(1, 2)
+        terms[1] = p + p_h
+        terms[2] = -1j * (p - p_h)
+        grams = (offset_weights @ terms.view(float).reshape(3, -1)).view(complex)
+        grams = grams.reshape(n_off, n_grad, n_ue, n_ue).swapaxes(0, 1)
+        best = _best_candidate(grams.reshape(n_grad * n_off, n_ue, n_ue), pairs)
+        g, b = divmod(best, n_off)
         chosen[t] = best
-        h_eff = stack[best]
-        element_phases[ids] = codebook.phases[best]
+        h_eff = h_eff + np.exp(-1j * codebook.offsets[b]) * d_rows[g].T
+        element_phases[ids] = codebook.entry_phases(best)
     config = RisConfiguration(
         partition=partition,
         codebook=codebook,
         chosen_indices=chosen,
         element_phases=element_phases,
     )
-    return config, EffectiveChannel(h=h_eff)
+    return config, h_eff
 
 
 def assemble_gamma(config: RisConfiguration) -> np.ndarray:

@@ -89,10 +89,18 @@ class ScenarioConfig:
     sweep_n_ue: list[int] = field(default_factory=lambda: [2])
 
     def __post_init__(self):
-        for name in ("carrier_hz", "bandwidth_hz", "gamma_thr", "spacing_wavelengths"):
-            value = getattr(self, name)
+        positive = [
+            (name, getattr(self, name))
+            for name in (
+                "carrier_hz", "bandwidth_hz", "gamma_thr", "spacing_wavelengths", "precoder_tol"
+            )
+        ]
+        positive.append(("ue_area.side", self.ue_area.side))
+        for name, value in positive:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.precoder_max_iters < 1:
+            raise ValueError(f"precoder_max_iters must be >= 1, got {self.precoder_max_iters!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.ue_count < 1:

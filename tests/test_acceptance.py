@@ -230,7 +230,7 @@ def test_criterion_6_tile_selection_oracle():
     recon_err = 0.0
     for j in range(n_ue):
         row = np.conj(direct[:, j]) + np.conj(h_r[:, j]) @ gamma @ h_t
-        recon_err = max(recon_err, float(np.abs(np.conj(row) - eff.h[:, j]).max()))
+        recon_err = max(recon_err, float(np.abs(np.conj(row) - eff[:, j]).max()))
 
     ok = not mismatches and recon_err < 1e-10
     report(

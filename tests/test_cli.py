@@ -76,6 +76,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=key):
             load_config(f"[{section}]\n{key} = nan\n")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_precoder_tol_rejected(self, value):
+        with pytest.raises(ValueError, match="precoder_tol"):
+            replace(default_config(), precoder_tol=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_ue_area_side_rejected(self, value):
+        cfg = default_config()
+        with pytest.raises(ValueError, match="ue_area.side"):
+            replace(cfg, ue_area=replace(cfg.ue_area, side=value))
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_precoder_max_iters_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="precoder_max_iters"):
+            replace(default_config(), precoder_max_iters=value)
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[precoder]\ntol = nan\n", "precoder_tol"),
+            ("[precoder]\ntol = 0\n", "precoder_tol"),
+            ("[precoder]\nmax_iters = 0\n", "precoder_max_iters"),
+            ("[ue]\narea_side = nan\n", "ue_area.side"),
+            ("[ue]\narea_side = -8\n", "ue_area.side"),
+        ],
+    )
+    def test_bad_precoder_and_area_in_ini_rejected(self, text, name):
+        with pytest.raises(ValueError, match=name):
+            load_config(text)
+
 
 class TestCliRun:
     def test_run_writes_csv(self, tmp_path):

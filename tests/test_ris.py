@@ -82,7 +82,17 @@ class TestCodebook:
     def test_unit_modulus_and_range(self):
         cb = build_codebook((3, 2))
         assert np.all(cb.phases >= 0.0) and np.all(cb.phases < 2 * math.pi)
-        np.testing.assert_allclose(np.abs(cb.coefficients), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.exp(1j * cb.phases)), 1.0, atol=1e-12)
+
+    def test_phases_are_gradient_major(self):
+        # entry g * 8 + b is gradient g plus offset b, wrapped into [0, 2*pi)
+        cb = build_codebook((3, 2))
+        assert cb.gradients.shape == (6, 6) and cb.offsets.shape == (8,)
+        for m in range(len(cb)):
+            g, b = divmod(m, 8)
+            expected = np.mod(cb.gradients[g] + cb.offsets[b], 2 * math.pi)
+            np.testing.assert_array_equal(cb.phases[m], expected)
+            np.testing.assert_array_equal(cb.entry_phases(m), expected)
 
     def test_gradients_present(self):
         # entry (k_y=1, k_z=0, b=0) of a 2x1 tile is phases [0, pi]
@@ -127,6 +137,11 @@ class TestTileEffectiveChannel:
         np.testing.assert_allclose(np.conj(out), row_full, atol=1e-12)
 
 
+def gramians(stack):
+    """(M, K, K) Gramians ``A^H A`` of a (M, N, K) batch."""
+    return np.conj(stack).swapaxes(1, 2) @ stack
+
+
 class TestMinSingularValues:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_svd(self, k):
@@ -135,7 +150,7 @@ class TestMinSingularValues:
         expected = np.array(
             [np.linalg.svd(m, compute_uv=False).min() for m in batch]
         )
-        np.testing.assert_allclose(min_singular_values(batch), expected, atol=1e-10)
+        np.testing.assert_allclose(min_singular_values(gramians(batch)), expected, atol=1e-10)
 
 
 class TestConfigureTiles:
@@ -151,14 +166,16 @@ class TestConfigureTiles:
     def test_single_entry_codebook(self):
         rng = np.random.default_rng(4)
         partition = build_tile_partition((1, 2), (1, 2))
-        codebook = Codebook(tile_shape=(1, 2), phases=np.array([[0.1, 0.7]]))
+        codebook = Codebook(
+            tile_shape=(1, 2), gradients=np.array([[0.1, 0.7]]), offsets=np.zeros(1)
+        )
         direct = complex_randn(rng, (3, 1))
         h_t = complex_randn(rng, (2, 3))
         h_r = complex_randn(rng, (2, 1))
         config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
         assert config.chosen_indices.tolist() == [0]
         expected = tile_effective_channel(direct[:, 0], h_t, h_r[:, 0], codebook.phases[0])
-        np.testing.assert_allclose(eff.h[:, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(eff[:, 0], expected, atol=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -166,7 +183,58 @@ class TestConfigureTiles:
         config, eff = configure_tiles(*args)
         chosen, h_eff = brute_force_selection(*args)
         np.testing.assert_array_equal(config.chosen_indices, chosen)
-        np.testing.assert_allclose(eff.h, h_eff, atol=1e-10)
+        np.testing.assert_allclose(eff, h_eff, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "ris, tile", [((4, 2), (2, 2)), ((6, 4), (3, 2))], ids=["2x2", "3x2"]
+    )
+    @pytest.mark.parametrize("n_ue", [1, 2, 3, 4])
+    def test_matches_brute_force_any_k(self, ris, tile, n_ue):
+        rng = np.random.default_rng(50 + n_ue)
+        args = self.make_instance(rng, ris=ris, tile=tile, n_ue=n_ue)
+        config, eff = configure_tiles(*args)
+        chosen, h_eff = brute_force_selection(*args)
+        np.testing.assert_array_equal(config.chosen_indices, chosen)
+        np.testing.assert_allclose(eff, h_eff, atol=1e-10)
+
+    @pytest.mark.parametrize("n_ue", [1, 2, 4])
+    def test_all_candidates_tied_pick_first(self, n_ue):
+        # without reflected channels every candidate Gramian equals H^H H, so
+        # nothing can be pruned and every tile keeps entry 0
+        rng = np.random.default_rng(13)
+        direct, h_t, h_r, partition, codebook = self.make_instance(
+            rng, ris=(8, 8), tile=(4, 4), n_ue=n_ue
+        )
+        config, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), partition, codebook)
+        assert config.chosen_indices.tolist() == [0] * partition.n_tiles
+        np.testing.assert_array_equal(eff, direct)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_ue", [3, 4, 6])
+    def test_pruning_is_exact(self, n_ue, seed):
+        # every choice is the argmax of min_singular_values over all 512
+        # candidate Gramians of its tile, built here without the Gram form
+        rng = np.random.default_rng(100 * n_ue + seed)
+        direct, h_t, h_r, partition, codebook = self.make_instance(
+            rng, ris=(8, 24), tile=(8, 8), n_t=8, n_ue=n_ue
+        )
+        # path-loss scale, with the reflections dominating a blocked direct link
+        direct, h_t, h_r = 1e-7 * direct, 1e-3 * h_t, 1e-3 * h_r
+        config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
+        coeffs = np.exp(1j * codebook.phases)  # (512, 64)
+        h_cur = direct.copy()
+        for t, ids in enumerate(partition.element_ids):
+            stack = np.stack(
+                [
+                    h_cur[:, j] + np.conj((coeffs * np.conj(h_r[ids, j])) @ h_t[ids])
+                    for j in range(n_ue)
+                ],
+                axis=2,
+            )  # (512, N_t, K)
+            scores = min_singular_values(gramians(stack))
+            assert config.chosen_indices[t] == int(np.argmax(scores))
+            h_cur = stack[config.chosen_indices[t]]
+        np.testing.assert_allclose(eff, h_cur, rtol=1e-10)
 
     def test_matches_brute_force_single_ue(self):
         rng = np.random.default_rng(6)
@@ -179,7 +247,7 @@ class TestConfigureTiles:
         rng = np.random.default_rng(7)
         direct, h_t, h_r, partition, codebook = self.make_instance(rng)
         _, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), partition, codebook)
-        np.testing.assert_allclose(eff.h, direct, atol=1e-12)
+        np.testing.assert_allclose(eff, direct, atol=1e-12)
 
     def test_scaling_invariance(self):
         # scaling the direct channel and one side of the cascade scales every
@@ -190,7 +258,7 @@ class TestConfigureTiles:
         c = 7.3
         scaled, eff_scaled = configure_tiles(c * direct, h_t, c * h_r, partition, codebook)
         np.testing.assert_array_equal(config.chosen_indices, scaled.chosen_indices)
-        np.testing.assert_allclose(eff_scaled.h, c * eff.h, rtol=1e-12)
+        np.testing.assert_allclose(eff_scaled, c * eff, rtol=1e-12)
 
     def test_per_tile_optimality(self):
         # no codebook entry beats the chosen one at its own tile iteration
@@ -218,7 +286,9 @@ class TestConfigureTiles:
         rng = np.random.default_rng(10)
         direct, h_t, h_r, partition, codebook = self.make_instance(rng)
         with pytest.raises(ValueError):
-            configure_tiles(direct, h_t, h_r, partition, Codebook((2, 2), np.empty((0, 4))))
+            configure_tiles(
+                direct, h_t, h_r, partition, Codebook((2, 2), np.empty((0, 4)), np.zeros(8))
+            )
         with pytest.raises(ValueError):
             configure_tiles(complex_randn(rng, (2, 3)), h_t, h_r, partition, codebook)
 
@@ -260,7 +330,7 @@ class TestAssembleGamma:
         gamma = assemble_gamma(config)
         for j in range(2):
             row = np.conj(direct[:, j]) + np.conj(h_r[:, j]) @ gamma @ h_t
-            np.testing.assert_allclose(np.conj(row), eff.h[:, j], atol=1e-10)
+            np.testing.assert_allclose(np.conj(row), eff[:, j], atol=1e-10)
 
     def test_unconfigured_rejected(self):
         partition = build_tile_partition((2, 2), (2, 2))
