@@ -7,7 +7,6 @@ power-minimization precoding, and a reproducible Monte Carlo sweep harness.
 
 from .channels import (
     Box,
-    ChannelMatrix,
     ChannelModel,
     LinkParams,
     LinkRole,
@@ -16,9 +15,6 @@ from .channels import (
     nearfield_los,
     pathloss,
     sample_iid_rayleigh,
-    sample_lowrank_geometric,
-    sample_nearfield_geometric,
-    sample_rician,
 )
 from .correlation import (
     CorrelationMatrix,
@@ -43,7 +39,6 @@ from .ris import (
     Codebook,
     RisConfiguration,
     TilePartition,
-    assemble_gamma,
     build_codebook,
     build_tile_partition,
     configure_tiles,
@@ -57,7 +52,6 @@ __all__ = [
     "Angle",
     "ArrayGeometry",
     "Box",
-    "ChannelMatrix",
     "ChannelModel",
     "Codebook",
     "CorrelationMatrix",
@@ -70,7 +64,6 @@ __all__ = [
     "ScenarioConfig",
     "TilePartition",
     "achieved_sinr",
-    "assemble_gamma",
     "build_codebook",
     "build_tile_partition",
     "configure_tiles",
@@ -91,11 +84,8 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "sample_iid_rayleigh",
-    "sample_lowrank_geometric",
     "sample_matrix_normal_factor",
     "sample_matrix_normal_vec",
-    "sample_nearfield_geometric",
-    "sample_rician",
     "sinc_correlation",
     "steering_vector",
     "tile_effective_channel",

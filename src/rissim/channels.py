@@ -1,6 +1,6 @@
-"""Channel generators of increasing modeling fidelity.
+"""Channel primitives shared by the five small-scale fading models.
 
-Five small-scale fading models share a common per-link power budget ``h_p``:
+The models differ only in how one link is drawn:
 
 * iid Rayleigh entries,
 * iid Rician (rank-one planar line-of-sight plus iid scatter),
@@ -8,15 +8,20 @@ Five small-scale fading models share a common per-link power budget ``h_p``:
 * low-rank geometric (clustered sub-paths, planar wave per array),
 * near-field geometric (exact per-element-pair spherical distances).
 
-All samplers normalize so that ``E||H||_F^2 = h_p * N_rx * N_tx`` and are
-pure functions of their RNG, so identical seeds reproduce identical draws.
+This module holds the pieces: the per-link power budget ``h_p``, the iid
+draw, the planar and spherical line-of-sight matrices, and the scattering
+clusters with their planar and spherical evaluations.  Each piece
+normalizes so that ``E||H||_F^2 = h_p * N_rx * N_tx`` and is a pure
+function of its RNG.  :func:`rissim.harness.draw_link` composes them into
+one link per model; it is the only place that does.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +31,12 @@ from .geometry import Angle, ArrayGeometry, steering_vector
 # Minimum allowed separation between a scatterer and any antenna element;
 # draws closer than this are rejected and resampled.
 _MIN_SCATTER_CLEARANCE = 1e-9
+
+# Largest dB offset whose linear gain is a finite float.
+_MAX_GAIN_DB = 10.0 * math.log10(sys.float_info.max)
+
+# Distributions of the per-cluster gains accepted by :func:`draw_clusters`.
+GAIN_DISTRIBUTIONS = ("gaussian", "rademacher")
 
 
 class ChannelModel(str, enum.Enum):
@@ -59,28 +70,17 @@ class LinkParams:
     shadow_db: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0 (linear)")
-        if self.d0 <= 0:
-            raise ValueError("d0 must be > 0")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if self.k_factor < 0:
-            raise ValueError("k_factor must be >= 0")
-
-
-@dataclass
-class ChannelMatrix:
-    """Complex channel realization plus provenance metadata."""
-
-    h: np.ndarray
-    model: ChannelModel | None = None
-    link: LinkRole | None = None
-    seed: int | None = None
-
-    @property
-    def shape(self):
-        return self.h.shape
+        for name, value in (("beta", self.beta), ("d0", self.d0)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name, value in (("eta", self.eta), ("k_factor", self.k_factor)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        # -inf dB is a fully blocked link; NaN, +inf and gains past the
+        # largest float have no meaning.
+        for name, value in (("blockage_db", self.blockage_db), ("shadow_db", self.shadow_db)):
+            if math.isnan(value) or value > _MAX_GAIN_DB:
+                raise ValueError(f"{name} must be -inf or at most {_MAX_GAIN_DB:.1f}, got {value!r}")
 
 
 def pathloss(params: LinkParams, d: float) -> float:
@@ -91,20 +91,14 @@ def pathloss(params: LinkParams, d: float) -> float:
     return gain * units.db_to_linear(params.blockage_db) * units.db_to_linear(params.shadow_db)
 
 
-def free_space_beta(wavelength: float) -> float:
-    """Free-space reference pathloss ``(lambda / 4 pi)^2`` at 1 m."""
-    return (wavelength / (4.0 * math.pi)) ** 2
-
-
 def sample_iid_rayleigh(
     rng: np.random.Generator, n_rx: int, n_tx: int, h_p: float
-) -> ChannelMatrix:
+) -> np.ndarray:
     """Entries iid CN(0, h_p): real/imaginary parts each of variance h_p/2."""
     if h_p < 0:
         raise ValueError("h_p must be >= 0")
     scale = math.sqrt(h_p / 2.0)
-    h = scale * (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx)))
-    return ChannelMatrix(h=h, model=ChannelModel.IID_RAYLEIGH)
+    return scale * (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx)))
 
 
 def los_matrix(
@@ -142,29 +136,6 @@ def nearfield_los(
     return math.sqrt(h_p) * np.exp(1j * kappa * d)
 
 
-def sample_rician(
-    rng: np.random.Generator,
-    los: np.ndarray,
-    nlos_sampler,
-    k_factor: float,
-    model: ChannelModel = ChannelModel.IID_RICIAN,
-) -> ChannelMatrix:
-    """K-factor weighted combination of a LOS matrix and an nLOS draw.
-
-    ``nlos_sampler(rng)`` must return an ndarray (or ChannelMatrix) matching
-    the LOS shape; the result is
-    ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.
-    """
-    if k_factor < 0:
-        raise ValueError("k_factor must be >= 0")
-    nlos = nlos_sampler(rng)
-    if isinstance(nlos, ChannelMatrix):
-        nlos = nlos.h
-    w_los = math.sqrt(k_factor / (1.0 + k_factor))
-    w_nlos = math.sqrt(1.0 / (1.0 + k_factor))
-    return ChannelMatrix(h=w_los * los + w_nlos * nlos, model=model)
-
-
 # ---------------------------------------------------------------------------
 # Clustered geometric models
 # ---------------------------------------------------------------------------
@@ -178,15 +149,14 @@ class Box:
     hi: tuple[float, float, float]
 
     def __post_init__(self):
+        corners = (*self.lo, *self.hi)
+        if len(self.lo) != 3 or len(self.hi) != 3 or not all(map(math.isfinite, corners)):
+            raise ValueError(f"cluster volume needs 3 finite lo and hi values: {self.lo}, {self.hi}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"empty cluster volume: lo={self.lo}, hi={self.hi}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, 3))
-
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
 
 @dataclass
@@ -343,43 +313,3 @@ def nearfield_from_clusters(
     amp = math.sqrt(clusters.h_p) * np.exp(1j * clusters.all_phases())
     scale = 1.0 / math.sqrt(len(amp))
     return scale * ((np.exp(1j * kappa * d_rx) * amp) @ np.exp(1j * kappa * d_tx).T)
-
-
-def sample_lowrank_geometric(
-    rng: np.random.Generator,
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-    volume: Box,
-    h_p: float,
-    wavelength: float,
-    n_clusters: int,
-    n_subpaths: int,
-    gain_distribution: str = "gaussian",
-) -> ChannelMatrix:
-    """Draw clusters in ``volume`` and evaluate the low-rank geometric model."""
-    clusters = draw_clusters(
-        rng, volume, n_clusters, n_subpaths, h_p, gain_distribution,
-        avoid_points=np.concatenate([tx_geom.element_positions, rx_geom.element_positions]),
-    )
-    h = lowrank_from_clusters(clusters, tx_geom, rx_geom, wavelength)
-    return ChannelMatrix(h=h, model=ChannelModel.LOWRANK_GEOMETRIC)
-
-
-def sample_nearfield_geometric(
-    rng: np.random.Generator,
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-    volume: Box,
-    h_p: float,
-    wavelength: float,
-    n_clusters: int,
-    n_subpaths: int,
-    gain_distribution: str = "gaussian",
-) -> ChannelMatrix:
-    """Draw clusters in ``volume`` and evaluate the near-field geometric model."""
-    clusters = draw_clusters(
-        rng, volume, n_clusters, n_subpaths, h_p, gain_distribution,
-        avoid_points=np.concatenate([tx_geom.element_positions, rx_geom.element_positions]),
-    )
-    h = nearfield_from_clusters(clusters, tx_geom, rx_geom, wavelength)
-    return ChannelMatrix(h=h, model=ChannelModel.NEARFIELD_GEOMETRIC)

@@ -35,6 +35,9 @@ def _resolve_config(args) -> ScenarioConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.raw and not args.out:
+        print("--raw requires --out", file=sys.stderr)
+        return 2
     config = _resolve_config(args)
     result = harness.run_sweep(config)
     text = harness.aggregate_csv(result.aggregates)
@@ -44,9 +47,6 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(text)
     if args.raw:
-        if not args.out:
-            print("--raw requires --out", file=sys.stderr)
-            return 2
         raw_path = Path(args.out).with_suffix(".raw.csv")
         raw_path.write_text(harness.raw_csv(result.raw))
         logging.info("wrote %s", raw_path)

@@ -123,20 +123,6 @@ def sample_matrix_normal_vec(
     return (kron_factor @ z).reshape(r_rx.n, r_tx.n)
 
 
-def sample_halfspace_angles(rng: np.random.Generator, n: int):
-    """Angles of isotropic scatterers in the half-space in front of an array.
-
-    The joint density is ``cos(theta) / (2*pi)`` over
-    ``theta, phi in [-pi/2, pi/2]``; elevation follows from inverting its
-    marginal CDF ``(sin(theta)+1)/2`` and azimuth is uniform.
-
-    Returns (theta, phi) arrays of length ``n``.
-    """
-    theta = np.arcsin(2.0 * rng.uniform(size=n) - 1.0)
-    phi = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
-    return theta, phi
-
-
 def _halfspace_direction_yz(rng: np.random.Generator, n: int, dtype):
     """(d_y, d_z) components of directions uniform on the forward half-sphere.
 

@@ -142,7 +142,7 @@ class SimContext:
                 )
 
 
-def _draw_link(
+def draw_link(
     model: ChannelModel,
     role: LinkRole,
     tx_geom: ArrayGeometry,
@@ -152,7 +152,16 @@ def _draw_link(
     trial: int,
     ue_index: int,
 ) -> np.ndarray:
-    """One channel matrix for one link under the selected model."""
+    """One link's channel matrix, shape ``(N_rx, N_tx)``, under ``model``.
+
+    This is where each model is composed from the primitives in
+    :mod:`rissim.channels`: iid Rayleigh is the fading draw alone; the other
+    models mix their nLOS draw (iid, correlated, or a cluster sum) with the
+    planar or spherical LOS matrix by the link's K-factor,
+    ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.  The fading and cluster
+    streams are seeded from (master seed, trial, link, UE) alone, never from
+    the model or Q.
+    """
     link = config.links[role]
     distance = pairwise_distance(tx_geom.center, rx_geom.center)
     h_p = pathloss(link.params, distance)
@@ -164,7 +173,7 @@ def _draw_link(
 
     if model == ChannelModel.IID_RAYLEIGH:
         # Pure scatter everywhere; the K-factor is deliberately ignored.
-        return sample_iid_rayleigh(rng_fading, rx_geom.size, tx_geom.size, h_p).h
+        return sample_iid_rayleigh(rng_fading, rx_geom.size, tx_geom.size, h_p)
 
     if model in _PLANAR_MODELS:
         ctx.flag_near_field(model, role, tx_geom, rx_geom, distance)
@@ -189,7 +198,7 @@ def _draw_link(
         else:
             nlos = nearfield_from_clusters(clusters, tx_geom, rx_geom, wl)
     elif model == ChannelModel.IID_RICIAN:
-        nlos = sample_iid_rayleigh(rng_fading, rx_geom.size, tx_geom.size, h_p).h
+        nlos = sample_iid_rayleigh(rng_fading, rx_geom.size, tx_geom.size, h_p)
     elif model == ChannelModel.CORRELATED_RAYLEIGH:
         nlos = sample_matrix_normal_factor(
             rng_fading, ctx.correlation(rx_geom), ctx.correlation(tx_geom), math.sqrt(h_p)
@@ -249,15 +258,15 @@ def run_trial(
     k = config.ue_count
     direct = np.empty((n_t, k), dtype=complex)
     h_r = np.empty((ctx.ris_geom.size, k), dtype=complex)
-    h_t = _draw_link(
+    h_t = draw_link(
         model, LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, config, ctx, trial_index, 0
     )
     for j in range(k):
         ue_geom = ArrayGeometry.single(positions[j])
-        d_row = _draw_link(
+        d_row = draw_link(
             model, LinkRole.DIRECT, ctx.bs_geom, ue_geom, config, ctx, trial_index, j
         )
-        r_row = _draw_link(
+        r_row = draw_link(
             model, LinkRole.RIS_TO_RX, ctx.ris_geom, ue_geom, config, ctx, trial_index, j
         )
         direct[:, j] = np.conj(d_row[0])  # h_{d,k} with h^H the received row

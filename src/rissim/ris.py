@@ -32,6 +32,9 @@ import numpy as np
 
 WAVEFRONT_PHASE_COUNT = 8  # three-bit global phase offsets per tile
 
+# Tile visit orders accepted by :func:`build_tile_partition`.
+TILE_ORDERS = ("raster", "reversed")
+
 # Candidates solved exactly, by bound, to set the pruning floor (K >= 3).
 _FLOOR_CANDIDATES = 8
 # Pruning margin as a multiple of the tile's largest Gram trace.  It covers
@@ -300,16 +303,3 @@ def configure_tiles(
         element_phases=element_phases,
     )
     return config, h_eff
-
-
-def assemble_gamma(config: RisConfiguration) -> np.ndarray:
-    """Dense diagonal reflection matrix ``diag(exp(j*omega_q))`` over all elements.
-
-    Every diagonal entry has unit modulus (passive lossless reflection); all
-    off-diagonal entries are exactly zero.
-    """
-    if config.element_phases.shape[0] != config.partition.n_elements:
-        raise ValueError("configuration does not cover all elements")
-    if np.isnan(config.element_phases).any():
-        raise ValueError("unconfigured tile: missing element phases")
-    return np.diag(np.exp(1j * config.element_phases))

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import units
-from .channels import Box, ChannelModel, LinkParams, LinkRole
+from .channels import GAIN_DISTRIBUTIONS, Box, ChannelModel, LinkParams, LinkRole
+from .ris import TILE_ORDERS
 
 DEFAULT_BETA_DB = -46.0
 
@@ -99,12 +100,23 @@ class ScenarioConfig:
         for name, value in positive:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.precoder_max_iters < 1:
-            raise ValueError(f"precoder_max_iters must be >= 1, got {self.precoder_max_iters!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.ue_count < 1:
-            raise ValueError("ue_count must be >= 1")
+        for name in ("noise_figure_db", "n0_dbm_per_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        points = (("bs_center", self.bs_center), ("ris_center", self.ris_center),
+                  ("ue_area.center", self.ue_area.center))
+        for name, point in points:
+            if len(point) != 3 or not all(map(math.isfinite, point)):
+                raise ValueError(f"{name} must be 3 finite coordinates, got {point!r}")
+        for name in ("precoder_max_iters", "trials", "ue_count", "n_clusters", "n_subpaths"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
+        choices = (("gain_distribution", GAIN_DISTRIBUTIONS), ("tile_order", TILE_ORDERS))
+        for name, allowed in choices:
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
     @property
     def wavelength(self) -> float:
@@ -166,92 +178,137 @@ _LINK_SECTIONS = {
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".12g")
+    """12 significant digits, or all of them where 12 would change the value,
+    so the text always loads back to the same float."""
+    text = format(x, ".12g")
+    return text if float(text) == x else repr(x)
 
 
 def _fmt_seq(values) -> str:
     return ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
 
 
-def dump_config(config: ScenarioConfig) -> str:
-    """Render a config as INI text; :func:`load_config` reads it back."""
-    cp = configparser.ConfigParser()
-    cp["system"] = {
-        "carrier_hz": _fmt(config.carrier_hz),
-        "bandwidth_hz": _fmt(config.bandwidth_hz),
-        "noise_figure_db": _fmt(config.noise_figure_db),
-        "n0_dbm_per_hz": _fmt(config.n0_dbm_per_hz),
-        "gamma_thr": _fmt(config.gamma_thr),
-    }
-    cp["bs"] = {
-        "n_y": str(config.bs_counts[0]),
-        "n_z": str(config.bs_counts[1]),
-        "center": _fmt_seq(config.bs_center),
-    }
-    cp["ris"] = {
-        "tiles_y": str(config.ris_tiles[0]),
-        "tiles_z": str(config.ris_tiles[1]),
-        "tile_n_y": str(config.tile_shape[0]),
-        "tile_n_z": str(config.tile_shape[1]),
-        "center": _fmt_seq(config.ris_center),
-        "spacing_wavelengths": _fmt(config.spacing_wavelengths),
-        "tile_order": config.tile_order,
-    }
-    cp["ue"] = {
-        "count": str(config.ue_count),
-        "area_center": _fmt_seq(config.ue_area.center),
-        "area_side": _fmt(config.ue_area.side),
-    }
-    for role, section in _LINK_SECTIONS.items():
-        link = config.links[role]
-        box = link.cluster_volume
-        cp[section] = {
-            "beta_db": _fmt(units.linear_to_db(link.params.beta)),
-            "d0": _fmt(link.params.d0),
-            "eta": _fmt(link.params.eta),
-            "k_factor": _fmt(link.params.k_factor),
-            "blockage_db": _fmt(link.params.blockage_db),
-            "shadow_db": _fmt(link.params.shadow_db),
-            "cluster_volume": _fmt_seq(
-                [box.lo[0], box.hi[0], box.lo[1], box.hi[1], box.lo[2], box.hi[2]]
-            ),
-        }
-    cp["clusters"] = {
-        "count": str(config.n_clusters),
-        "subpaths": str(config.n_subpaths),
-        "gain_distribution": config.gain_distribution,
-    }
-    cp["precoder"] = {
-        "max_iters": str(config.precoder_max_iters),
-        "tol": _fmt(config.precoder_tol),
-    }
-    cp["run"] = {
-        "trials": str(config.trials),
-        "master_seed": str(config.master_seed),
-        "models": ", ".join(m.value for m in config.models),
-    }
-    cp["sweep"] = {
-        "q": _fmt_seq(config.sweep_q),
-        "n_ue": _fmt_seq(config.sweep_n_ue),
-    }
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()
-
-
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
+def _parse_box(text: str) -> Box:
+    v = _floats(text)
+    if len(v) != 6:
+        raise ValueError(f"needs 6 values (lo, hi for x, y, z), got {len(v)}")
+    return Box(lo=v[0::2], hi=v[1::2])
+
+
+def _parse_models(text: str) -> list[ChannelModel]:
+    return [ChannelModel(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
+# Codecs: (parse the INI text, format the value).
+_FLOAT = (float, _fmt)
+_INT = (int, str)
+_STR = (str, str)
+_FLOATS = (_floats, _fmt_seq)
+_INTS = (_ints, _fmt_seq)
+# The dB text is a rounded view of a linear value; at 12 digits it survives reloading.
+_DB = (lambda text: units.db_to_linear(float(text)), lambda x: format(units.linear_to_db(x), ".12g"))
+_BOX = (_parse_box, lambda box: _fmt_seq([c for pair in zip(box.lo, box.hi) for c in pair]))
+_MODELS = (_parse_models, lambda models: ", ".join(m.value for m in models))
+
+# Every INI key as (section, key, path to the config value, codec), in the
+# order the INI lists them.  A path step is an attribute name, a tuple index
+# or a dict key.  The table drives dump, load and the unknown-key check.
+_FIELDS = [
+    ("system", "carrier_hz", ("carrier_hz",), _FLOAT),
+    ("system", "bandwidth_hz", ("bandwidth_hz",), _FLOAT),
+    ("system", "noise_figure_db", ("noise_figure_db",), _FLOAT),
+    ("system", "n0_dbm_per_hz", ("n0_dbm_per_hz",), _FLOAT),
+    ("system", "gamma_thr", ("gamma_thr",), _FLOAT),
+    ("bs", "n_y", ("bs_counts", 0), _INT),
+    ("bs", "n_z", ("bs_counts", 1), _INT),
+    ("bs", "center", ("bs_center",), _FLOATS),
+    ("ris", "tiles_y", ("ris_tiles", 0), _INT),
+    ("ris", "tiles_z", ("ris_tiles", 1), _INT),
+    ("ris", "tile_n_y", ("tile_shape", 0), _INT),
+    ("ris", "tile_n_z", ("tile_shape", 1), _INT),
+    ("ris", "center", ("ris_center",), _FLOATS),
+    ("ris", "spacing_wavelengths", ("spacing_wavelengths",), _FLOAT),
+    ("ris", "tile_order", ("tile_order",), _STR),
+    ("ue", "count", ("ue_count",), _INT),
+    ("ue", "area_center", ("ue_area", "center"), _FLOATS),
+    ("ue", "area_side", ("ue_area", "side"), _FLOAT),
+    *(
+        (section, key, ("links", role, *path), codec)
+        for role, section in _LINK_SECTIONS.items()
+        for key, path, codec in (
+            ("beta_db", ("params", "beta"), _DB),
+            ("d0", ("params", "d0"), _FLOAT),
+            ("eta", ("params", "eta"), _FLOAT),
+            ("k_factor", ("params", "k_factor"), _FLOAT),
+            ("blockage_db", ("params", "blockage_db"), _FLOAT),
+            ("shadow_db", ("params", "shadow_db"), _FLOAT),
+            ("cluster_volume", ("cluster_volume",), _BOX),
+        )
+    ),
+    ("clusters", "count", ("n_clusters",), _INT),
+    ("clusters", "subpaths", ("n_subpaths",), _INT),
+    ("clusters", "gain_distribution", ("gain_distribution",), _STR),
+    ("precoder", "max_iters", ("precoder_max_iters",), _INT),
+    ("precoder", "tol", ("precoder_tol",), _FLOAT),
+    ("run", "trials", ("trials",), _INT),
+    ("run", "master_seed", ("master_seed",), _INT),
+    ("run", "models", ("models",), _MODELS),
+    ("sweep", "q", ("sweep_q",), _INTS),
+    ("sweep", "n_ue", ("sweep_n_ue",), _INTS),
+]
+_FIELD_BY_KEY = {(section, key): (path, parse) for section, key, path, (parse, _) in _FIELDS}
+
+
+def _get(obj, path):
+    for step in path:
+        obj = obj[step] if isinstance(obj, (tuple, dict)) else getattr(obj, step)
+    return obj
+
+
+def _updated(obj, updates: dict):
+    """Copy of ``obj`` with nested ``{step: value or {step: ...}}`` updates.
+
+    Each dataclass on an updated path is rebuilt with ``replace``, so it
+    checks its new values.
+    """
+
+    def new(step, old):
+        sub = updates[step]
+        return _updated(old, sub) if isinstance(sub, dict) else sub
+
+    if isinstance(obj, tuple):
+        return tuple(new(i, v) if i in updates else v for i, v in enumerate(obj))
+    if isinstance(obj, dict):
+        return {k: new(k, v) if k in updates else v for k, v in obj.items()}
+    return replace(obj, **{name: new(name, getattr(obj, name)) for name in updates})
+
+
+def dump_config(config: ScenarioConfig) -> str:
+    """Render a config as INI text; :func:`load_config` reads it back."""
+    cp = configparser.ConfigParser()
+    for section, key, path, (_, fmt) in _FIELDS:
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, fmt(_get(config, path)))
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
+
+
 def load_config(source, base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Build a config from INI text or a file path, on top of ``base`` defaults.
 
     Only the keys present in the file override the base; unknown sections or
-    keys raise so typos do not silently fall back to defaults.
+    keys raise so typos do not silently fall back to defaults.  The result
+    is checked like any directly built config.
     """
     config = base if base is not None else default_config()
     cp = configparser.ConfigParser()
@@ -261,91 +318,22 @@ def load_config(source, base: ScenarioConfig | None = None) -> ScenarioConfig:
         with open(source, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
 
-    known = {
-        "system", "bs", "ris", "ue", "clusters", "precoder", "run", "sweep",
-        *_LINK_SECTIONS.values(),
-    }
-    unknown = set(cp.sections()) - known
+    unknown = set(cp.sections()) - {section for section, _ in _FIELD_BY_KEY}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
-
-    def get(section, key, cast, current):
-        if cp.has_option(section, key):
-            return cast(cp.get(section, key))
-        return current
-
-    kw: dict = {}
-    kw["carrier_hz"] = get("system", "carrier_hz", float, config.carrier_hz)
-    kw["bandwidth_hz"] = get("system", "bandwidth_hz", float, config.bandwidth_hz)
-    kw["noise_figure_db"] = get("system", "noise_figure_db", float, config.noise_figure_db)
-    kw["n0_dbm_per_hz"] = get("system", "n0_dbm_per_hz", float, config.n0_dbm_per_hz)
-    kw["gamma_thr"] = get("system", "gamma_thr", float, config.gamma_thr)
-
-    kw["bs_counts"] = (
-        get("bs", "n_y", int, config.bs_counts[0]),
-        get("bs", "n_z", int, config.bs_counts[1]),
-    )
-    kw["bs_center"] = tuple(get("bs", "center", _floats, list(config.bs_center)))
-    kw["ris_tiles"] = (
-        get("ris", "tiles_y", int, config.ris_tiles[0]),
-        get("ris", "tiles_z", int, config.ris_tiles[1]),
-    )
-    kw["tile_shape"] = (
-        get("ris", "tile_n_y", int, config.tile_shape[0]),
-        get("ris", "tile_n_z", int, config.tile_shape[1]),
-    )
-    kw["ris_center"] = tuple(get("ris", "center", _floats, list(config.ris_center)))
-    kw["spacing_wavelengths"] = get(
-        "ris", "spacing_wavelengths", float, config.spacing_wavelengths
-    )
-    kw["tile_order"] = get("ris", "tile_order", str, config.tile_order)
-
-    kw["ue_count"] = get("ue", "count", int, config.ue_count)
-    kw["ue_area"] = UeArea(
-        center=tuple(get("ue", "area_center", _floats, list(config.ue_area.center))),
-        side=get("ue", "area_side", float, config.ue_area.side),
-    )
-
-    links = {}
-    for role, section in _LINK_SECTIONS.items():
-        old = config.links[role]
-        beta_db = get(section, "beta_db", float, units.linear_to_db(old.params.beta))
-        vol = get(
-            section,
-            "cluster_volume",
-            _floats,
-            [old.cluster_volume.lo[0], old.cluster_volume.hi[0],
-             old.cluster_volume.lo[1], old.cluster_volume.hi[1],
-             old.cluster_volume.lo[2], old.cluster_volume.hi[2]],
-        )
-        links[role] = LinkConfig(
-            params=LinkParams(
-                beta=units.db_to_linear(beta_db),
-                d0=get(section, "d0", float, old.params.d0),
-                eta=get(section, "eta", float, old.params.eta),
-                k_factor=get(section, "k_factor", float, old.params.k_factor),
-                blockage_db=get(section, "blockage_db", float, old.params.blockage_db),
-                shadow_db=get(section, "shadow_db", float, old.params.shadow_db),
-            ),
-            cluster_volume=Box(lo=(vol[0], vol[2], vol[4]), hi=(vol[1], vol[3], vol[5])),
-        )
-    kw["links"] = links
-
-    kw["n_clusters"] = get("clusters", "count", int, config.n_clusters)
-    kw["n_subpaths"] = get("clusters", "subpaths", int, config.n_subpaths)
-    kw["gain_distribution"] = get("clusters", "gain_distribution", str, config.gain_distribution)
-
-    kw["precoder_max_iters"] = get("precoder", "max_iters", int, config.precoder_max_iters)
-    kw["precoder_tol"] = get("precoder", "tol", float, config.precoder_tol)
-
-    kw["trials"] = get("run", "trials", int, config.trials)
-    kw["master_seed"] = get("run", "master_seed", int, config.master_seed)
-    if cp.has_option("run", "models"):
-        names = [tok.strip() for tok in cp.get("run", "models").split(",") if tok.strip()]
-        kw["models"] = [ChannelModel(name) for name in names]
-    else:
-        kw["models"] = list(config.models)
-    kw["sweep_q"] = get("sweep", "q", _ints, list(config.sweep_q))
-    kw["sweep_n_ue"] = get("sweep", "n_ue", _ints, list(config.sweep_n_ue))
-
-    return ScenarioConfig(**kw)
+    updates: dict = {}
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in _FIELD_BY_KEY:
+                raise ValueError(f"unknown config key {key!r} in [{section}]")
+            path, parse = _FIELD_BY_KEY[section, key]
+            text = cp.get(section, key)
+            try:
+                value = parse(text)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"[{section}] {key} = {text}: {exc}") from exc
+            node = updates
+            for step in path[:-1]:
+                node = node.setdefault(step, {})
+            node[path[-1]] = value
+    return _updated(config, updates)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,21 +9,23 @@ from rissim.channels import (
     Box,
     ChannelModel,
     LinkParams,
+    LinkRole,
     draw_clusters,
-    free_space_beta,
     los_matrix,
     lowrank_from_clusters,
     nearfield_from_clusters,
     nearfield_los,
     pathloss,
     sample_iid_rayleigh,
-    sample_lowrank_geometric,
-    sample_nearfield_geometric,
-    sample_rician,
 )
 from rissim.geometry import Angle, ArrayGeometry, fraunhofer_distance, steering_vector
+from rissim.harness import SimContext, draw_link
+from rissim.scenario import LinkConfig, default_config, load_config
 
 LAM = 0.06
+ROLE = LinkRole.TX_TO_RIS
+LOWRANK = ChannelModel.LOWRANK_GEOMETRIC
+NEARFIELD = ChannelModel.NEARFIELD_GEOMETRIC
 
 
 class TestPathloss:
@@ -36,8 +39,9 @@ class TestPathloss:
         assert units.linear_to_db(pathloss(p, 10.0)) == pytest.approx(-66.0, abs=1e-9)
 
     def test_free_space_beta_at_5ghz(self):
+        # free-space reference pathloss (lambda / 4 pi)^2 at 1 m
         lam = units.SPEED_OF_LIGHT / 5e9
-        assert units.linear_to_db(free_space_beta(lam)) == pytest.approx(-46.4, abs=0.05)
+        assert units.linear_to_db((lam / (4.0 * math.pi)) ** 2) == pytest.approx(-46.4, abs=0.05)
 
     def test_blockage_and_shadow_offsets(self):
         p = LinkParams(beta=1.0, blockage_db=-40.0, shadow_db=-3.0)
@@ -60,23 +64,23 @@ class TestPathloss:
 class TestIidRayleigh:
     def test_zero_power(self):
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(sample_iid_rayleigh(rng, 3, 4, 0.0).h, 0.0)
+        np.testing.assert_array_equal(sample_iid_rayleigh(rng, 3, 4, 0.0), 0.0)
 
     def test_entry_power(self):
         rng = np.random.default_rng(1)
-        h = sample_iid_rayleigh(rng, 320, 320, 2.0).h  # > 1e5 iid entries
+        h = sample_iid_rayleigh(rng, 320, 320, 2.0)  # > 1e5 iid entries
         assert np.mean(np.abs(h) ** 2) == pytest.approx(2.0, rel=0.02)
 
     def test_entries_uncorrelated(self):
         rng = np.random.default_rng(2)
         n = 10**5
-        samples = np.array([sample_iid_rayleigh(rng, 2, 1, 1.0).h.ravel() for _ in range(n)])
+        samples = np.array([sample_iid_rayleigh(rng, 2, 1, 1.0).ravel() for _ in range(n)])
         cross = np.mean(samples[:, 0] * np.conj(samples[:, 1]))
         assert abs(cross) < 3.0 / math.sqrt(n)
 
     def test_reproducible(self):
-        a = sample_iid_rayleigh(np.random.default_rng(42), 4, 4, 1.0).h
-        b = sample_iid_rayleigh(np.random.default_rng(42), 4, 4, 1.0).h
+        a = sample_iid_rayleigh(np.random.default_rng(42), 4, 4, 1.0)
+        b = sample_iid_rayleigh(np.random.default_rng(42), 4, 4, 1.0)
         np.testing.assert_array_equal(a, b)
 
 
@@ -103,46 +107,6 @@ class TestLosMatrix:
         assert np.linalg.norm(h) ** 2 == pytest.approx(h_p * 9 * 8, rel=1e-12)
 
 
-class TestRician:
-    def setup_method(self):
-        self.tx = ArrayGeometry.upa(2, 2, LAM / 2)
-        self.rx = ArrayGeometry.upa(2, 1, LAM / 2)
-        self.los = los_matrix(self.tx, self.rx, Angle(0.1, 0.2), Angle(0.0, -0.3), 1.0, LAM)
-        self.nlos = lambda rng: sample_iid_rayleigh(rng, 2, 4, 1.0).h
-
-    def test_k_zero_is_pure_nlos(self):
-        h = sample_rician(np.random.default_rng(5), self.los, self.nlos, 0.0).h
-        expected = self.nlos(np.random.default_rng(5))
-        np.testing.assert_allclose(h, expected, atol=1e-15)
-
-    def test_k_infinite_is_los(self):
-        h = sample_rician(np.random.default_rng(6), self.los, self.nlos, 1e12).h
-        assert np.abs(h - self.los).max() / np.abs(self.los).max() < 1e-5
-
-    def test_k10_power_split(self):
-        k = 10.0
-        rng = np.random.default_rng(7)
-        draws = 10**4
-        total = 0.0
-        for _ in range(draws):
-            total += np.linalg.norm(sample_rician(rng, self.los, self.nlos, k).h) ** 2
-        expected = (k / (1 + k)) * np.linalg.norm(self.los) ** 2 + (1 / (1 + k)) * 8.0
-        assert total / draws == pytest.approx(expected, rel=0.03)
-
-    def test_recovers_nlos_exactly(self):
-        # sqrt(1+K)*H - sqrt(K)*los equals the nLOS draw it was built from
-        k = 3.7
-        h = sample_rician(np.random.default_rng(8), self.los, self.nlos, k).h
-        nlos = self.nlos(np.random.default_rng(8))
-        np.testing.assert_allclose(
-            math.sqrt(1 + k) * h - math.sqrt(k) * self.los, nlos, atol=1e-12
-        )
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            sample_rician(np.random.default_rng(9), self.los, self.nlos, -0.1)
-
-
 VOLUME = Box(lo=(5.0, -10.0, -5.0), hi=(25.0, 10.0, 5.0))
 
 
@@ -150,6 +114,73 @@ def far_apart_geoms():
     tx = ArrayGeometry.upa_centered(2, 2, LAM / 2, (0.0, 0.0, 0.0))
     rx = ArrayGeometry.upa_centered(2, 1, LAM / 2, (30.0, 0.0, 0.0))
     return tx, rx
+
+
+def link_setup(h_p=1.0, k_factor=0.0, n_clusters=5, n_subpaths=20, volume=VOLUME):
+    """Config and context whose ``ROLE`` link has power budget ``h_p`` at any distance."""
+    base = default_config()
+    links = dict(base.links)
+    links[ROLE] = LinkConfig(LinkParams(beta=h_p, eta=0.0, k_factor=k_factor), volume)
+    config = replace(
+        base, carrier_hz=units.SPEED_OF_LIGHT / LAM, links=links,
+        n_clusters=n_clusters, n_subpaths=n_subpaths,
+    )
+    return config, SimContext(config)
+
+
+def draw(model, tx, rx, setup, trial=0):
+    """The ``ROLE`` link between ``tx`` and ``rx`` as the sweep draws it."""
+    config, ctx = setup
+    return draw_link(model, ROLE, tx, rx, config, ctx, trial, 0)
+
+
+class TestRician:
+    def setup_method(self):
+        self.tx, self.rx = far_apart_geoms()
+
+    def los(self, setup):
+        tx, rx = self.tx, self.rx
+        return los_matrix(
+            tx, rx, tx.departure_angle(rx.center), rx.arrival_angle(tx.center),
+            1.0, setup[0].wavelength,
+        )
+
+    def test_k_zero_is_pure_nlos(self):
+        # K = 0 leaves the iid draw, from the same fading stream as iid Rayleigh
+        setup = link_setup(k_factor=0.0)
+        h = draw(ChannelModel.IID_RICIAN, self.tx, self.rx, setup)
+        expected = draw(ChannelModel.IID_RAYLEIGH, self.tx, self.rx, setup)
+        np.testing.assert_array_equal(h, expected)
+
+    def test_k_infinite_is_los(self):
+        setup = link_setup(k_factor=1e12)
+        h = draw(ChannelModel.IID_RICIAN, self.tx, self.rx, setup)
+        los = self.los(setup)
+        assert np.abs(h - los).max() / np.abs(los).max() < 1e-5
+
+    def test_k10_power_split(self):
+        k = 10.0
+        setup = link_setup(k_factor=k)
+        draws = 10**4
+        total = 0.0
+        for trial in range(draws):
+            total += np.linalg.norm(draw(ChannelModel.IID_RICIAN, self.tx, self.rx, setup, trial)) ** 2
+        expected = (k / (1 + k)) * np.linalg.norm(self.los(setup)) ** 2 + (1 / (1 + k)) * 8.0
+        assert total / draws == pytest.approx(expected, rel=0.03)
+
+    def test_recovers_nlos_exactly(self):
+        # sqrt(1+K)*H - sqrt(K)*los equals the nLOS draw it was built from
+        k = 3.7
+        setup = link_setup(k_factor=k)
+        h = draw(ChannelModel.IID_RICIAN, self.tx, self.rx, setup)
+        nlos = draw(ChannelModel.IID_RAYLEIGH, self.tx, self.rx, setup)
+        np.testing.assert_allclose(
+            math.sqrt(1 + k) * h - math.sqrt(k) * self.los(setup), nlos, atol=1e-12
+        )
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k_factor"):
+            load_config("[link.ris_ue]\nk_factor = -0.1\n")
 
 
 class TestClusters:
@@ -162,7 +193,7 @@ class TestClusters:
         cs = draw_clusters(rng, VOLUME, 5, 20, h_p=2.0)
         assert cs.n_clusters == 5 and cs.n_subpaths == 20
         for c in cs.clusters:
-            assert VOLUME.contains(c.centroid)
+            assert np.all(c.centroid >= VOLUME.lo) and np.all(c.centroid <= VOLUME.hi)
             assert np.all(np.abs(c.subpath_positions - c.centroid) <= 1.0 + 1e-12)
             assert np.all((c.subpath_phases >= 0) & (c.subpath_phases < 2 * math.pi))
 
@@ -187,18 +218,14 @@ class TestClusters:
 class TestLowRankGeometric:
     def test_single_path_rank_one(self):
         tx, rx = far_apart_geoms()
-        h = sample_lowrank_geometric(
-            np.random.default_rng(13), tx, rx, VOLUME, 1.0, LAM, 1, 1
-        ).h
+        h = draw(LOWRANK, tx, rx, link_setup(n_clusters=1, n_subpaths=1), trial=13)
         s = np.linalg.svd(h, compute_uv=False)
         assert s[0] > 0 and (s[1:] < 1e-12 * s[0]).all()
 
     def test_rank_bound(self):
         tx = ArrayGeometry.upa_centered(4, 4, LAM / 2, (0.0, 0.0, 0.0))
         rx = ArrayGeometry.upa_centered(4, 4, LAM / 2, (30.0, 0.0, 0.0))
-        h = sample_lowrank_geometric(
-            np.random.default_rng(14), tx, rx, VOLUME, 1.0, LAM, 2, 3
-        ).h
+        h = draw(LOWRANK, tx, rx, link_setup(n_clusters=2, n_subpaths=3), trial=14)
         s = np.linalg.svd(h, compute_uv=False)
         assert (s[6:] < 1e-10 * s[0]).all()
 
@@ -208,41 +235,25 @@ class TestLowRankGeometric:
         tx = ArrayGeometry.upa_centered(4, 4, LAM / 2, (30.0, 0.0, 10.0))
         rx = ArrayGeometry.upa_centered(8, 8, LAM / 2, (0.0, 50.0, 5.0))
         vol = Box(lo=(0.0, 0.0, 0.0), hi=(40.0, 50.0, 10.0))
-        h = sample_lowrank_geometric(
-            np.random.default_rng(21), tx, rx, vol, 1.0, LAM, 5, 20
-        ).h
+        h = draw(LOWRANK, tx, rx, link_setup(volume=vol), trial=21)
         s = np.linalg.svd(h, compute_uv=False)
         assert s.size == 16  # rank bounded by min(L*R, N_rx, N_tx)
         assert (s[:5] ** 2).sum() / (s**2).sum() > 0.95
 
     def test_power_normalization(self):
         tx, rx = far_apart_geoms()
-        rng = np.random.default_rng(15)
         h_p = 0.5
-        total = 0.0
+        setup = link_setup(h_p=h_p)
         draws = 10**4
-        for _ in range(draws):
-            total += (
-                np.linalg.norm(
-                    sample_lowrank_geometric(rng, tx, rx, VOLUME, h_p, LAM, 5, 20).h
-                )
-                ** 2
-            )
+        total = sum(np.linalg.norm(draw(LOWRANK, tx, rx, setup, t)) ** 2 for t in range(draws))
         assert total / draws == pytest.approx(h_p * tx.size * rx.size, rel=0.05)
-
-    def test_model_tag(self):
-        tx, rx = far_apart_geoms()
-        cm = sample_lowrank_geometric(np.random.default_rng(16), tx, rx, VOLUME, 1.0, LAM, 1, 1)
-        assert cm.model is ChannelModel.LOWRANK_GEOMETRIC
 
 
 class TestNearFieldGeometric:
     def test_single_everything_magnitude(self):
         tx = ArrayGeometry.single((0.0, 0.0, 0.0))
         rx = ArrayGeometry.single((30.0, 0.0, 0.0))
-        h = sample_nearfield_geometric(
-            np.random.default_rng(17), tx, rx, VOLUME, 0.81, LAM, 1, 1
-        ).h
+        h = draw(NEARFIELD, tx, rx, link_setup(h_p=0.81, n_clusters=1, n_subpaths=1), trial=17)
         assert abs(h[0, 0]) == pytest.approx(0.9, rel=1e-12)
 
     def test_far_field_limit_matches_planar_model(self):
@@ -272,17 +283,10 @@ class TestNearFieldGeometric:
 
     def test_power_normalization(self):
         tx, rx = far_apart_geoms()
-        rng = np.random.default_rng(19)
         h_p = 2.0
+        setup = link_setup(h_p=h_p)
         draws = 4000
-        total = 0.0
-        for _ in range(draws):
-            total += (
-                np.linalg.norm(
-                    sample_nearfield_geometric(rng, tx, rx, VOLUME, h_p, LAM, 5, 20).h
-                )
-                ** 2
-            )
+        total = sum(np.linalg.norm(draw(NEARFIELD, tx, rx, setup, t)) ** 2 for t in range(draws))
         assert total / draws == pytest.approx(h_p * tx.size * rx.size, rel=0.05)
 
     def test_nearfield_los_frobenius(self):
@@ -293,6 +297,6 @@ class TestNearFieldGeometric:
 
     def test_reproducible(self):
         tx, rx = far_apart_geoms()
-        a = sample_nearfield_geometric(np.random.default_rng(20), tx, rx, VOLUME, 1.0, LAM, 2, 3).h
-        b = sample_nearfield_geometric(np.random.default_rng(20), tx, rx, VOLUME, 1.0, LAM, 2, 3).h
+        a = draw(NEARFIELD, tx, rx, link_setup(n_clusters=2, n_subpaths=3), trial=20)
+        b = draw(NEARFIELD, tx, rx, link_setup(n_clusters=2, n_subpaths=3), trial=20)
         np.testing.assert_array_equal(a, b)

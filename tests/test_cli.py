@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from rissim import harness
 from rissim.channels import ChannelModel, LinkRole
 from rissim.cli import main
 from rissim.scenario import default_config, dump_config, full_config, load_config
@@ -130,10 +131,13 @@ class TestCliRun:
         assert body.splitlines()[1].endswith(",99")
         assert ",2," in body.splitlines()[1]
 
-    def test_raw_without_out_fails(self, tmp_path):
+    def test_raw_without_out_fails(self, tmp_path, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(harness, "run_sweep", lambda config: sweeps.append(config))
         ini = tmp_path / "cfg.ini"
         ini.write_text(SMALL_INI)
         assert main(["run", "--config", str(ini), "--raw"]) == 2
+        assert sweeps == []
 
 
 class TestCliScenario:

@@ -6,11 +6,11 @@ from scipy import stats
 
 from rissim.correlation import (
     CorrelationMatrix,
+    _halfspace_direction_yz,
     _iid_cn,
     NotPositiveSemidefiniteError,
     path_sum_covariance_error,
     matrix_sqrt_factor,
-    sample_halfspace_angles,
     sample_matrix_normal_factor,
     sample_matrix_normal_vec,
     sinc_correlation,
@@ -179,25 +179,27 @@ class TestMatrixNormalRoutes:
 
 
 class TestHalfspaceAngles:
+    # _halfspace_direction_yz returns (d_y, d_z) = (cos(theta) sin(phi), sin(theta))
+    # for the half-space angle density cos(theta) / (2 pi).
+
     def test_support(self):
-        rng = np.random.default_rng(6)
-        theta, phi = sample_halfspace_angles(rng, 10000)
-        assert theta.min() >= -math.pi / 2 and theta.max() <= math.pi / 2
-        assert phi.min() >= -math.pi / 2 and phi.max() <= math.pi / 2
+        d_y, d_z = _halfspace_direction_yz(np.random.default_rng(6), 10000, np.float64)
+        assert np.abs(d_y).max() <= 1.0 and np.abs(d_z).max() <= 1.0
+        assert (d_y**2 + d_z**2).max() <= 1.0 + 1e-12
 
     def test_sin_theta_mean_zero(self):
-        rng = np.random.default_rng(7)
-        theta, _ = sample_halfspace_angles(rng, 10**5)
-        assert abs(np.mean(np.sin(theta))) < 3.0 / math.sqrt(10**5)
+        n = 10**5
+        d_y, d_z = _halfspace_direction_yz(np.random.default_rng(7), n, np.float64)
+        assert abs(np.mean(d_z)) < 3.0 / math.sqrt(3 * n)  # var(d_z) = 1/3
+        assert abs(np.mean(d_y)) < 3.0 / math.sqrt(3 * n)  # var(d_y) = 1/3
 
     def test_theta_density_proportional_to_cos(self):
-        rng = np.random.default_rng(8)
+        # theta has density cos(theta)/2 exactly when d_z = sin(theta) is uniform on [-1, 1]
         n = 10**5
-        theta, _ = sample_halfspace_angles(rng, n)
-        edges = np.linspace(-math.pi / 2, math.pi / 2, 21)
-        observed, _ = np.histogram(theta, bins=edges)
-        # expected mass per bin from integrating cos(t)/2
-        expected = n * (np.sin(edges[1:]) - np.sin(edges[:-1])) / 2.0
+        _, d_z = _halfspace_direction_yz(np.random.default_rng(8), n, np.float64)
+        edges = np.linspace(-1.0, 1.0, 21)
+        observed, _ = np.histogram(d_z, bins=edges)
+        expected = n / (len(edges) - 1)
         stat = np.sum((observed - expected) ** 2 / expected)
         assert stat < stats.chi2.ppf(0.99, df=len(edges) - 2)
 

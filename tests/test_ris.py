@@ -6,7 +6,6 @@ import pytest
 from rissim.ris import (
     Codebook,
     RisConfiguration,
-    assemble_gamma,
     build_codebook,
     build_tile_partition,
     configure_tiles,
@@ -294,51 +293,26 @@ class TestConfigureTiles:
 
 
 class TestAssembleGamma:
-    def test_identity_phases(self):
-        partition = build_tile_partition((2, 2), (2, 2))
-        codebook = build_codebook((2, 2))
-        config = RisConfiguration(
-            partition=partition,
-            codebook=codebook,
-            chosen_indices=np.array([0]),
-            element_phases=np.zeros(4),
-        )
-        np.testing.assert_array_equal(assemble_gamma(config), np.eye(4))
+    """The chosen element phases rebuild the channel the greedy search returns."""
 
-    def test_diagonal_unit_modulus(self):
-        rng = np.random.default_rng(11)
-        partition = build_tile_partition((4, 2), (2, 2))
-        codebook = build_codebook((2, 2))
-        direct = complex_randn(rng, (4, 2))
-        h_t = complex_randn(rng, (8, 4))
-        h_r = complex_randn(rng, (8, 2))
-        config, _ = configure_tiles(direct, h_t, h_r, partition, codebook)
-        gamma = assemble_gamma(config)
-        np.testing.assert_allclose(np.abs(np.diag(gamma)), 1.0, atol=1e-12)
-        off = gamma - np.diag(np.diag(gamma))
-        assert np.all(off == 0.0)
-
-    def test_reconstructs_incremental_channel(self):
-        # monolithic h_d^H + h_r^H Gamma H_t equals the tile-by-tile build
-        rng = np.random.default_rng(12)
+    def configured(self, seed):
+        rng = np.random.default_rng(seed)
         partition = build_tile_partition((4, 2), (2, 2))
         codebook = build_codebook((2, 2))
         direct = complex_randn(rng, (4, 2))
         h_t = complex_randn(rng, (8, 4))
         h_r = complex_randn(rng, (8, 2))
         config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
-        gamma = assemble_gamma(config)
-        for j in range(2):
-            row = np.conj(direct[:, j]) + np.conj(h_r[:, j]) @ gamma @ h_t
-            np.testing.assert_allclose(np.conj(row), eff[:, j], atol=1e-10)
+        return direct, h_t, h_r, config, eff
 
-    def test_unconfigured_rejected(self):
-        partition = build_tile_partition((2, 2), (2, 2))
-        config = RisConfiguration(
-            partition=partition,
-            codebook=build_codebook((2, 2)),
-            chosen_indices=np.array([-1]),
-            element_phases=np.full(4, np.nan),
-        )
-        with pytest.raises(ValueError):
-            assemble_gamma(config)
+    def test_diagonal_unit_modulus(self):
+        # every element gets a phase in [0, 2 pi), so each reflection has unit modulus
+        config = self.configured(11)[3]
+        assert config.element_phases.shape == (8,)
+        assert np.all((config.element_phases >= 0) & (config.element_phases < 2 * math.pi))
+
+    def test_reconstructs_incremental_channel(self):
+        # monolithic h_d^H + h_r^H diag(exp(j omega)) H_t equals the tile-by-tile build
+        direct, h_t, h_r, config, eff = self.configured(12)
+        reflected = (np.conj(h_r).T * np.exp(1j * config.element_phases)) @ h_t
+        np.testing.assert_allclose(direct + np.conj(reflected).T, eff, atol=1e-10)

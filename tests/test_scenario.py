@@ -1,0 +1,223 @@
+"""Scenario config checks and the INI field table.
+
+Bad link and cluster settings must fail when the config is built, whether
+in code or from an INI, so a sweep never starts on them.  The INI text is
+produced and read by one field table; the properties here check it over
+generated configs.
+"""
+
+import configparser
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rissim import harness
+from rissim.channels import GAIN_DISTRIBUTIONS, Box, ChannelModel, LinkParams, LinkRole
+from rissim.cli import main
+from rissim.ris import TILE_ORDERS
+from rissim.scenario import (
+    LinkConfig,
+    ScenarioConfig,
+    UeArea,
+    default_config,
+    dump_config,
+    load_config,
+)
+
+BAD_FLOATS = [math.nan, math.inf, -math.inf]
+
+
+class TestLinkParams:
+    @pytest.mark.parametrize("name", ["beta", "d0", "eta", "k_factor"])
+    @pytest.mark.parametrize("value", BAD_FLOATS)
+    def test_not_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            LinkParams(**{"beta": 1.0, name: value})
+
+    @pytest.mark.parametrize("name", ["blockage_db", "shadow_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 4000.0])
+    def test_nan_or_inf_offset_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            LinkParams(beta=1.0, **{name: value})
+
+    @pytest.mark.parametrize(
+        "section, key, value, name",
+        [
+            ("link.bs_ris", "beta_db", "nan", "beta"),
+            ("link.bs_ris", "beta_db", "4000", "beta_db"),  # past the largest float
+            ("link.ris_ue", "k_factor", "nan", "k_factor"),
+            ("link.bs_ue", "blockage_db", "inf", "blockage_db"),
+        ],
+    )
+    def test_bad_value_in_ini_rejected(self, section, key, value, name):
+        with pytest.raises(ValueError, match=name):
+            load_config(f"[{section}]\n{key} = {value}\n")
+
+
+class TestClusterSettings:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ((0.0, math.nan, 0.0), (1.0, 1.0, 1.0)),
+            ((0.0, 0.0, 0.0), (1.0, math.inf, 1.0)),
+            ((0.0, 0.0), (1.0, 1.0)),
+        ],
+    )
+    def test_bad_box_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="cluster volume"):
+            Box(lo=lo, hi=hi)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0, 40, nan, 60, 0, 10", "0, 40, 0, 60, 0", "0, 40, 0, 60, 0, 10, 20", "0, 40, 0, 60, 0, inf"],
+    )
+    def test_bad_volume_in_ini_rejected(self, text):
+        with pytest.raises(ValueError, match="cluster_volume"):
+            load_config(f"[link.bs_ue]\ncluster_volume = {text}\n")
+
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            (dict(n_clusters=0), "n_clusters"),
+            (dict(n_subpaths=0), "n_subpaths"),
+            (dict(gain_distribution="cauchy"), "gain_distribution"),
+            (dict(tile_order="spiral"), "tile_order"),
+            (dict(master_seed=-1), "master_seed"),
+        ],
+    )
+    def test_bad_setting_rejected(self, changes, name):
+        with pytest.raises(ValueError, match=name):
+            replace(default_config(), **changes)
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[clusters]\ncount = 0\n", "n_clusters"),
+            ("[clusters]\nsubpaths = 0\n", "n_subpaths"),
+            ("[clusters]\ngain_distribution = cauchy\n", "gain_distribution"),
+            ("[ris]\ntile_order = spiral\n", "tile_order"),
+        ],
+    )
+    def test_bad_setting_in_ini_rejected(self, text, name):
+        with pytest.raises(ValueError, match=name):
+            load_config(text)
+
+    def test_bad_ini_fails_before_first_trial(self, tmp_path, monkeypatch):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **k: trials.append(a))
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[run]\ntrials = 2\n[clusters]\ncount = 0\n")
+        with pytest.raises(ValueError, match="n_clusters"):
+            main(["run", "--config", str(ini)])
+        assert trials == []
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "text, key", [("[run]\ntrails = 5\n", "trails"), ("[system]\ncarier_hz = 1e9\n", "carier_hz")]
+    )
+    def test_unknown_key_rejected(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            load_config(text)
+
+
+# -- field table properties ---------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+offset_db = st.floats(max_value=3000.0, allow_nan=False) | st.just(-math.inf)
+# A beta within 12 digits of the largest float has a dB text that rounds past it.
+beta = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+count = st.integers(1, 10**6)
+points = st.tuples(finite, finite, finite)
+counts = st.tuples(count, count)
+spans = st.tuples(finite, finite).filter(lambda p: p[0] < p[1])
+
+
+@st.composite
+def boxes(draw):
+    lo, hi = zip(*(draw(spans) for _ in range(3)))
+    return Box(lo=lo, hi=hi)
+
+
+@st.composite
+def link_configs(draw):
+    params = LinkParams(
+        beta=draw(beta), d0=draw(positive), eta=draw(nonnegative),
+        k_factor=draw(nonnegative), blockage_db=draw(offset_db), shadow_db=draw(offset_db),
+    )
+    return LinkConfig(params=params, cluster_volume=draw(boxes()))
+
+
+@st.composite
+def configs(draw):
+    return ScenarioConfig(
+        carrier_hz=draw(positive),
+        bandwidth_hz=draw(positive),
+        noise_figure_db=draw(finite),
+        n0_dbm_per_hz=draw(finite),
+        gamma_thr=draw(positive),
+        bs_counts=draw(counts),
+        bs_center=draw(points),
+        ris_tiles=draw(counts),
+        tile_shape=draw(counts),
+        ris_center=draw(points),
+        spacing_wavelengths=draw(positive),
+        tile_order=draw(st.sampled_from(TILE_ORDERS)),
+        ue_count=draw(count),
+        ue_area=UeArea(center=draw(points), side=draw(positive)),
+        links={role: draw(link_configs()) for role in LinkRole},
+        n_clusters=draw(count),
+        n_subpaths=draw(count),
+        gain_distribution=draw(st.sampled_from(GAIN_DISTRIBUTIONS)),
+        precoder_max_iters=draw(count),
+        precoder_tol=draw(positive),
+        trials=draw(count),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        models=draw(st.lists(st.sampled_from(list(ChannelModel)), min_size=1, unique=True)),
+        sweep_q=draw(st.lists(count, min_size=1)),
+        sweep_n_ue=draw(st.lists(count, min_size=1)),
+    )
+
+
+@settings(deadline=None)
+@given(configs())
+def test_dump_load_dump_is_identity(config):
+    text = dump_config(config)
+    assert dump_config(load_config(text)) == text
+
+
+def _numeric_keys():
+    cp = configparser.ConfigParser()
+    cp.read_string(dump_config(default_config()))
+    keys = []
+    for section in cp.sections():
+        for key, text in cp.items(section):
+            try:
+                [float(tok) for tok in text.split(",")]
+            except ValueError:
+                continue
+            keys.append((section, key, text))
+    return keys
+
+
+NUMERIC_KEYS = _numeric_keys()
+
+
+def test_every_numeric_key_is_covered():
+    # all keys but tile_order, gain_distribution and models
+    assert len(NUMERIC_KEYS) == 46
+
+
+@pytest.mark.parametrize("section, key, text", NUMERIC_KEYS, ids=[f"{s}.{k}" for s, k, _ in NUMERIC_KEYS])
+@settings(deadline=None, max_examples=20)
+@given(bad=st.sampled_from(["nan", "inf"]), data=st.data())
+def test_nan_or_inf_value_rejected(section, key, text, bad, data):
+    tokens = [tok.strip() for tok in text.split(",")]
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = bad
+    with pytest.raises(ValueError):
+        load_config(f"[{section}]\n{key} = {', '.join(tokens)}\n")
