@@ -18,10 +18,8 @@ from .channels import (
 )
 from .correlation import (
     CorrelationMatrix,
-    path_sum_covariance_error,
     matrix_sqrt_factor,
     sample_matrix_normal_factor,
-    sample_matrix_normal_vec,
     sinc_correlation,
 )
 from .geometry import (
@@ -29,7 +27,6 @@ from .geometry import (
     ArrayGeometry,
     direction_from_angle,
     fraunhofer_distance,
-    kron_steering,
     pairwise_distance,
     steering_vector,
 )
@@ -42,7 +39,6 @@ from .ris import (
     build_codebook,
     build_tile_partition,
     configure_tiles,
-    tile_effective_channel,
 )
 from .scenario import ScenarioConfig, default_config, full_config, load_config
 
@@ -69,10 +65,8 @@ __all__ = [
     "configure_tiles",
     "default_config",
     "direction_from_angle",
-    "path_sum_covariance_error",
     "fraunhofer_distance",
     "full_config",
-    "kron_steering",
     "load_config",
     "los_matrix",
     "matrix_sqrt_factor",
@@ -85,8 +79,6 @@ __all__ = [
     "run_trial",
     "sample_iid_rayleigh",
     "sample_matrix_normal_factor",
-    "sample_matrix_normal_vec",
     "sinc_correlation",
     "steering_vector",
-    "tile_effective_channel",
 ]

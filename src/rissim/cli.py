@@ -14,14 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import harness
+from . import harness, oracles
 from .geometry import ArrayGeometry
-from .correlation import path_sum_covariance_error
 from .precoding import min_power_precoder
-from .ris import build_codebook, build_tile_partition, configure_tiles
+from .ris import configure_tiles
 from .scenario import PRESETS, ScenarioConfig, dump_config, load_config
+from .seeding import derive_rng
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -54,65 +52,43 @@ def _cmd_run(args) -> int:
 
 
 def _check_covariance_limit(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
     lam = 0.06
     rx = ArrayGeometry.upa(4, 1, lam / 2.0)
     tx = ArrayGeometry.upa(2, 2, lam / 2.0)
-    err = path_sum_covariance_error(rng, 2000, rx, tx, lam, sigma_c=1.0, draws=4000)
+    err = oracles.path_sum_covariance_error(
+        derive_rng(seed), 2000, rx, tx, lam, sigma_c=1.0, draws=4000
+    )
     return err < 0.1, f"max covariance error {err:.4f} (tol 0.1)"
 
 
 def _check_codebook(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    partition = build_tile_partition((4, 2), (2, 2))
-    codebook = build_codebook((2, 2))
-    n_t, k, q = 4, 2, partition.n_elements
-    direct = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
-    h_t = rng.standard_normal((q, n_t)) + 1j * rng.standard_normal((q, n_t))
-    h_r = rng.standard_normal((q, k)) + 1j * rng.standard_normal((q, k))
-    config, _ = configure_tiles(direct, h_t, h_r, partition, codebook)
-    # Re-derive every selection by brute force over the codebook.
-    h_eff = direct.copy()
-    for t, ids in enumerate(partition.element_ids):
-        scores = []
-        for m in range(len(codebook)):
-            cols = []
-            for j in range(k):
-                row = (np.conj(h_r[ids, j]) * np.exp(1j * codebook.phases[m])) @ h_t[ids]
-                cols.append(h_eff[:, j] + np.conj(row))
-            scores.append(np.linalg.svd(np.stack(cols, axis=1), compute_uv=False).min())
-        best = int(np.argmax(scores))
-        if best != config.chosen_indices[t]:
-            return False, f"tile {t}: greedy chose {config.chosen_indices[t]}, oracle {best}"
-        stack = np.stack(
-            [
-                h_eff[:, j]
-                + np.conj((np.conj(h_r[ids, j]) * np.exp(1j * codebook.phases[best])) @ h_t[ids])
-                for j in range(k)
-            ],
-            axis=1,
-        )
-        h_eff = stack
-    return True, f"all {partition.n_tiles} tile selections match the brute-force oracle"
+    # K=2 is scored in closed form; K=4 runs the interlacing-pruned search.
+    rng = derive_rng(seed)
+    mismatches, n_tiles = [], 0
+    for ris_counts, n_ue in (((4, 2), 2), ((4, 4), 4)):
+        instance = oracles.tile_instance(rng, ris_counts, (2, 2), n_t=4, n_ue=n_ue)
+        greedy = configure_tiles(*instance)[0].chosen_indices.tolist()
+        brute = oracles.brute_force_tiles(*instance)[0].tolist()
+        mismatches += [(n_ue, t, g, b) for t, (g, b) in enumerate(zip(greedy, brute)) if g != b]
+        n_tiles += len(brute)
+    if mismatches:
+        return False, f"(K, tile, greedy, oracle) mismatches: {mismatches}"
+    return True, f"all {n_tiles} tile selections (K=2 and K=4) match the brute-force oracle"
 
 
 def _check_precoder(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    worst_gap = 0.0
-    worst_tight = 0.0
+    rng = derive_rng(seed)
+    worst_gap = worst_slack = 0.0
     for _ in range(20):
-        h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        h = oracles.complex_randn(rng, (6, 3))
         sol = min_power_precoder(h, gamma_thr=5.0, noise_power=1.0)
-        worst_gap = max(
-            worst_gap, abs(sol.total_power - sol.dual_total_power) / sol.total_power
-        )
-        worst_tight = max(worst_tight, float(np.max(np.abs(sol.achieved_sinr / 5.0 - 1.0))))
-    ok = worst_gap < 1e-6 and worst_tight < 1e-6
-    return ok, f"duality gap {worst_gap:.2e}, constraint slack {worst_tight:.2e} (tol 1e-6)"
+        gap, slack = oracles.duality_gap_and_slack(sol, 5.0)
+        worst_gap, worst_slack = max(worst_gap, gap), max(worst_slack, slack)
+    ok = worst_gap < 1e-6 and worst_slack < 1e-6
+    return ok, f"duality gap {worst_gap:.2e}, constraint slack {worst_slack:.2e} (tol 1e-6)"
 
 
 def _cmd_check(args) -> int:
-    seed = args.seed if args.seed is not None else 1234
     checks = [
         ("covariance-limit", _check_covariance_limit),
         ("codebook-brute-force", _check_codebook),
@@ -120,7 +96,7 @@ def _cmd_check(args) -> int:
     ]
     failed = 0
     for name, fn in checks:
-        ok, detail = fn(seed)
+        ok, detail = fn(args.seed)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1
     return 1 if failed else 0
@@ -149,7 +125,8 @@ def main(argv=None) -> int:
     )
     p_run.set_defaults(fn=_cmd_run)
 
-    p_check = sub.add_parser("check", parents=[common], help="run the oracle suite")
+    p_check = sub.add_parser("check", help="run the oracle suite")
+    p_check.add_argument("--seed", type=int, default=1234, metavar="U64", help="oracle seed")
     p_check.set_defaults(fn=_cmd_check)
 
     p_scn = sub.add_parser("scenario", parents=[common], help="print resolved config")

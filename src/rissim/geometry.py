@@ -158,25 +158,6 @@ def steering_vector(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.
     return np.exp(1j * kappa * (geom.local_coords @ direction_from_angle(angle)))
 
 
-def kron_steering(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.ndarray:
-    """UPA steering vector built as the Kronecker product of ULA factors.
-
-    With y-major element flattening this is entrywise identical to
-    :func:`steering_vector`; kept as an independent construction so the
-    factorization can be tested rather than assumed.
-    """
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    kappa = 2.0 * math.pi / wavelength
-    n_y, n_z = geom.counts
-    d_y, d_z = geom.spacing
-    a_y = np.exp(
-        1j * kappa * d_y * math.cos(angle.theta) * math.sin(angle.phi) * np.arange(n_y)
-    )
-    a_z = np.exp(1j * kappa * d_z * math.sin(angle.theta) * np.arange(n_z))
-    return np.kron(a_y, a_z)
-
-
 def pairwise_distance(a, b) -> float:
     """Euclidean distance between two points in meters."""
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))

@@ -163,18 +163,6 @@ class RisConfiguration:
     element_phases: np.ndarray  # (Q,)
 
 
-def tile_effective_channel(
-    h_k: np.ndarray, h_t_tile: np.ndarray, h_rk_tile: np.ndarray, omega: np.ndarray
-) -> np.ndarray:
-    """Add one tile's reflected contribution to a UE's effective channel.
-
-    Implements ``h_k^H <- h_k^H + h_rk^H diag(exp(j*omega)) H_t`` and returns
-    the updated column vector ``h_k``.
-    """
-    row = (np.conj(h_rk_tile) * np.exp(1j * omega)) @ h_t_tile  # (N_t,)
-    return h_k + np.conj(row)
-
-
 def _lambda_min_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Smaller eigenvalue of Hermitian ``[[a, b], [conj(b), d]]``, elementwise."""
     tr = a + d

@@ -188,6 +188,19 @@ def _fmt_seq(values) -> str:
     return ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
 
 
+def _fmt_db(x: float) -> str:
+    """``x`` in dB at 12 significant digits, a rounded view that survives
+    reloading.  Near the largest float, rounding to nearest can step past
+    it; the text is then rounded down instead."""
+    db = units.linear_to_db(x)
+    text = format(db, ".12g")
+    try:
+        units.db_to_linear(float(text))
+    except OverflowError:
+        text = format(float(text) - 10.0 ** (math.floor(math.log10(db)) - 11), ".12g")
+    return text
+
+
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
@@ -213,8 +226,7 @@ _INT = (int, str)
 _STR = (str, str)
 _FLOATS = (_floats, _fmt_seq)
 _INTS = (_ints, _fmt_seq)
-# The dB text is a rounded view of a linear value; at 12 digits it survives reloading.
-_DB = (lambda text: units.db_to_linear(float(text)), lambda x: format(units.linear_to_db(x), ".12g"))
+_DB = (lambda text: units.db_to_linear(float(text)), _fmt_db)
 _BOX = (_parse_box, lambda box: _fmt_seq([c for pair in zip(box.lo, box.hi) for c in pair]))
 _MODELS = (_parse_models, lambda models: ", ".join(m.value for m in models))
 

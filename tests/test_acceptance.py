@@ -23,22 +23,20 @@ from rissim.channels import (
     nearfield_los,
 )
 from rissim.cli import main as cli_main
-from rissim.correlation import (
-    path_sum_covariance_error,
-    sample_matrix_normal_factor,
-    sample_matrix_normal_vec,
-    sinc_correlation,
-)
-from rissim.geometry import (
-    Angle,
-    ArrayGeometry,
-    fraunhofer_distance,
-    kron_steering,
-    steering_vector,
-)
+from rissim.correlation import sample_matrix_normal_factor, sinc_correlation
+from rissim.geometry import Angle, ArrayGeometry, fraunhofer_distance, steering_vector
 from rissim.harness import run_sweep
+from rissim.oracles import (
+    brute_force_tiles,
+    complex_randn,
+    duality_gap_and_slack,
+    kron_steering,
+    path_sum_covariance_error,
+    sample_matrix_normal_vec,
+    tile_instance,
+)
 from rissim.precoding import achieved_sinr, min_power_precoder
-from rissim.ris import build_codebook, build_tile_partition, configure_tiles
+from rissim.ris import configure_tiles
 from rissim.scenario import default_config
 
 LAM = 0.06
@@ -192,39 +190,15 @@ def test_criterion_5_near_field_consistency():
 
 
 def test_criterion_6_tile_selection_oracle():
-    rng = np.random.default_rng(6)
-    partition = build_tile_partition((4, 2), (2, 2))  # 2 tiles of 4 elements
-    codebook = build_codebook((2, 2))
-    n_t, n_ue, q = 4, 2, partition.n_elements
-
-    def cr(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    direct, h_t, h_r = cr((n_t, n_ue)), cr((q, n_t)), cr((q, n_ue))
+    # 2 tiles of 4 elements, N_t = 4, K = 2
+    direct, h_t, h_r, partition, codebook = tile_instance(
+        np.random.default_rng(6), (4, 2), (2, 2), n_t=4, n_ue=2
+    )
     config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
-
-    # independent brute force: explicit per-entry effective channels + SVD
-    h_cur = direct.copy()
-    mismatches = []
-    for t, ids in enumerate(partition.element_ids):
-        best_m, best_val = -1, -np.inf
-        for m in range(len(codebook)):
-            cols = []
-            for j in range(n_ue):
-                row = np.conj(h_cur[:, j]).copy()
-                for slot, e in enumerate(ids):
-                    row += np.conj(h_r[e, j]) * np.exp(1j * codebook.phases[m][slot]) * h_t[e]
-                cols.append(np.conj(row))
-            val = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False).min()
-            if val > best_val:
-                best_m, best_val = m, val
-        if best_m != config.chosen_indices[t]:
-            mismatches.append((t, best_m, int(config.chosen_indices[t])))
-        for j in range(n_ue):
-            row = np.conj(h_cur[:, j]).copy()
-            for slot, e in enumerate(ids):
-                row += np.conj(h_r[e, j]) * np.exp(1j * codebook.phases[best_m][slot]) * h_t[e]
-            h_cur[:, j] = np.conj(row)
+    chosen, _ = brute_force_tiles(direct, h_t, h_r, partition, codebook)
+    mismatches = [
+        (t, int(b), int(g)) for t, (b, g) in enumerate(zip(chosen, config.chosen_indices)) if b != g
+    ]
 
     # h_d^H + h_r^H diag(exp(j omega)) H_t from the chosen element phases
     reflected = (np.conj(h_r).T * np.exp(1j * config.element_phases)) @ h_t
@@ -248,7 +222,7 @@ def test_criterion_7_precoder():
     # single user vs the matched-filter closed form
     su_err = 0.0
     for _ in range(20):
-        h = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+        h = complex_randn(rng, (6, 1))
         sol = min_power_precoder(h, 10.0, 1.0)
         closed = 10.0 * 1.0 / np.linalg.norm(h) ** 2
         su_err = max(su_err, abs(sol.total_power - closed) / closed)
@@ -256,10 +230,10 @@ def test_criterion_7_precoder():
     # multi-user: tightness, down-scaling perturbation, duality gap
     tight_err, gap, perturb_ok = 0.0, 0.0, True
     for _ in range(20):
-        h = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        h = complex_randn(rng, (4, 2))
         sol = min_power_precoder(h, 10.0, 1.0)
-        tight_err = max(tight_err, float(np.max(np.abs(sol.achieved_sinr / 10.0 - 1.0))))
-        gap = max(gap, abs(sol.total_power - sol.dual_total_power) / sol.total_power)
+        sol_gap, sol_slack = duality_gap_and_slack(sol, 10.0)
+        gap, tight_err = max(gap, sol_gap), max(tight_err, sol_slack)
         for k in range(2):
             w = sol.w.copy()
             w[:, k] *= 0.999

@@ -160,6 +160,17 @@ class TestCliCheck:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3 and "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--trials", "5"], ["--preset", "full"], ["--config", "/nonexistent.ini"]],
+        ids=["trials", "preset", "config"],
+    )
+    def test_sweep_flags_rejected(self, flags):
+        # check takes only --seed; a sweep flag is an error, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *flags])
+        assert exc.value.code == 2
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):

@@ -6,16 +6,18 @@ from scipy import stats
 
 from rissim.correlation import (
     CorrelationMatrix,
-    _halfspace_direction_yz,
     _iid_cn,
     NotPositiveSemidefiniteError,
-    path_sum_covariance_error,
     matrix_sqrt_factor,
     sample_matrix_normal_factor,
-    sample_matrix_normal_vec,
     sinc_correlation,
 )
 from rissim.geometry import ArrayGeometry
+from rissim.oracles import (
+    _halfspace_direction_yz,
+    path_sum_covariance_error,
+    sample_matrix_normal_vec,
+)
 
 LAM = 0.06
 

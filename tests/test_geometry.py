@@ -9,10 +9,10 @@ from rissim.geometry import (
     angle_from_direction,
     direction_from_angle,
     fraunhofer_distance,
-    kron_steering,
     pairwise_distance,
     steering_vector,
 )
+from rissim.oracles import kron_steering
 
 LAM = 0.06
 

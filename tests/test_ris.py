@@ -3,41 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from rissim.oracles import brute_force_tiles, complex_randn, tile_instance
 from rissim.ris import (
     Codebook,
-    RisConfiguration,
     build_codebook,
     build_tile_partition,
     configure_tiles,
     min_singular_values,
-    tile_effective_channel,
 )
-
-
-def complex_randn(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def brute_force_selection(direct, h_t, h_r, partition, codebook):
-    """Independent re-implementation of the per-tile argmax with full SVDs."""
-    h_eff = direct.astype(complex).copy()
-    chosen = []
-    for ids in partition.element_ids:
-        best_m, best_val = None, -1.0
-        for m in range(len(codebook)):
-            cols = []
-            for j in range(h_eff.shape[1]):
-                row = (np.conj(h_r[ids, j]) * np.exp(1j * codebook.phases[m])) @ h_t[ids]
-                cols.append(h_eff[:, j] + np.conj(row))
-            val = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False).min()
-            if val > best_val:  # strict: ties keep the lowest index
-                best_m, best_val = m, val
-        chosen.append(best_m)
-        for j in range(h_eff.shape[1]):
-            h_eff[:, j] = tile_effective_channel(
-                h_eff[:, j], h_t[ids], h_r[ids, j], codebook.phases[best_m]
-            )
-    return np.array(chosen), h_eff
 
 
 class TestTilePartition:
@@ -99,43 +72,6 @@ class TestCodebook:
         np.testing.assert_allclose(cb.phases[8], [0.0, math.pi], atol=1e-12)
 
 
-class TestTileEffectiveChannel:
-    def test_zero_reflection_keeps_direct(self):
-        rng = np.random.default_rng(0)
-        h_k = complex_randn(rng, 4)
-        h_t = complex_randn(rng, (3, 4))
-        out = tile_effective_channel(h_k, h_t, np.zeros(3, complex), np.zeros(3))
-        np.testing.assert_allclose(out, h_k)
-
-    def test_single_element_magnitude_phase_invariant(self):
-        rng = np.random.default_rng(1)
-        h_t = complex_randn(rng, (1, 1))
-        h_r = complex_randn(rng, 1)
-        mags = []
-        for omega in np.linspace(0, 2 * math.pi, 7):
-            out = tile_effective_channel(np.zeros(1, complex), h_t, h_r, np.array([omega]))
-            mags.append(abs(out[0]))
-        np.testing.assert_allclose(mags, abs(h_r[0]) * abs(h_t[0, 0]), atol=1e-12)
-
-    def test_matches_full_composition(self):
-        # contribution of one tile equals the full reflected product with all
-        # other elements' channels zeroed
-        rng = np.random.default_rng(2)
-        n_t, q = 3, 8
-        ids = np.array([2, 3, 6, 7])
-        h_t = complex_randn(rng, (q, n_t))
-        h_r = complex_randn(rng, q)
-        omega = rng.uniform(0, 2 * math.pi, size=4)
-        h_k = complex_randn(rng, n_t)
-        out = tile_effective_channel(h_k, h_t[ids], h_r[ids], omega)
-        h_r_masked = np.zeros(q, complex)
-        h_r_masked[ids] = h_r[ids]
-        gamma = np.zeros((q, q), complex)
-        gamma[ids, ids] = np.exp(1j * omega)
-        row_full = np.conj(h_k) + np.conj(h_r_masked) @ gamma @ h_t
-        np.testing.assert_allclose(np.conj(out), row_full, atol=1e-12)
-
-
 def gramians(stack):
     """(M, K, K) Gramians ``A^H A`` of a (M, N, K) batch."""
     return np.conj(stack).swapaxes(1, 2) @ stack
@@ -154,13 +90,14 @@ class TestMinSingularValues:
 
 class TestConfigureTiles:
     def make_instance(self, rng, ris=(4, 2), tile=(2, 2), n_t=4, n_ue=2):
-        partition = build_tile_partition(ris, tile)
-        codebook = build_codebook(tile)
-        q = partition.n_elements
-        direct = complex_randn(rng, (n_t, n_ue))
-        h_t = complex_randn(rng, (q, n_t))
-        h_r = complex_randn(rng, (q, n_ue))
-        return direct, h_t, h_r, partition, codebook
+        return tile_instance(rng, ris, tile, n_t, n_ue)
+
+    def check_brute_force(self, seed, **sizes):
+        args = self.make_instance(np.random.default_rng(seed), **sizes)
+        config, eff = configure_tiles(*args)
+        chosen, h_eff = brute_force_tiles(*args)
+        np.testing.assert_array_equal(config.chosen_indices, chosen)
+        np.testing.assert_allclose(eff, h_eff, atol=1e-10)
 
     def test_single_entry_codebook(self):
         rng = np.random.default_rng(4)
@@ -173,28 +110,26 @@ class TestConfigureTiles:
         h_r = complex_randn(rng, (2, 1))
         config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
         assert config.chosen_indices.tolist() == [0]
-        expected = tile_effective_channel(direct[:, 0], h_t, h_r[:, 0], codebook.phases[0])
-        np.testing.assert_allclose(eff[:, 0], expected, atol=1e-12)
+        _, expected = brute_force_tiles(direct, h_t, h_r, partition, codebook)
+        np.testing.assert_allclose(eff, expected, atol=1e-12)
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        args = self.make_instance(rng)
-        config, eff = configure_tiles(*args)
-        chosen, h_eff = brute_force_selection(*args)
-        np.testing.assert_array_equal(config.chosen_indices, chosen)
-        np.testing.assert_allclose(eff, h_eff, atol=1e-10)
+        self.check_brute_force(5)
 
     @pytest.mark.parametrize(
-        "ris, tile", [((4, 2), (2, 2)), ((6, 4), (3, 2))], ids=["2x2", "3x2"]
+        "seed, ris, tile, n_ue",
+        [
+            *(
+                pytest.param(50 + n_ue, ris, tile, n_ue, id=f"{n_ue}-{name}")
+                for n_ue in (1, 2, 3, 4)
+                for ris, tile, name in (((4, 2), (2, 2), "2x2"), ((6, 4), (3, 2), "3x2"))
+            ),
+            pytest.param(6, (4, 2), (2, 2), 1, id="seed6-1-2x2"),
+            pytest.param(9, (4, 2), (2, 2), 2, id="seed9-2-2x2"),
+        ],
     )
-    @pytest.mark.parametrize("n_ue", [1, 2, 3, 4])
-    def test_matches_brute_force_any_k(self, ris, tile, n_ue):
-        rng = np.random.default_rng(50 + n_ue)
-        args = self.make_instance(rng, ris=ris, tile=tile, n_ue=n_ue)
-        config, eff = configure_tiles(*args)
-        chosen, h_eff = brute_force_selection(*args)
-        np.testing.assert_array_equal(config.chosen_indices, chosen)
-        np.testing.assert_allclose(eff, h_eff, atol=1e-10)
+    def test_matches_brute_force_any_k(self, seed, ris, tile, n_ue):
+        self.check_brute_force(seed, ris=ris, tile=tile, n_ue=n_ue)
 
     @pytest.mark.parametrize("n_ue", [1, 2, 4])
     def test_all_candidates_tied_pick_first(self, n_ue):
@@ -235,13 +170,6 @@ class TestConfigureTiles:
             h_cur = stack[config.chosen_indices[t]]
         np.testing.assert_allclose(eff, h_cur, rtol=1e-10)
 
-    def test_matches_brute_force_single_ue(self):
-        rng = np.random.default_rng(6)
-        args = self.make_instance(rng, n_ue=1)
-        config, _ = configure_tiles(*args)
-        chosen, _ = brute_force_selection(*args)
-        np.testing.assert_array_equal(config.chosen_indices, chosen)
-
     def test_zero_ris_channels_leave_direct(self):
         rng = np.random.default_rng(7)
         direct, h_t, h_r, partition, codebook = self.make_instance(rng)
@@ -259,28 +187,6 @@ class TestConfigureTiles:
         np.testing.assert_array_equal(config.chosen_indices, scaled.chosen_indices)
         np.testing.assert_allclose(eff_scaled, c * eff, rtol=1e-12)
 
-    def test_per_tile_optimality(self):
-        # no codebook entry beats the chosen one at its own tile iteration
-        rng = np.random.default_rng(9)
-        direct, h_t, h_r, partition, codebook = self.make_instance(rng)
-        config, _ = configure_tiles(direct, h_t, h_r, partition, codebook)
-        h_eff = direct.copy()
-        for t, ids in enumerate(partition.element_ids):
-            vals = []
-            for m in range(len(codebook)):
-                cols = [
-                    tile_effective_channel(h_eff[:, j], h_t[ids], h_r[ids, j], codebook.phases[m])
-                    for j in range(h_eff.shape[1])
-                ]
-                vals.append(np.linalg.svd(np.stack(cols, axis=1), compute_uv=False).min())
-            best = config.chosen_indices[t]
-            assert vals[best] >= max(vals) - 1e-12
-            assert best == int(np.argmax(vals))
-            for j in range(h_eff.shape[1]):
-                h_eff[:, j] = tile_effective_channel(
-                    h_eff[:, j], h_t[ids], h_r[ids, j], codebook.phases[best]
-                )
-
     def test_validation(self):
         rng = np.random.default_rng(10)
         direct, h_t, h_r, partition, codebook = self.make_instance(rng)
@@ -296,12 +202,9 @@ class TestAssembleGamma:
     """The chosen element phases rebuild the channel the greedy search returns."""
 
     def configured(self, seed):
-        rng = np.random.default_rng(seed)
-        partition = build_tile_partition((4, 2), (2, 2))
-        codebook = build_codebook((2, 2))
-        direct = complex_randn(rng, (4, 2))
-        h_t = complex_randn(rng, (8, 4))
-        h_r = complex_randn(rng, (8, 2))
+        direct, h_t, h_r, partition, codebook = tile_instance(
+            np.random.default_rng(seed), (4, 2), (2, 2), n_t=4, n_ue=2
+        )
         config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
         return direct, h_t, h_r, config, eff
 

@@ -8,10 +8,11 @@ generated configs.
 
 import configparser
 import math
+import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rissim import harness
@@ -130,8 +131,6 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 offset_db = st.floats(max_value=3000.0, allow_nan=False) | st.just(-math.inf)
-# A beta within 12 digits of the largest float has a dB text that rounds past it.
-beta = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 count = st.integers(1, 10**6)
 points = st.tuples(finite, finite, finite)
 counts = st.tuples(count, count)
@@ -147,7 +146,7 @@ def boxes(draw):
 @st.composite
 def link_configs(draw):
     params = LinkParams(
-        beta=draw(beta), d0=draw(positive), eta=draw(nonnegative),
+        beta=draw(positive), d0=draw(positive), eta=draw(nonnegative),
         k_factor=draw(nonnegative), blockage_db=draw(offset_db), shadow_db=draw(offset_db),
     )
     return LinkConfig(params=params, cluster_volume=draw(boxes()))
@@ -184,8 +183,17 @@ def configs(draw):
     )
 
 
+def _with_beta(beta):
+    cfg = default_config()
+    links = {r: replace(c, params=replace(c.params, beta=beta)) for r, c in cfg.links.items()}
+    return replace(cfg, links=links)
+
+
 @settings(deadline=None)
 @given(configs())
+# 12-digit dB texts that round past the largest float
+@example(_with_beta(1.7976931331372676e308))
+@example(_with_beta(sys.float_info.max))
 def test_dump_load_dump_is_identity(config):
     text = dump_config(config)
     assert dump_config(load_config(text)) == text
