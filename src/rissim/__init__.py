@@ -10,7 +10,6 @@ from .channels import (
     ChannelModel,
     LinkParams,
     LinkRole,
-    ScatteringCluster,
     los_matrix,
     nearfield_los,
     pathloss,
@@ -56,7 +55,6 @@ __all__ = [
     "LinkRole",
     "PrecodingSolution",
     "RisConfiguration",
-    "ScatteringCluster",
     "ScenarioConfig",
     "TilePartition",
     "achieved_sinr",

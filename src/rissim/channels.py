@@ -129,11 +129,18 @@ def nearfield_los(
     retained.
     """
     kappa = 2.0 * math.pi / wavelength
-    d = np.linalg.norm(
-        rx_geom.element_positions[:, None, :] - tx_geom.element_positions[None, :, :],
-        axis=-1,
-    )
+    d = _distances(rx_geom.element_positions, tx_geom.element_positions)
     return math.sqrt(h_p) * np.exp(1j * kappa * d)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances (M, N) between the rows of ``a`` (M, 3) and ``b`` (N, 3).
+
+    Summed as ``dx*dx + dy*dy + dz*dz`` on split coordinates, the order
+    ``np.linalg.norm(..., axis=-1)`` uses, so the values are the same bit for bit.
+    """
+    dx, dy, dz = (a[:, i, None] - b[None, :, i] for i in range(3))
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 # ---------------------------------------------------------------------------
@@ -160,43 +167,40 @@ class Box:
 
 
 @dataclass
-class ScatteringCluster:
-    """One scattering object: a centroid, a gain, and R nearby sub-paths."""
-
-    centroid: np.ndarray
-    gain: float
-    subpath_positions: np.ndarray  # (R, 3), inside the 2 m cube at the centroid
-    subpath_phases: np.ndarray  # (R,), in [0, 2*pi)
-
-
-@dataclass
 class ClusterSet:
-    """Cluster draw for one link, carrying the power budget it was drawn for."""
+    """Cluster draw for one link, carrying the power budget it was drawn for.
 
-    clusters: list[ScatteringCluster]
+    ``positions`` (L, R, 3) and ``phases`` (L, R) hold the R sub-paths of
+    each of the L clusters, ``gains`` (L,) one real gain per cluster.  Every
+    sub-path clears the points its draw avoided; :func:`draw_clusters` says
+    how the per-array box screen makes that cheap and why it is exact.
+    """
+
+    positions: np.ndarray
+    phases: np.ndarray
+    gains: np.ndarray
     h_p: float
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
-    @property
-    def n_subpaths(self) -> int:
-        return self.clusters[0].subpath_positions.shape[0]
-
-    def all_positions(self) -> np.ndarray:
-        return np.concatenate([c.subpath_positions for c in self.clusters])
-
-    def all_phases(self) -> np.ndarray:
-        return np.concatenate([c.subpath_phases for c in self.clusters])
-
-    def gains(self) -> np.ndarray:
-        return np.array([c.gain for c in self.clusters])
 
 
 # Sub-paths of one cluster live in a cube of this side length (meters)
 # centered on the cluster centroid.
 SUBPATH_CUBE_SIDE = 2.0
+
+
+def _too_close(pos: np.ndarray, sets: list, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask (R,) of the sub-paths ``pos`` (R, 3) within the clearance ``c`` of a point in ``sets``.
+
+    ``lo`` and ``hi`` (S, 1, 3) are the sets' box corners.  ``lo - p > c`` is
+    computed rather than ``p < lo - c``: rounding is monotone and ``c`` is a
+    float, so a computed difference above ``c`` is an exact one above it.
+    """
+    c = _MIN_SCATTER_CLEARANCE
+    near = np.maximum(lo - pos, pos - hi).max(axis=-1) <= c  # (S, R)
+    close = np.zeros(len(pos), dtype=bool)
+    for points, candidates in zip(sets, near):
+        if candidates.any():
+            close[candidates] |= _distances(pos[candidates], points).min(axis=1) < c
+    return close
 
 
 def draw_clusters(
@@ -206,15 +210,22 @@ def draw_clusters(
     n_subpaths: int,
     h_p: float,
     gain_distribution: str = "gaussian",
-    avoid_points: np.ndarray | None = None,
+    avoid_sets: tuple[np.ndarray, ...] = (),
 ) -> ClusterSet:
     """Draw cluster centroids, per-cluster gains, and sub-path positions/phases.
 
     Centroids are uniform in ``volume``; sub-paths are uniform in the 2 m cube
     around their centroid; gains are zero mean with variance ``h_p``
     (``gaussian`` or ``rademacher``); phases are iid uniform on [0, 2*pi).
-    Sub-paths landing within the clearance distance of any point in
-    ``avoid_points`` (e.g. antenna element positions) are resampled.
+    Sub-paths within the clearance distance of a point of ``avoid_sets``
+    (each an (N, 3) array, e.g. one array's elements) are resampled, in
+    index order, until they clear; random numbers are drawn only then.
+
+    A cluster's sub-paths are screened at once against each set's bounding
+    box widened by the clearance, and only those inside a box get the exact
+    distance test.  The screen is exact: ``|p_i - a_i| <= ||p - a||``, so a
+    sub-path more than the clearance outside a box on one axis clears every
+    point in it.  One box per array keeps the survivors few.
     """
     if n_clusters < 1 or n_subpaths < 1:
         raise ValueError("need at least one cluster and one sub-path")
@@ -225,21 +236,21 @@ def draw_clusters(
         gains = math.sqrt(h_p) * rng.choice([-1.0, 1.0], size=n_clusters)
     else:
         raise ValueError(f"unknown gain distribution {gain_distribution!r}")
+    sets = [pts for pts in avoid_sets if len(pts)]
+    lo, hi = (np.array([f(pts, axis=0) for pts in sets]).reshape(-1, 1, 3) for f in (np.min, np.max))
     half = SUBPATH_CUBE_SIDE / 2.0
-    clusters = []
-    for centroid, gain in zip(centroids, gains):
-        pos = centroid + rng.uniform(-half, half, size=(n_subpaths, 3))
-        if avoid_points is not None and len(avoid_points):
-            for r in range(n_subpaths):
-                while np.min(np.linalg.norm(avoid_points - pos[r], axis=1)) < _MIN_SCATTER_CLEARANCE:
-                    pos[r] = centroid + rng.uniform(-half, half, size=3)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths)
-        clusters.append(
-            ScatteringCluster(
-                centroid=centroid, gain=float(gain), subpath_positions=pos, subpath_phases=phases
-            )
-        )
-    return ClusterSet(clusters=clusters, h_p=h_p)
+    positions = np.empty((n_clusters, n_subpaths, 3))
+    phases = np.empty((n_clusters, n_subpaths))
+    for l, centroid in enumerate(centroids):
+        pos = positions[l]
+        pos[:] = centroid + rng.uniform(-half, half, size=(n_subpaths, 3))
+        offenders = _too_close(pos, sets, lo, hi)
+        for r in np.flatnonzero(offenders):
+            while offenders[r]:
+                pos[r] = centroid + rng.uniform(-half, half, size=3)
+                offenders[r] = _too_close(pos[r : r + 1], sets, lo, hi)[0]
+        phases[l] = rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths)
+    return ClusterSet(positions=positions, phases=phases, gains=gains, h_p=h_p)
 
 
 def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry):
@@ -249,12 +260,11 @@ def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom:
     scatterer, at the receiver it continues from the scatterer through the
     array.
     """
-    p = clusters.all_positions()  # (LR, 3)
-    c_tx, c_rx = tx_geom.center, rx_geom.center
-    v_tx = p - c_tx
-    v_rx = c_rx - p
-    d_tx = np.linalg.norm(v_tx, axis=1)
-    d_rx = np.linalg.norm(v_rx, axis=1)
+    p = clusters.positions.reshape(-1, 3)  # (LR, 3)
+    v_tx = p - tx_geom.center
+    v_rx = rx_geom.center - p
+    d_tx = _distances(tx_geom.center[None], p)[0]
+    d_rx = _distances(rx_geom.center[None], p)[0]
     if d_tx.min() < _MIN_SCATTER_CLEARANCE or d_rx.min() < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an array center")
     dir_tx = tx_geom.rotation.T @ (v_tx / d_tx[:, None]).T  # (3, LR), local frame
@@ -282,9 +292,8 @@ def lowrank_from_clusters(
     """
     kappa = 2.0 * math.pi / wavelength
     d_tx, d_rx, dir_tx, dir_rx = _propagation_geometry(clusters, tx_geom, rx_geom)
-    n_sub = clusters.n_subpaths
-    gains = np.repeat(clusters.gains(), n_sub)
-    coeff = gains * np.exp(1j * (clusters.all_phases() + kappa * (d_tx + d_rx)))
+    gains = np.repeat(clusters.gains, clusters.phases.shape[1])
+    coeff = gains * np.exp(1j * (clusters.phases.reshape(-1) + kappa * (d_tx + d_rx)))
     a_tx = np.exp(1j * kappa * (_centered_coords(tx_geom) @ dir_tx))  # (N_tx, LR)
     a_rx = np.exp(1j * kappa * (_centered_coords(rx_geom) @ dir_rx))  # (N_rx, LR)
     scale = 1.0 / math.sqrt(len(coeff))
@@ -305,11 +314,11 @@ def nearfield_from_clusters(
     sum factors into two phase matrices and one product.
     """
     kappa = 2.0 * math.pi / wavelength
-    p = clusters.all_positions()  # (LR, 3)
-    d_tx = np.linalg.norm(tx_geom.element_positions[:, None, :] - p[None, :, :], axis=-1)
-    d_rx = np.linalg.norm(p[None, :, :] - rx_geom.element_positions[:, None, :], axis=-1)
+    p = clusters.positions.reshape(-1, 3)  # (LR, 3)
+    d_tx = _distances(tx_geom.element_positions, p)
+    d_rx = _distances(rx_geom.element_positions, p)
     if min(d_tx.min(), d_rx.min()) < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an antenna element")
-    amp = math.sqrt(clusters.h_p) * np.exp(1j * clusters.all_phases())
+    amp = math.sqrt(clusters.h_p) * np.exp(1j * clusters.phases.reshape(-1))
     scale = 1.0 / math.sqrt(len(amp))
     return scale * ((np.exp(1j * kappa * d_rx) * amp) @ np.exp(1j * kappa * d_tx).T)

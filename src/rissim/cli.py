@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import configparser
 import logging
 import sys
 from dataclasses import replace
@@ -34,8 +35,7 @@ def _resolve_config(args) -> ScenarioConfig:
 
 def _cmd_run(args) -> int:
     if args.raw and not args.out:
-        print("--raw requires --out", file=sys.stderr)
-        return 2
+        raise ValueError("--raw requires --out")
     config = _resolve_config(args)
     result = harness.run_sweep(config)
     text = harness.aggregate_csv(result.aggregates)
@@ -89,6 +89,8 @@ def _check_precoder(seed: int) -> tuple[bool, str]:
 
 
 def _cmd_check(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     checks = [
         ("covariance-limit", _check_covariance_limit),
         ("codebook-brute-force", _check_codebook),
@@ -138,7 +140,12 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError, configparser.Error) as exc:
+        message = " ".join(str(exc).split())  # one line, whatever the source
+        print(f"rissim: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -70,7 +70,8 @@ class ArrayGeometry:
     Element (0, 0) sits at ``origin``; element (n_y, n_z) sits at
     ``origin + R @ [0, n_y*d_y, n_z*d_z]`` where ``R`` is the mounting
     rotation selected by ``plane``.  ``counts == (1, 1)`` models a single
-    antenna (e.g. a UE).
+    antenna (e.g. a UE).  ``element_positions`` (N, 3) and their mean,
+    ``center``, are computed once, when the geometry is built.
     """
 
     counts: tuple[int, int]
@@ -96,6 +97,7 @@ class ArrayGeometry:
             [np.zeros(n_y * n_z), iy * d_y, iz * d_z]
         )
         self.element_positions = self.origin + self.local_coords @ self.rotation.T
+        self.center = self.element_positions.mean(axis=0)
 
     @classmethod
     def upa(cls, n_y, n_z, spacing, origin=(0.0, 0.0, 0.0), plane="yz"):
@@ -117,10 +119,6 @@ class ArrayGeometry:
     @property
     def size(self) -> int:
         return self.counts[0] * self.counts[1]
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.element_positions.mean(axis=0)
 
     @property
     def aperture(self) -> float:

@@ -189,9 +189,7 @@ def draw_link(
             config.n_subpaths,
             h_p,
             config.gain_distribution,
-            avoid_points=np.concatenate(
-                [tx_geom.element_positions, rx_geom.element_positions]
-            ),
+            avoid_sets=(tx_geom.element_positions, rx_geom.element_positions),
         )
         if model == ChannelModel.LOWRANK_GEOMETRIC:
             nlos = lowrank_from_clusters(clusters, tx_geom, rx_geom, wl)

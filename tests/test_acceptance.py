@@ -161,8 +161,7 @@ def test_criterion_5_near_field_consistency():
         n_subpaths=5,
         h_p=1.0,
     )
-    for c in clusters.clusters:
-        c.gain = 1.0  # common amplitude so only wavefront modeling differs
+    clusters.gains[:] = 1.0  # common amplitude so only wavefront modeling differs
     h_far = lowrank_from_clusters(clusters, tx, rx, LAM)
     h_near = nearfield_from_clusters(clusters, tx, rx, LAM)
     far_err = float(np.abs(np.angle(h_near / h_far)).max())

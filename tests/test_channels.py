@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rissim import units
+from rissim import channels, units
 from rissim.channels import (
     Box,
     ChannelModel,
@@ -191,16 +191,18 @@ class TestClusters:
     def test_draw_invariants(self):
         rng = np.random.default_rng(10)
         cs = draw_clusters(rng, VOLUME, 5, 20, h_p=2.0)
-        assert cs.n_clusters == 5 and cs.n_subpaths == 20
-        for c in cs.clusters:
-            assert np.all(c.centroid >= VOLUME.lo) and np.all(c.centroid <= VOLUME.hi)
-            assert np.all(np.abs(c.subpath_positions - c.centroid) <= 1.0 + 1e-12)
-            assert np.all((c.subpath_phases >= 0) & (c.subpath_phases < 2 * math.pi))
+        assert cs.positions.shape == (5, 20, 3) and cs.phases.shape == (5, 20)
+        assert cs.gains.shape == (5,)
+        # the centroids are the draw's first call on its stream
+        centroids = VOLUME.sample(np.random.default_rng(10), 5)
+        assert np.all(centroids >= VOLUME.lo) and np.all(centroids <= VOLUME.hi)
+        assert np.all(np.abs(cs.positions - centroids[:, None, :]) <= 1.0 + 1e-12)
+        assert np.all((cs.phases >= 0) & (cs.phases < 2 * math.pi))
 
     def test_gain_moments(self):
         rng = np.random.default_rng(11)
         gains = np.concatenate(
-            [draw_clusters(rng, VOLUME, 50, 1, h_p=3.0).gains() for _ in range(200)]
+            [draw_clusters(rng, VOLUME, 50, 1, h_p=3.0).gains for _ in range(200)]
         )
         assert gains.mean() == pytest.approx(0.0, abs=3 * math.sqrt(3.0 / gains.size))
         assert np.mean(gains**2) == pytest.approx(3.0, rel=0.05)
@@ -208,11 +210,71 @@ class TestClusters:
     def test_rademacher_gains(self):
         rng = np.random.default_rng(12)
         cs = draw_clusters(rng, VOLUME, 10, 1, h_p=4.0, gain_distribution="rademacher")
-        np.testing.assert_allclose(np.abs(cs.gains()), 2.0)
+        np.testing.assert_allclose(np.abs(cs.gains), 2.0)
 
     def test_unknown_gain_distribution(self):
         with pytest.raises(ValueError):
             draw_clusters(np.random.default_rng(0), VOLUME, 1, 1, 1.0, "cauchy")
+
+
+def per_subpath_draw(rng, volume, n_clusters, n_subpaths, h_p, avoid):
+    """Reference cluster draw: one exact distance check per sub-path, in index order."""
+    centroids = volume.sample(rng, n_clusters)
+    gains = math.sqrt(h_p) * rng.standard_normal(n_clusters)
+    positions, phases = [], []
+    for centroid in centroids:
+        pos = centroid + rng.uniform(-1.0, 1.0, size=(n_subpaths, 3))
+        for r in range(n_subpaths):
+            while np.min(np.linalg.norm(avoid - pos[r], axis=1)) < channels._MIN_SCATTER_CLEARANCE:
+                pos[r] = centroid + rng.uniform(-1.0, 1.0, size=3)
+        positions.append(pos)
+        phases.append(rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths))
+    return np.array(positions), np.array(phases), gains
+
+
+class TestClearance:
+    """Resampling of sub-paths that land too close to an antenna element.
+
+    At the shipped 1e-9 m clearance no seeded draw rejects, so these tests
+    raise it to 0.5 m and put the arrays inside the cluster volume.
+    """
+
+    CLEARANCE = 0.5
+    TX = ArrayGeometry.upa_centered(4, 4, 0.3, (1.0, 0.0, 0.0))
+    RX = ArrayGeometry.upa_centered(2, 1, 0.3, (2.0, 1.0, 0.5))
+    NEAR_VOLUME = Box(lo=(0.0, -1.0, -1.0), hi=(3.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_subpath_loop(self, monkeypatch, seed):
+        monkeypatch.setattr(channels, "_MIN_SCATTER_CLEARANCE", self.CLEARANCE)
+        sets = (self.TX.element_positions, self.RX.element_positions)
+        cs = draw_clusters(np.random.default_rng(seed), self.NEAR_VOLUME, 5, 20, 2.0, avoid_sets=sets)
+        positions, phases, gains = per_subpath_draw(
+            np.random.default_rng(seed), self.NEAR_VOLUME, 5, 20, 2.0, np.concatenate(sets)
+        )
+        np.testing.assert_array_equal(cs.positions, positions)
+        np.testing.assert_array_equal(cs.phases, phases)
+        np.testing.assert_array_equal(cs.gains, gains)
+        unchecked = draw_clusters(np.random.default_rng(seed), self.NEAR_VOLUME, 5, 20, 2.0)
+        assert not np.array_equal(cs.positions, unchecked.positions)  # some were redrawn
+        for points in sets:
+            d = np.linalg.norm(cs.positions.reshape(-1, 1, 3) - points[None], axis=-1)
+            assert d.min() >= self.CLEARANCE
+
+    def test_box_is_widened_by_clearance(self, monkeypatch):
+        # a sub-path outside the TX array's bounding box on every axis, but
+        # 0.41 m from its corner element: only a widened box catches it
+        monkeypatch.setattr(channels, "_MIN_SCATTER_CLEARANCE", self.CLEARANCE)
+        sets = [self.TX.element_positions, self.RX.element_positions]
+        lo, hi = (np.array([f(pts, axis=0) for pts in sets])[:, None] for f in (np.min, np.max))
+        corner = self.TX.element_positions.min(axis=0)
+        inside = corner - np.array([0.3, 0.2, 0.2])
+        outside = corner - np.array([0.0, 0.0, 0.51])
+        assert np.linalg.norm(inside - self.TX.element_positions, axis=1).min() < self.CLEARANCE
+        assert np.all(np.linalg.norm(outside - self.TX.element_positions, axis=1) > self.CLEARANCE)
+        np.testing.assert_array_equal(
+            channels._too_close(np.array([inside, outside]), sets, lo, hi), [True, False]
+        )
 
 
 class TestLowRankGeometric:
@@ -263,8 +325,7 @@ class TestNearFieldGeometric:
         assert 600.0 > 1e4 * fraunhofer_distance(tx.aperture, LAM)
         far_volume = Box(lo=(500.0, -400.0, -100.0), hi=(900.0, 400.0, 100.0))
         cs = draw_clusters(np.random.default_rng(18), far_volume, 3, 5, h_p=1.0)
-        for c in cs.clusters:
-            c.gain = 1.0  # align amplitudes: the spherical model uses sqrt(h_p)
+        cs.gains[:] = 1.0  # align amplitudes: the spherical model uses sqrt(h_p)
         h_far = lowrank_from_clusters(cs, tx, rx, LAM)
         h_near = nearfield_from_clusters(cs, tx, rx, LAM)
         assert np.abs(np.angle(h_near / h_far)).max() < 1e-2

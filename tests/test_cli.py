@@ -172,6 +172,28 @@ class TestCliCheck:
         assert exc.value.code == 2
 
 
+class TestCliErrors:
+    """A bad config or seed is one ``rissim: error:`` line on stderr, exit code 2."""
+
+    def error_line(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rissim: error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_negative_run_seed(self, capsys):
+        assert "master_seed" in self.error_line(capsys, ["run", "--seed", "-1"])
+
+    def test_unknown_ini_key(self, tmp_path, capsys):
+        ini = tmp_path / "typo.ini"
+        ini.write_text("[run]\ntrails = 5\n")
+        assert "'trails'" in self.error_line(capsys, ["run", "--config", str(ini)])
+
+    def test_negative_check_seed(self, capsys):
+        assert "--seed" in self.error_line(capsys, ["check", "--seed", "-1"])
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         ini = tmp_path / "cfg.ini"
@@ -184,3 +206,13 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("model,Q,n_ue,")
+
+    def test_config_error_is_one_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rissim", "run", "--seed", "-1"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["rissim: error: master_seed must be >= 0, got -1"]
