@@ -16,7 +16,6 @@ from .channels import (
     sample_iid_rayleigh,
 )
 from .correlation import (
-    CorrelationMatrix,
     matrix_sqrt_factor,
     sample_matrix_normal_factor,
     sinc_correlation,
@@ -33,8 +32,6 @@ from .harness import noise_power, run_sweep, run_trial
 from .precoding import InfeasibleError, PrecodingSolution, achieved_sinr, min_power_precoder
 from .ris import (
     Codebook,
-    RisConfiguration,
-    TilePartition,
     build_codebook,
     build_tile_partition,
     configure_tiles,
@@ -49,14 +46,11 @@ __all__ = [
     "Box",
     "ChannelModel",
     "Codebook",
-    "CorrelationMatrix",
     "InfeasibleError",
     "LinkParams",
     "LinkRole",
     "PrecodingSolution",
-    "RisConfiguration",
     "ScenarioConfig",
-    "TilePartition",
     "achieved_sinr",
     "build_codebook",
     "build_tile_partition",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .geometry import Angle, ArrayGeometry, steering_vector
+from .geometry import Angle, ArrayGeometry, distance_matrix, steering_vector
 
 # Minimum allowed separation between a scatterer and any antenna element;
 # draws closer than this are rejected and resampled.
@@ -129,18 +129,8 @@ def nearfield_los(
     retained.
     """
     kappa = 2.0 * math.pi / wavelength
-    d = _distances(rx_geom.element_positions, tx_geom.element_positions)
+    d = distance_matrix(rx_geom.element_positions, tx_geom.element_positions)
     return math.sqrt(h_p) * np.exp(1j * kappa * d)
-
-
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances (M, N) between the rows of ``a`` (M, 3) and ``b`` (N, 3).
-
-    Summed as ``dx*dx + dy*dy + dz*dz`` on split coordinates, the order
-    ``np.linalg.norm(..., axis=-1)`` uses, so the values are the same bit for bit.
-    """
-    dx, dy, dz = (a[:, i, None] - b[None, :, i] for i in range(3))
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +189,7 @@ def _too_close(pos: np.ndarray, sets: list, lo: np.ndarray, hi: np.ndarray) -> n
     close = np.zeros(len(pos), dtype=bool)
     for points, candidates in zip(sets, near):
         if candidates.any():
-            close[candidates] |= _distances(pos[candidates], points).min(axis=1) < c
+            close[candidates] |= distance_matrix(pos[candidates], points).min(axis=1) < c
     return close
 
 
@@ -263,8 +253,8 @@ def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom:
     p = clusters.positions.reshape(-1, 3)  # (LR, 3)
     v_tx = p - tx_geom.center
     v_rx = rx_geom.center - p
-    d_tx = _distances(tx_geom.center[None], p)[0]
-    d_rx = _distances(rx_geom.center[None], p)[0]
+    d_tx = distance_matrix(tx_geom.center[None], p)[0]
+    d_rx = distance_matrix(rx_geom.center[None], p)[0]
     if d_tx.min() < _MIN_SCATTER_CLEARANCE or d_rx.min() < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an array center")
     dir_tx = tx_geom.rotation.T @ (v_tx / d_tx[:, None]).T  # (3, LR), local frame
@@ -315,8 +305,8 @@ def nearfield_from_clusters(
     """
     kappa = 2.0 * math.pi / wavelength
     p = clusters.positions.reshape(-1, 3)  # (LR, 3)
-    d_tx = _distances(tx_geom.element_positions, p)
-    d_rx = _distances(rx_geom.element_positions, p)
+    d_tx = distance_matrix(tx_geom.element_positions, p)
+    d_rx = distance_matrix(rx_geom.element_positions, p)
     if min(d_tx.min(), d_rx.min()) < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an antenna element")
     amp = math.sqrt(clusters.h_p) * np.exp(1j * clusters.phases.reshape(-1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,17 @@ from .precoding import min_power_precoder
 from .ris import configure_tiles
 from .scenario import PRESETS, ScenarioConfig, dump_config, load_config
 from .seeding import derive_rng
+
+
+def _error_line(message: str) -> str:
+    return "rissim: error: " + " ".join(message.split()) + "\n"  # one line, whatever the source
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``rissim: error:`` line, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, _error_line(message))
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -36,6 +48,13 @@ def _resolve_config(args) -> ScenarioConfig:
 def _cmd_run(args) -> int:
     if args.raw and not args.out:
         raise ValueError("--raw requires --out")
+    # Checked before the sweep, which may run for hours; --raw writes next to --out.
+    if args.out:
+        out = Path(args.out)
+        if out.is_dir():
+            raise ValueError(f"--out {args.out!r} is a directory")
+        if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+            raise ValueError(f"--out directory {str(out.parent)!r} does not exist or is not writable")
     config = _resolve_config(args)
     result = harness.run_sweep(config)
     text = harness.aggregate_csv(result.aggregates)
@@ -67,7 +86,7 @@ def _check_codebook(seed: int) -> tuple[bool, str]:
     mismatches, n_tiles = [], 0
     for ris_counts, n_ue in (((4, 2), 2), ((4, 4), 4)):
         instance = oracles.tile_instance(rng, ris_counts, (2, 2), n_t=4, n_ue=n_ue)
-        greedy = configure_tiles(*instance)[0].chosen_indices.tolist()
+        greedy = configure_tiles(*instance)[0].tolist()
         brute = oracles.brute_force_tiles(*instance)[0].tolist()
         mismatches += [(n_ue, t, g, b) for t, (g, b) in enumerate(zip(greedy, brute)) if g != b]
         n_tiles += len(brute)
@@ -110,7 +129,7 @@ def _cmd_scenario(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="rissim", description=__doc__)
+    parser = _Parser(prog="rissim", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -143,8 +162,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError, configparser.Error) as exc:
-        message = " ".join(str(exc).split())  # one line, whatever the source
-        print(f"rissim: error: {message}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return 2
 
 

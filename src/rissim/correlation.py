@@ -8,39 +8,23 @@ factor product ``Rbar_rx @ H_iid @ Rbar_tx.T``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ArrayGeometry
+from .channels import sample_iid_rayleigh
+from .geometry import ArrayGeometry, distance_matrix
+
+# Eigenvalues in (_EIG_FLOOR, 0) are rounding and clamp to zero; anything
+# below is a matrix that is not a correlation.
+_EIG_FLOOR = -1e-6
 
 
 class NotPositiveSemidefiniteError(ValueError):
     """Raised when a correlation matrix has a meaningfully negative eigenvalue."""
 
 
-@dataclass
-class CorrelationMatrix:
-    """Real symmetric correlation matrix tied to the geometry it came from."""
-
-    r: np.ndarray
-    geom: ArrayGeometry
-    _factor: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.r.shape[0]
-
-    @property
-    def sqrt_factor(self) -> np.ndarray:
-        """Cached symmetric square root (see :func:`matrix_sqrt_factor`)."""
-        if self._factor is None:
-            self._factor = matrix_sqrt_factor(self)
-        return self._factor
-
-
-def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> CorrelationMatrix:
-    """Correlation matrix ``R[m, n] = sinc(kappa * ||u_m - u_n||)``.
+def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
+    """(N, N) correlation matrix ``R[m, n] = sinc(kappa * ||u_m - u_n||)``.
 
     ``sinc(x) = sin(x)/x`` with ``sinc(0) = 1``; entries vanish exactly when
     the element separation is a positive integer multiple of half a
@@ -51,42 +35,37 @@ def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> CorrelationMatri
         raise ValueError("wavelength must be positive")
     kappa = 2.0 * math.pi / wavelength
     pos = geom.element_positions
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     # np.sinc is the normalized sin(pi x)/(pi x); rescale to plain sin(x)/x.
-    return CorrelationMatrix(r=np.sinc(kappa * dist / np.pi), geom=geom)
+    return np.sinc(kappa * distance_matrix(pos, pos) / np.pi)
 
 
-def matrix_sqrt_factor(corr: CorrelationMatrix, eig_floor: float = -1e-6) -> np.ndarray:
-    """Symmetric factor ``Rbar`` with ``Rbar @ Rbar.T == R``.
+def matrix_sqrt_factor(r: np.ndarray) -> np.ndarray:
+    """Symmetric factor ``Rbar`` with ``Rbar @ Rbar.T == r``.
 
     Uses the eigendecomposition rather than Cholesky so that the
     rank-deficient correlation matrices of large half-wavelength arrays still
-    factor; eigenvalues in ``(eig_floor, 0)`` are clamped to zero, anything
-    below ``eig_floor`` raises :class:`NotPositiveSemidefiniteError`.
+    factor; eigenvalues in ``(-1e-6, 0)`` are clamped to zero, anything
+    lower raises :class:`NotPositiveSemidefiniteError`.
     """
-    vals, vecs = np.linalg.eigh(corr.r)
-    if vals.min() < eig_floor:
+    vals, vecs = np.linalg.eigh(r)
+    if vals.min() < _EIG_FLOOR:
         raise NotPositiveSemidefiniteError(
-            f"eigenvalue {vals.min():.3e} below tolerance {eig_floor:.1e}"
+            f"eigenvalue {vals.min():.3e} below tolerance {_EIG_FLOOR:.1e}"
         )
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _iid_cn(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def sample_matrix_normal_factor(
     rng: np.random.Generator,
-    r_rx: CorrelationMatrix,
-    r_tx: CorrelationMatrix,
+    f_rx: np.ndarray,
+    f_tx: np.ndarray,
     sigma_c: float,
 ) -> np.ndarray:
-    """Correlated draw ``Rbar_rx @ H_iid @ Rbar_tx.T`` with iid CN(0, sigma_c^2) core.
+    """Correlated draw ``f_rx @ H_iid @ f_tx.T`` with iid CN(0, sigma_c^2) core.
 
-    Row-major vectorization of the result has covariance
+    ``f_rx`` and ``f_tx`` are the :func:`matrix_sqrt_factor` of ``R_rx`` and
+    ``R_tx``; row-major vectorization of the result has covariance
     ``sigma_c^2 * kron(R_rx, R_tx)``.
 
     Both factors are real, so the smaller one is applied to the complex core
@@ -95,10 +74,11 @@ def sample_matrix_normal_factor(
     real matrix product whose output is viewed back as ``complex128``.  No
     complex copy of the large factor is made.
     """
-    h_iid = _iid_cn(rng, (r_rx.n, r_tx.n), sigma_c * sigma_c)
-    if r_rx.n >= r_tx.n:
-        small = h_iid @ r_tx.sqrt_factor.T
-        return (r_rx.sqrt_factor @ small.view(np.float64)).view(np.complex128)
-    # Rbar_rx @ H @ Rbar_tx.T == (Rbar_tx @ (Rbar_rx @ H).T).T
-    small = np.ascontiguousarray((r_rx.sqrt_factor @ h_iid).T)
-    return (r_tx.sqrt_factor @ small.view(np.float64)).view(np.complex128).T
+    n_rx, n_tx = f_rx.shape[0], f_tx.shape[0]
+    h_iid = sample_iid_rayleigh(rng, n_rx, n_tx, sigma_c * sigma_c)
+    if n_rx >= n_tx:
+        small = h_iid @ f_tx.T
+        return (f_rx @ small.view(np.float64)).view(np.complex128)
+    # f_rx @ H @ f_tx.T == (f_tx @ (f_rx @ H).T).T
+    small = np.ascontiguousarray((f_rx @ h_iid).T)
+    return (f_tx @ small.view(np.float64)).view(np.complex128).T

@@ -161,6 +161,17 @@ def pairwise_distance(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
+def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances (M, N) between the rows of ``a`` (M, 3) and ``b`` (N, 3).
+
+    Summed as ``dx*dx + dy*dy + dz*dz`` on split coordinates, the order
+    ``np.linalg.norm(..., axis=-1)`` uses, so the values are the same bit for
+    bit, without the (M, N, 3) difference array.
+    """
+    dx, dy, dz = (a[:, i, None] - b[None, :, i] for i in range(3))
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def fraunhofer_distance(aperture: float, wavelength: float) -> float:
     """Far-field boundary ``2*D^2/lambda`` for an aperture of size ``D``."""
     if aperture <= 0:

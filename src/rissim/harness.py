@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import seeding, units
+from . import correlation, seeding, units
 from .channels import (
     ChannelModel,
     LinkRole,
@@ -29,7 +29,7 @@ from .channels import (
     pathloss,
     sample_iid_rayleigh,
 )
-from .correlation import CorrelationMatrix, sample_matrix_normal_factor, sinc_correlation
+from .correlation import sample_matrix_normal_factor, sinc_correlation
 from .geometry import ArrayGeometry, fraunhofer_distance, pairwise_distance
 from .precoding import InfeasibleError, min_power_precoder
 from .ris import build_codebook, build_tile_partition, configure_tiles
@@ -89,7 +89,7 @@ class SimContext:
     """Caches shared by every trial of one (model, Q) in a sweep.
 
     Nothing here depends on the UE count: the array geometries, tile
-    partition, codebook, noise power and correlation factors are the same
+    table, codebook, noise power and correlation factors are the same
     for every ``n_ue`` cell of that (model, Q), so :func:`run_sweep` builds
     one context and runs each of those cells on it.  The context lives only
     as long as its (model, Q), so at most one surface size's factors are
@@ -104,25 +104,25 @@ class SimContext:
         )
         n_y, n_z = config.ris_counts
         self.ris_geom = ArrayGeometry.upa_centered(n_y, n_z, spacing, config.ris_center)
-        self.partition = build_tile_partition(
+        self.tiles = build_tile_partition(
             config.ris_counts, config.tile_shape, config.tile_order
         )
         self.codebook = build_codebook(config.tile_shape)
         self.noise_power = noise_power(config)
-        self._corr: dict = {}
+        self._factors: dict = {}
         self._flagged: set = set()
 
-    def correlation(self, geom: ArrayGeometry) -> CorrelationMatrix:
-        """Sinc correlation (with cached square-root factor) for a geometry.
+    def correlation_factor(self, geom: ArrayGeometry) -> np.ndarray:
+        """Cached square-root factor of a geometry's sinc correlation.
 
         Correlations depend only on element separations, so single-antenna
         UEs at different positions share one trivial entry.
         """
         key = (geom.counts, geom.spacing)
-        if key not in self._corr:
-            self._corr[key] = sinc_correlation(geom, self.config.wavelength)
-            self._corr[key].sqrt_factor  # build the factor once, up front
-        return self._corr[key]
+        if key not in self._factors:
+            r = sinc_correlation(geom, self.config.wavelength)
+            self._factors[key] = correlation.matrix_sqrt_factor(r)
+        return self._factors[key]
 
     def flag_near_field(self, model: ChannelModel, role: LinkRole, tx, rx, distance):
         """Warn once when a far-field model is evaluated inside the near field."""
@@ -199,7 +199,10 @@ def draw_link(
         nlos = sample_iid_rayleigh(rng_fading, rx_geom.size, tx_geom.size, h_p)
     elif model == ChannelModel.CORRELATED_RAYLEIGH:
         nlos = sample_matrix_normal_factor(
-            rng_fading, ctx.correlation(rx_geom), ctx.correlation(tx_geom), math.sqrt(h_p)
+            rng_fading,
+            ctx.correlation_factor(rx_geom),
+            ctx.correlation_factor(tx_geom),
+            math.sqrt(h_p),
         )
     else:
         raise ValueError(f"unknown channel model {model!r}")
@@ -270,7 +273,7 @@ def run_trial(
         direct[:, j] = np.conj(d_row[0])  # h_{d,k} with h^H the received row
         h_r[:, j] = np.conj(r_row[0])
 
-    _, effective = configure_tiles(direct, h_t, h_r, ctx.partition, ctx.codebook)
+    _, effective = configure_tiles(direct, h_t, h_r, ctx.tiles, ctx.codebook)
     try:
         solution = min_power_precoder(
             effective,

@@ -24,10 +24,11 @@ import math
 
 import numpy as np
 
-from .correlation import CorrelationMatrix, _iid_cn, sinc_correlation
+from .channels import sample_iid_rayleigh
+from .correlation import sinc_correlation
 from .geometry import Angle, ArrayGeometry
 from .precoding import PrecodingSolution
-from .ris import Codebook, TilePartition, build_codebook, build_tile_partition
+from .ris import Codebook, build_codebook, build_tile_partition
 
 
 def complex_randn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -41,24 +42,24 @@ def tile_instance(
     tile_shape: tuple[int, int],
     n_t: int,
     n_ue: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, TilePartition, Codebook]:
-    """Random tile-search inputs ``(direct, h_t, h_r, partition, codebook)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Codebook]:
+    """Random tile-search inputs ``(direct, h_t, h_r, tiles, codebook)``.
 
     The (N_t, K) direct, (Q, N_t) BS-to-surface and (Q, K) surface-to-UE
-    channels are drawn in that order with :func:`complex_randn`; the
-    partition is the raster tiling of ``ris_counts`` into ``tile_shape``.
+    channels are drawn in that order with :func:`complex_randn`; ``tiles``
+    is the raster tiling of ``ris_counts`` into ``tile_shape``.
     """
-    partition = build_tile_partition(ris_counts, tile_shape)
-    q = partition.n_elements
+    tiles = build_tile_partition(ris_counts, tile_shape)
+    q = tiles.size
     direct, h_t, h_r = (complex_randn(rng, s) for s in ((n_t, n_ue), (q, n_t), (q, n_ue)))
-    return direct, h_t, h_r, partition, build_codebook(tile_shape)
+    return direct, h_t, h_r, tiles, build_codebook(tile_shape)
 
 
 def brute_force_tiles(
     direct: np.ndarray,
     h_t: np.ndarray,
     h_r: np.ndarray,
-    partition: TilePartition,
+    tiles: np.ndarray,
     codebook: Codebook,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy per-tile search with an explicit SVD of every candidate.
@@ -71,9 +72,9 @@ def brute_force_tiles(
     effective channel, to compare with :func:`rissim.ris.configure_tiles`.
     """
     h_eff = direct.astype(complex)
-    chosen = np.empty(partition.n_tiles, dtype=np.intp)
+    chosen = np.empty(len(tiles), dtype=np.intp)
     coeffs = np.exp(1j * codebook.phases)[:, None, :]  # (M, 1, q)
-    for t, ids in enumerate(partition.element_ids):
+    for t, ids in enumerate(tiles):
         rows = (coeffs * np.conj(h_r[ids]).T) @ h_t[ids]  # (M, K, N_t)
         candidates = h_eff + np.conj(rows).swapaxes(1, 2)  # (M, N_t, K)
         scores = np.linalg.svd(candidates, compute_uv=False).min(axis=1)
@@ -115,19 +116,20 @@ def kron_steering(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.nd
 
 def sample_matrix_normal_vec(
     rng: np.random.Generator,
-    r_rx: CorrelationMatrix,
-    r_tx: CorrelationMatrix,
+    f_rx: np.ndarray,
+    f_tx: np.ndarray,
     sigma_c: float,
 ) -> np.ndarray:
     """Correlated draw through the stacked Kronecker-covariance Gaussian.
 
-    Draws ``vec(H) ~ CN(0, sigma_c^2 * kron(R_rx, R_tx))`` directly and
-    reshapes (row-major); distributionally identical to
+    ``f_rx`` and ``f_tx`` are the square-root factors of ``R_rx`` and
+    ``R_tx``.  Draws ``vec(H) ~ CN(0, sigma_c^2 * kron(R_rx, R_tx))``
+    directly and reshapes (row-major); distributionally identical to
     :func:`rissim.correlation.sample_matrix_normal_factor`.
     """
-    kron_factor = np.kron(r_rx.sqrt_factor, r_tx.sqrt_factor)
-    z = _iid_cn(rng, r_rx.n * r_tx.n, sigma_c * sigma_c)
-    return (kron_factor @ z).reshape(r_rx.n, r_tx.n)
+    n_rx, n_tx = f_rx.shape[0], f_tx.shape[0]
+    z = sample_iid_rayleigh(rng, n_rx, n_tx, sigma_c * sigma_c).ravel()
+    return (np.kron(f_rx, f_tx) @ z).reshape(n_rx, n_tx)
 
 
 def _halfspace_direction_yz(rng: np.random.Generator, n: int, dtype):
@@ -231,6 +233,6 @@ def path_sum_covariance_error(
         done += m
     cov = acc / draws
     target = sigma_c * sigma_c * np.kron(
-        sinc_correlation(rx_geom, wavelength).r, sinc_correlation(tx_geom, wavelength).r
+        sinc_correlation(rx_geom, wavelength), sinc_correlation(tx_geom, wavelength)
     )
     return float(np.max(np.abs(cov - target)))

@@ -43,41 +43,19 @@ _FLOOR_CANDIDATES = 8
 _PRUNE_MARGIN = 1e-6
 
 
-@dataclass
-class TilePartition:
-    """Disjoint rectangular tiles covering an ``N_y x N_z``-element surface.
-
-    ``element_ids[t]`` lists the global (y-major) element indices of tile
-    ``t``, themselves in y-major order within the tile.
-    """
-
-    ris_counts: tuple[int, int]
-    tile_shape: tuple[int, int]
-    element_ids: list[np.ndarray]
-
-    @property
-    def n_tiles(self) -> int:
-        return len(self.element_ids)
-
-    @property
-    def tile_size(self) -> int:
-        return self.tile_shape[0] * self.tile_shape[1]
-
-    @property
-    def n_elements(self) -> int:
-        return self.ris_counts[0] * self.ris_counts[1]
-
-
 def build_tile_partition(
     ris_counts: tuple[int, int],
     tile_shape: tuple[int, int],
     order: str = "raster",
-) -> TilePartition:
+) -> np.ndarray:
     """Partition the surface into a grid of equally shaped tiles.
 
-    The element counts must be integer multiples of the tile shape along each
-    axis.  Tiles are visited in raster (y-major) order by default; ``order``
-    may be ``"reversed"`` to flip the visit sequence.
+    Returns the (n_tiles, tile_size) ``intp`` table of element ids: row
+    ``t`` lists the global (y-major) element indices of the ``t``-th tile
+    visited, themselves in y-major order within the tile.  The element
+    counts must be integer multiples of the tile shape along each axis.
+    Tiles are visited in raster (y-major) order by default; ``order`` may be
+    ``"reversed"`` to flip the visit sequence.
     """
     n_y, n_z = ris_counts
     q_y, q_z = tile_shape
@@ -87,21 +65,11 @@ def build_tile_partition(
         raise ValueError(
             f"surface {ris_counts} is not divisible into {tile_shape} tiles"
         )
-    tiles_y, tiles_z = n_y // q_y, n_z // q_z
-    element_ids = []
-    for t_y in range(tiles_y):
-        for t_z in range(tiles_z):
-            ids = [
-                (t_y * q_y + e_y) * n_z + (t_z * q_z + e_z)
-                for e_y in range(q_y)
-                for e_z in range(q_z)
-            ]
-            element_ids.append(np.array(ids, dtype=np.intp))
-    if order == "reversed":
-        element_ids = element_ids[::-1]
-    elif order != "raster":
+    if order not in TILE_ORDERS:
         raise ValueError(f"unknown tile order {order!r}")
-    return TilePartition(ris_counts=ris_counts, tile_shape=tile_shape, element_ids=element_ids)
+    grid = np.arange(n_y * n_z, dtype=np.intp).reshape(n_y // q_y, q_y, n_z // q_z, q_z)
+    tiles = grid.transpose(0, 2, 1, 3).reshape(-1, q_y * q_z)
+    return tiles[::-1] if order == "reversed" else tiles
 
 
 @dataclass
@@ -113,17 +81,11 @@ class Codebook:
     every entry in that order.
     """
 
-    tile_shape: tuple[int, int]
     gradients: np.ndarray  # (G, tile_size)
     offsets: np.ndarray  # (B,)
 
     def __len__(self) -> int:
         return self.gradients.shape[0] * self.offsets.shape[0]
-
-    def entry_phases(self, m: int) -> np.ndarray:
-        """Per-element phases of entry ``m``, in ``[0, 2*pi)``."""
-        g, b = divmod(m, self.offsets.shape[0])
-        return np.mod(self.gradients[g] + self.offsets[b], 2.0 * math.pi)
 
     @property
     def phases(self) -> np.ndarray:
@@ -150,17 +112,7 @@ def build_codebook(tile_shape) -> Codebook:
     e_z = np.tile(np.arange(q_z), q_y)
     gradients = 2.0 * math.pi * (e_y[:, None] * e_y / q_y + e_z[:, None] * e_z / q_z)
     offsets = 2.0 * math.pi * np.arange(WAVEFRONT_PHASE_COUNT) / WAVEFRONT_PHASE_COUNT
-    return Codebook(tile_shape=(q_y, q_z), gradients=gradients, offsets=offsets)
-
-
-@dataclass
-class RisConfiguration:
-    """Chosen codebook index per tile and the assembled per-element phases."""
-
-    partition: TilePartition
-    codebook: Codebook
-    chosen_indices: np.ndarray  # (n_tiles,)
-    element_phases: np.ndarray  # (Q,)
+    return Codebook(gradients=gradients, offsets=offsets)
 
 
 def _lambda_min_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,9 +170,9 @@ def configure_tiles(
     direct: np.ndarray,
     h_t: np.ndarray,
     h_r: np.ndarray,
-    partition: TilePartition,
+    tiles: np.ndarray,
     codebook: Codebook,
-) -> tuple[RisConfiguration, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Greedy per-tile codebook selection maximizing the minimum singular value.
 
     Parameters
@@ -228,10 +180,13 @@ def configure_tiles(
     direct : (N_t, K) stacked direct-link channels ``h_{d,k}``.
     h_t : (Q, N_t) BS-to-RIS channel.
     h_r : (Q, K) per-UE RIS-to-UE channels as columns ``h_{r,k}``.
-    partition, codebook : tile layout and per-tile phase configurations.
+    tiles : (n_tiles, tile_size) element ids, rows in visit order
+        (:func:`build_tile_partition`).
+    codebook : per-tile phase configurations.
 
-    Returns the configuration and the final (N_t, K) effective channel
-    ``H = [h_1, ..., h_K]``.
+    Returns the (n_tiles,) chosen codebook indices and the final (N_t, K)
+    effective channel ``H = [h_1, ..., h_K]``; tile ``t``'s elements get
+    phases ``codebook.phases[chosen[t]]``.
 
     For every tile, all codebook entries are evaluated against the current
     effective channel ``H`` and the entry with the largest minimum singular
@@ -250,7 +205,7 @@ def configure_tiles(
         raise ValueError("need at least one UE")
     if n_ue > n_t:
         raise ValueError(f"n_ue={n_ue} exceeds transmit antennas n_t={n_t}")
-    if h_t.shape != (partition.n_elements, n_t) or h_r.shape != (partition.n_elements, n_ue):
+    if h_t.shape != (tiles.size, n_t) or h_r.shape != (tiles.size, n_ue):
         raise ValueError("channel dimensions do not match the tile partition")
 
     n_grad, n_off = codebook.gradients.shape[0], codebook.offsets.shape[0]
@@ -265,9 +220,8 @@ def configure_tiles(
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
     pairs = np.triu_indices(n_ue, 1)
     h_eff = direct.astype(complex)  # (N_t, K)
-    chosen = np.empty(partition.n_tiles, dtype=np.intp)
-    element_phases = np.empty(partition.n_elements, dtype=float)
-    for t, ids in enumerate(partition.element_ids):
+    chosen = np.empty(len(tiles), dtype=np.intp)
+    for t, ids in enumerate(tiles):
         # All UEs' gradient contributions in one product, (G, q) @ (q, K*N_t):
         # row k of d_rows[g] is column k of D_g.
         weighted = h_r[ids][:, :, None] * h_t_conj[ids][:, None, :]  # (q, K, N_t)
@@ -283,11 +237,4 @@ def configure_tiles(
         g, b = divmod(best, n_off)
         chosen[t] = best
         h_eff = h_eff + np.exp(-1j * codebook.offsets[b]) * d_rows[g].T
-        element_phases[ids] = codebook.entry_phases(best)
-    config = RisConfiguration(
-        partition=partition,
-        codebook=codebook,
-        chosen_indices=chosen,
-        element_phases=element_phases,
-    )
-    return config, h_eff
+    return chosen, h_eff

@@ -23,7 +23,7 @@ from rissim.channels import (
     nearfield_los,
 )
 from rissim.cli import main as cli_main
-from rissim.correlation import sample_matrix_normal_factor, sinc_correlation
+from rissim.correlation import matrix_sqrt_factor, sample_matrix_normal_factor, sinc_correlation
 from rissim.geometry import Angle, ArrayGeometry, fraunhofer_distance, steering_vector
 from rissim.harness import run_sweep
 from rissim.oracles import (
@@ -71,7 +71,7 @@ def test_criterion_1_path_sum_covariance_limit():
 
 def test_criterion_2_correlation_zeros():
     geom = ArrayGeometry.upa(4, 4, LAM / 2)
-    r = sinc_correlation(geom, LAM).r
+    r = sinc_correlation(geom, LAM)
     pos = geom.element_positions
     worst_aligned = 0.0
     for m in range(16):
@@ -97,11 +97,12 @@ def test_criterion_2_correlation_zeros():
 def test_criterion_3_generation_route_equivalence():
     rx = ArrayGeometry.upa(3, 1, 0.3 * LAM)
     tx = ArrayGeometry.upa(2, 1, 0.25 * LAM)
-    r_rx, r_tx = sinc_correlation(rx, LAM), sinc_correlation(tx, LAM)
+    f_rx = matrix_sqrt_factor(sinc_correlation(rx, LAM))
+    f_tx = matrix_sqrt_factor(sinc_correlation(tx, LAM))
     draws = 10**5
     rng = np.random.default_rng(77)
-    a = np.array([sample_matrix_normal_factor(rng, r_rx, r_tx, 1.0) for _ in range(draws)])
-    b = np.array([sample_matrix_normal_vec(rng, r_rx, r_tx, 1.0) for _ in range(draws)])
+    a = np.array([sample_matrix_normal_factor(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
+    b = np.array([sample_matrix_normal_vec(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
     va, vb = a.reshape(draws, -1), b.reshape(draws, -1)
 
     def moment_z_scores(xa, xb):
@@ -190,17 +191,17 @@ def test_criterion_5_near_field_consistency():
 
 def test_criterion_6_tile_selection_oracle():
     # 2 tiles of 4 elements, N_t = 4, K = 2
-    direct, h_t, h_r, partition, codebook = tile_instance(
+    direct, h_t, h_r, tiles, codebook = tile_instance(
         np.random.default_rng(6), (4, 2), (2, 2), n_t=4, n_ue=2
     )
-    config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
-    chosen, _ = brute_force_tiles(direct, h_t, h_r, partition, codebook)
-    mismatches = [
-        (t, int(b), int(g)) for t, (b, g) in enumerate(zip(chosen, config.chosen_indices)) if b != g
-    ]
+    greedy, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+    chosen, _ = brute_force_tiles(direct, h_t, h_r, tiles, codebook)
+    mismatches = [(t, int(b), int(g)) for t, (b, g) in enumerate(zip(chosen, greedy)) if b != g]
 
     # h_d^H + h_r^H diag(exp(j omega)) H_t from the chosen element phases
-    reflected = (np.conj(h_r).T * np.exp(1j * config.element_phases)) @ h_t
+    phases = np.empty(tiles.size)
+    phases[tiles] = codebook.phases[greedy]
+    reflected = (np.conj(h_r).T * np.exp(1j * phases)) @ h_t
     recon_err = float(np.abs(direct + np.conj(reflected).T - eff).max())
 
     ok = not mismatches and recon_err < 1e-10

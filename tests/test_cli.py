@@ -173,10 +173,14 @@ class TestCliCheck:
 
 
 class TestCliErrors:
-    """A bad config or seed is one ``rissim: error:`` line on stderr, exit code 2."""
+    """A bad flag, config or seed is one ``rissim: error:`` line on stderr, exit code 2."""
 
     def error_line(self, capsys, argv) -> str:
-        assert main(argv) == 2
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rissim: error: ") and captured.err.count("\n") == 1
@@ -192,6 +196,25 @@ class TestCliErrors:
 
     def test_negative_check_seed(self, capsys):
         assert "--seed" in self.error_line(capsys, ["check", "--seed", "-1"])
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--trials", "abc"], ["check", "--seed", "abc"]], ids=["run", "check"]
+    )
+    def test_non_integer_flag(self, capsys, argv):
+        assert "invalid int value: 'abc'" in self.error_line(capsys, argv)
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "is-dir"])
+    def test_unusable_out_fails_before_first_trial(self, tmp_path, capsys, monkeypatch, out):
+        trials = []
+
+        def no_trial(*args, **kwargs):
+            trials.append(args)
+            raise RuntimeError("a trial ran before --out was checked")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        out = str(tmp_path / out)
+        assert "--out" in self.error_line(capsys, ["run", "--trials", "2", "--out", out])
+        assert trials == []
 
 
 class TestSubprocessEntry:

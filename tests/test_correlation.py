@@ -1,12 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from rissim.channels import sample_iid_rayleigh
 from rissim.correlation import (
-    CorrelationMatrix,
-    _iid_cn,
     NotPositiveSemidefiniteError,
     matrix_sqrt_factor,
     sample_matrix_normal_factor,
@@ -36,13 +36,13 @@ def empirical_vec_cov(sampler, rng, draws):
 class TestSincCorrelation:
     def test_unit_diagonal(self):
         geom = ArrayGeometry.upa(3, 3, 0.4 * LAM)
-        r = sinc_correlation(geom, LAM).r
+        r = sinc_correlation(geom, LAM)
         np.testing.assert_allclose(np.diag(r), 1.0)
         np.testing.assert_allclose(r, r.T)
 
     def test_half_wavelength_rows_and_columns_decorrelate(self):
         geom = ArrayGeometry.upa(4, 4, LAM / 2)
-        r = sinc_correlation(geom, LAM).r
+        r = sinc_correlation(geom, LAM)
         pos = geom.element_positions
         for m in range(16):
             for n in range(16):
@@ -53,41 +53,49 @@ class TestSincCorrelation:
 
     def test_diagonal_neighbor_value(self):
         geom = ArrayGeometry.upa(4, 4, LAM / 2)
-        r = sinc_correlation(geom, LAM).r
+        r = sinc_correlation(geom, LAM)
         # elements (0,0) and (1,1): indices 0 and 5, separation lambda/sqrt(2)
         assert r[0, 5] == pytest.approx(SINC_PI_SQRT2, abs=1e-12)
         assert r[0, 5] == pytest.approx(-0.217, abs=1e-3)
 
     def test_positive_semidefinite(self):
         geom = ArrayGeometry.upa(6, 6, LAM / 2)
-        vals = np.linalg.eigvalsh(sinc_correlation(geom, LAM).r)
+        vals = np.linalg.eigvalsh(sinc_correlation(geom, LAM))
         assert vals.min() > -1e-8
+
+    def test_peak_memory(self):
+        # the (Q, Q) result and a few same-size temporaries; a (Q, Q, 3)
+        # array of element differences alone would take 3 Q^2
+        geom = ArrayGeometry.upa(32, 32, LAM / 2)
+        q = geom.size
+        tracemalloc.start()
+        try:
+            sinc_correlation(geom, LAM)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * q * q * np.dtype(np.float64).itemsize
 
 
 class TestMatrixSqrtFactor:
     def test_identity(self):
-        geom = ArrayGeometry.upa(2, 2, 10 * LAM)  # huge spacing: nearly iid
-        corr = CorrelationMatrix(r=np.eye(3), geom=geom)
-        np.testing.assert_allclose(matrix_sqrt_factor(corr), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(matrix_sqrt_factor(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_reconstruction(self):
-        geom = ArrayGeometry.upa(1, 2, 0.2 * LAM)
-        corr = CorrelationMatrix(r=np.array([[1.0, 0.5], [0.5, 1.0]]), geom=geom)
-        f = matrix_sqrt_factor(corr)
-        np.testing.assert_allclose(f @ f.T, corr.r, atol=1e-10)
+        r = np.array([[1.0, 0.5], [0.5, 1.0]])
+        f = matrix_sqrt_factor(r)
+        np.testing.assert_allclose(f @ f.T, r, atol=1e-10)
 
     def test_rank_deficient_duplicate_positions(self):
         # zero spacing along one axis duplicates element positions
         geom = ArrayGeometry(counts=(2, 2), spacing=(0.0, 0.3 * LAM))
-        corr = sinc_correlation(geom, LAM)
-        f = matrix_sqrt_factor(corr)
-        np.testing.assert_allclose(f @ f.T, corr.r, atol=1e-8)
+        r = sinc_correlation(geom, LAM)
+        f = matrix_sqrt_factor(r)
+        np.testing.assert_allclose(f @ f.T, r, atol=1e-8)
 
     def test_not_psd_rejected(self):
-        geom = ArrayGeometry.upa(1, 2, 0.2 * LAM)
-        bad = CorrelationMatrix(r=np.array([[1.0, 2.0], [2.0, 1.0]]), geom=geom)
         with pytest.raises(NotPositiveSemidefiniteError):
-            matrix_sqrt_factor(bad)
+            matrix_sqrt_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 @pytest.fixture(scope="module")
@@ -97,25 +105,27 @@ def small_correlations():
     return sinc_correlation(rx, LAM), sinc_correlation(tx, LAM)
 
 
+@pytest.fixture(scope="module")
+def small_factors(small_correlations):
+    return tuple(matrix_sqrt_factor(r) for r in small_correlations)
+
+
 class TestMatrixNormalRoutes:
     def test_identity_reduces_to_iid(self):
-        geom2 = ArrayGeometry.upa(1, 2, 10 * LAM)
-        geom3 = ArrayGeometry.upa(1, 3, 10 * LAM)
-        r_rx = CorrelationMatrix(r=np.eye(3), geom=geom3)
-        r_tx = CorrelationMatrix(r=np.eye(2), geom=geom2)
+        f_rx, f_tx = np.eye(3), np.eye(2)
         rng = np.random.default_rng(0)
         draws = 20000
-        h = np.array([sample_matrix_normal_factor(rng, r_rx, r_tx, 2.0) for _ in range(draws)])
+        h = np.array([sample_matrix_normal_factor(rng, f_rx, f_tx, 2.0) for _ in range(draws)])
         # second moment of each entry ~ sigma_c^2, cross-correlation ~ 0
         np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), 4.0, rtol=0.05)
         cross = np.mean(h[:, 0, 0] * np.conj(h[:, 1, 1]))
         assert abs(cross) < 4.0 * 3.0 / math.sqrt(draws)
 
-    def test_zero_sigma(self, small_correlations):
-        r_rx, r_tx = small_correlations
+    def test_zero_sigma(self, small_factors):
+        f_rx, f_tx = small_factors
         rng = np.random.default_rng(1)
         np.testing.assert_array_equal(
-            sample_matrix_normal_factor(rng, r_rx, r_tx, 0.0), np.zeros((3, 2))
+            sample_matrix_normal_factor(rng, f_rx, f_tx, 0.0), np.zeros((3, 2))
         )
 
     @pytest.mark.parametrize(
@@ -128,50 +138,52 @@ class TestMatrixNormalRoutes:
         ],
     )
     def test_factor_route_matches_dense_product(self, rx, tx):
-        r_rx, r_tx = sinc_correlation(rx, LAM), sinc_correlation(tx, LAM)
+        f_rx = matrix_sqrt_factor(sinc_correlation(rx, LAM))
+        f_tx = matrix_sqrt_factor(sinc_correlation(tx, LAM))
         rng_draw, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-        h = sample_matrix_normal_factor(rng_draw, r_rx, r_tx, 1.3)
-        dense = r_rx.sqrt_factor @ _iid_cn(rng_ref, (r_rx.n, r_tx.n), 1.3**2) @ r_tx.sqrt_factor.T
+        h = sample_matrix_normal_factor(rng_draw, f_rx, f_tx, 1.3)
+        dense = f_rx @ sample_iid_rayleigh(rng_ref, rx.size, tx.size, 1.3**2) @ f_tx.T
         assert h.shape == dense.shape and h.dtype == np.complex128
         assert np.linalg.norm(h - dense) <= 1e-12 * np.linalg.norm(dense)
         # same random stream consumed
         assert rng_draw.standard_normal() == rng_ref.standard_normal()
 
-    def test_factor_route_covariance(self, small_correlations):
+    def test_factor_route_covariance(self, small_correlations, small_factors):
         r_rx, r_tx = small_correlations
+        f_rx, f_tx = small_factors
         rng = np.random.default_rng(2)
         sigma = 1.3
         cov = empirical_vec_cov(
-            lambda g: sample_matrix_normal_factor(g, r_rx, r_tx, sigma), rng, 10**5
+            lambda g: sample_matrix_normal_factor(g, f_rx, f_tx, sigma), rng, 10**5
         )
-        target = sigma**2 * np.kron(r_rx.r, r_tx.r)
+        target = sigma**2 * np.kron(r_rx, r_tx)
         assert np.max(np.abs(cov - target)) < 0.05 * sigma**2
 
-    def test_vec_route_covariance(self, small_correlations):
+    def test_vec_route_covariance(self, small_correlations, small_factors):
         r_rx, r_tx = small_correlations
+        f_rx, f_tx = small_factors
         rng = np.random.default_rng(3)
         cov = empirical_vec_cov(
-            lambda g: sample_matrix_normal_vec(g, r_rx, r_tx, 1.0), rng, 10**5
+            lambda g: sample_matrix_normal_vec(g, f_rx, f_tx, 1.0), rng, 10**5
         )
-        target = np.kron(r_rx.r, r_tx.r)
+        target = np.kron(r_rx, r_tx)
         assert np.max(np.abs(cov - target)) < 0.05
 
     def test_vec_route_scalar_case(self):
-        geom = ArrayGeometry.single((0, 0, 0))
-        r1 = CorrelationMatrix(r=np.eye(1), geom=geom)
+        f1 = np.eye(1)
         rng = np.random.default_rng(4)
         draws = 10**5
-        vals = np.array([sample_matrix_normal_vec(rng, r1, r1, 0.7)[0, 0] for _ in range(draws)])
+        vals = np.array([sample_matrix_normal_vec(rng, f1, f1, 0.7)[0, 0] for _ in range(draws)])
         assert vals.shape == (draws,)
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(0.49, rel=0.02)
 
-    def test_routes_match_in_moments(self, small_correlations):
+    def test_routes_match_in_moments(self, small_factors):
         # lighter version of the acceptance two-sample test
-        r_rx, r_tx = small_correlations
+        f_rx, f_tx = small_factors
         rng = np.random.default_rng(5)
         draws = 20000
-        a = np.array([sample_matrix_normal_factor(rng, r_rx, r_tx, 1.0) for _ in range(draws)])
-        b = np.array([sample_matrix_normal_vec(rng, r_rx, r_tx, 1.0) for _ in range(draws)])
+        a = np.array([sample_matrix_normal_factor(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
+        b = np.array([sample_matrix_normal_vec(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
         va, vb = a.reshape(draws, -1), b.reshape(draws, -1)
         mean_gap = np.abs(va.mean(0) - vb.mean(0)).max()
         assert mean_gap < 4.0 / math.sqrt(draws)
@@ -229,10 +241,10 @@ class TestPathSumLimit:
         # trace of sigma^2 * N_tx * R_rx equals sigma^2 * N_tx * N_rx
         r_rx, r_tx = small_correlations
         sigma2 = 2.5
-        u = sigma2 * r_tx.n * r_rx.r
-        assert np.trace(u) == pytest.approx(sigma2 * r_tx.n * r_rx.n)
+        u = sigma2 * len(r_tx) * r_rx
+        assert np.trace(u) == pytest.approx(sigma2 * len(r_tx) * len(r_rx))
 
     def test_kron_of_psd_is_psd(self, small_correlations):
         r_rx, r_tx = small_correlations
-        vals = np.linalg.eigvalsh(np.kron(r_rx.r, r_tx.r))
+        vals = np.linalg.eigvalsh(np.kron(r_rx, r_tx))
         assert vals.min() > -1e-8

@@ -15,15 +15,25 @@ from rissim.ris import (
 
 class TestTilePartition:
     def test_cover_and_disjoint(self):
-        part = build_tile_partition((4, 6), (2, 3))
-        assert part.n_tiles == 4
-        all_ids = np.concatenate(part.element_ids)
-        assert sorted(all_ids) == list(range(24))
+        tiles = build_tile_partition((4, 6), (2, 3))
+        assert tiles.shape == (4, 6) and tiles.dtype == np.intp
+        assert sorted(tiles.ravel()) == list(range(24))
 
     def test_tile_blocks_are_rectangles(self):
-        part = build_tile_partition((4, 4), (2, 2))
+        tiles = build_tile_partition((4, 4), (2, 2))
         # first tile covers rows 0-1, cols 0-1 of the y-major grid
-        np.testing.assert_array_equal(part.element_ids[0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(tiles[0], [0, 1, 4, 5])
+
+    @pytest.mark.parametrize("ris, tile", [((4, 6), (2, 3)), ((6, 4), (3, 1)), ((8, 8), (8, 8))])
+    def test_matches_nested_loop_ids(self, ris, tile):
+        (n_y, n_z), (q_y, q_z) = ris, tile
+        expected = [
+            [(t_y * q_y + e_y) * n_z + (t_z * q_z + e_z) for e_y in range(q_y) for e_z in range(q_z)]
+            for t_y in range(n_y // q_y)
+            for t_z in range(n_z // q_z)
+        ]
+        np.testing.assert_array_equal(build_tile_partition(ris, tile), expected)
+        np.testing.assert_array_equal(build_tile_partition(ris, tile, "reversed"), expected[::-1])
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
@@ -32,7 +42,7 @@ class TestTilePartition:
     def test_orders(self):
         fwd = build_tile_partition((4, 4), (2, 2), order="raster")
         rev = build_tile_partition((4, 4), (2, 2), order="reversed")
-        np.testing.assert_array_equal(fwd.element_ids[0], rev.element_ids[-1])
+        np.testing.assert_array_equal(fwd, rev[::-1])
         with pytest.raises(ValueError):
             build_tile_partition((4, 4), (2, 2), order="spiral")
 
@@ -64,7 +74,6 @@ class TestCodebook:
             g, b = divmod(m, 8)
             expected = np.mod(cb.gradients[g] + cb.offsets[b], 2 * math.pi)
             np.testing.assert_array_equal(cb.phases[m], expected)
-            np.testing.assert_array_equal(cb.entry_phases(m), expected)
 
     def test_gradients_present(self):
         # entry (k_y=1, k_z=0, b=0) of a 2x1 tile is phases [0, pi]
@@ -94,23 +103,21 @@ class TestConfigureTiles:
 
     def check_brute_force(self, seed, **sizes):
         args = self.make_instance(np.random.default_rng(seed), **sizes)
-        config, eff = configure_tiles(*args)
+        greedy, eff = configure_tiles(*args)
         chosen, h_eff = brute_force_tiles(*args)
-        np.testing.assert_array_equal(config.chosen_indices, chosen)
+        np.testing.assert_array_equal(greedy, chosen)
         np.testing.assert_allclose(eff, h_eff, atol=1e-10)
 
     def test_single_entry_codebook(self):
         rng = np.random.default_rng(4)
-        partition = build_tile_partition((1, 2), (1, 2))
-        codebook = Codebook(
-            tile_shape=(1, 2), gradients=np.array([[0.1, 0.7]]), offsets=np.zeros(1)
-        )
+        tiles = build_tile_partition((1, 2), (1, 2))
+        codebook = Codebook(gradients=np.array([[0.1, 0.7]]), offsets=np.zeros(1))
         direct = complex_randn(rng, (3, 1))
         h_t = complex_randn(rng, (2, 3))
         h_r = complex_randn(rng, (2, 1))
-        config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
-        assert config.chosen_indices.tolist() == [0]
-        _, expected = brute_force_tiles(direct, h_t, h_r, partition, codebook)
+        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+        assert chosen.tolist() == [0]
+        _, expected = brute_force_tiles(direct, h_t, h_r, tiles, codebook)
         np.testing.assert_allclose(eff, expected, atol=1e-12)
 
     def test_matches_brute_force(self):
@@ -136,11 +143,11 @@ class TestConfigureTiles:
         # without reflected channels every candidate Gramian equals H^H H, so
         # nothing can be pruned and every tile keeps entry 0
         rng = np.random.default_rng(13)
-        direct, h_t, h_r, partition, codebook = self.make_instance(
+        direct, h_t, h_r, tiles, codebook = self.make_instance(
             rng, ris=(8, 8), tile=(4, 4), n_ue=n_ue
         )
-        config, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), partition, codebook)
-        assert config.chosen_indices.tolist() == [0] * partition.n_tiles
+        chosen, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), tiles, codebook)
+        assert chosen.tolist() == [0] * len(tiles)
         np.testing.assert_array_equal(eff, direct)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -149,15 +156,15 @@ class TestConfigureTiles:
         # every choice is the argmax of min_singular_values over all 512
         # candidate Gramians of its tile, built here without the Gram form
         rng = np.random.default_rng(100 * n_ue + seed)
-        direct, h_t, h_r, partition, codebook = self.make_instance(
+        direct, h_t, h_r, tiles, codebook = self.make_instance(
             rng, ris=(8, 24), tile=(8, 8), n_t=8, n_ue=n_ue
         )
         # path-loss scale, with the reflections dominating a blocked direct link
         direct, h_t, h_r = 1e-7 * direct, 1e-3 * h_t, 1e-3 * h_r
-        config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
+        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
         coeffs = np.exp(1j * codebook.phases)  # (512, 64)
         h_cur = direct.copy()
-        for t, ids in enumerate(partition.element_ids):
+        for t, ids in enumerate(tiles):
             stack = np.stack(
                 [
                     h_cur[:, j] + np.conj((coeffs * np.conj(h_r[ids, j])) @ h_t[ids])
@@ -166,56 +173,56 @@ class TestConfigureTiles:
                 axis=2,
             )  # (512, N_t, K)
             scores = min_singular_values(gramians(stack))
-            assert config.chosen_indices[t] == int(np.argmax(scores))
-            h_cur = stack[config.chosen_indices[t]]
+            assert chosen[t] == int(np.argmax(scores))
+            h_cur = stack[chosen[t]]
         np.testing.assert_allclose(eff, h_cur, rtol=1e-10)
 
     def test_zero_ris_channels_leave_direct(self):
         rng = np.random.default_rng(7)
-        direct, h_t, h_r, partition, codebook = self.make_instance(rng)
-        _, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), partition, codebook)
+        direct, h_t, h_r, tiles, codebook = self.make_instance(rng)
+        _, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), tiles, codebook)
         np.testing.assert_allclose(eff, direct, atol=1e-12)
 
     def test_scaling_invariance(self):
         # scaling the direct channel and one side of the cascade scales every
         # candidate stacked matrix uniformly, so no selection may change
         rng = np.random.default_rng(8)
-        direct, h_t, h_r, partition, codebook = self.make_instance(rng)
-        config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
+        direct, h_t, h_r, tiles, codebook = self.make_instance(rng)
+        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
         c = 7.3
-        scaled, eff_scaled = configure_tiles(c * direct, h_t, c * h_r, partition, codebook)
-        np.testing.assert_array_equal(config.chosen_indices, scaled.chosen_indices)
+        scaled, eff_scaled = configure_tiles(c * direct, h_t, c * h_r, tiles, codebook)
+        np.testing.assert_array_equal(chosen, scaled)
         np.testing.assert_allclose(eff_scaled, c * eff, rtol=1e-12)
 
     def test_validation(self):
         rng = np.random.default_rng(10)
-        direct, h_t, h_r, partition, codebook = self.make_instance(rng)
+        direct, h_t, h_r, tiles, codebook = self.make_instance(rng)
         with pytest.raises(ValueError):
-            configure_tiles(
-                direct, h_t, h_r, partition, Codebook((2, 2), np.empty((0, 4)), np.zeros(8))
-            )
+            configure_tiles(direct, h_t, h_r, tiles, Codebook(np.empty((0, 4)), np.zeros(8)))
         with pytest.raises(ValueError):
-            configure_tiles(complex_randn(rng, (2, 3)), h_t, h_r, partition, codebook)
+            configure_tiles(complex_randn(rng, (2, 3)), h_t, h_r, tiles, codebook)
 
 
 class TestAssembleGamma:
     """The chosen element phases rebuild the channel the greedy search returns."""
 
     def configured(self, seed):
-        direct, h_t, h_r, partition, codebook = tile_instance(
+        direct, h_t, h_r, tiles, codebook = tile_instance(
             np.random.default_rng(seed), (4, 2), (2, 2), n_t=4, n_ue=2
         )
-        config, eff = configure_tiles(direct, h_t, h_r, partition, codebook)
-        return direct, h_t, h_r, config, eff
+        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+        phases = np.full(tiles.size, np.nan)
+        phases[tiles] = codebook.phases[chosen]
+        return direct, h_t, h_r, phases, eff
 
     def test_diagonal_unit_modulus(self):
         # every element gets a phase in [0, 2 pi), so each reflection has unit modulus
-        config = self.configured(11)[3]
-        assert config.element_phases.shape == (8,)
-        assert np.all((config.element_phases >= 0) & (config.element_phases < 2 * math.pi))
+        phases = self.configured(11)[3]
+        assert phases.shape == (8,)
+        assert np.all((phases >= 0) & (phases < 2 * math.pi))
 
     def test_reconstructs_incremental_channel(self):
         # monolithic h_d^H + h_r^H diag(exp(j omega)) H_t equals the tile-by-tile build
-        direct, h_t, h_r, config, eff = self.configured(12)
-        reflected = (np.conj(h_r).T * np.exp(1j * config.element_phases)) @ h_t
+        direct, h_t, h_r, phases, eff = self.configured(12)
+        reflected = (np.conj(h_r).T * np.exp(1j * phases)) @ h_t
         np.testing.assert_allclose(direct + np.conj(reflected).T, eff, atol=1e-10)
