@@ -32,7 +32,8 @@ from .geometry import Angle, ArrayGeometry, distance_matrix, steering_vector
 # draws closer than this are rejected and resampled.
 _MIN_SCATTER_CLEARANCE = 1e-9
 
-# Largest dB offset whose linear gain is a finite float.
+# dB values must stay below this for their linear gain to be a finite float;
+# the bound itself overflows.
 _MAX_GAIN_DB = 10.0 * math.log10(sys.float_info.max)
 
 # Distributions of the per-cluster gains accepted by :func:`draw_clusters`.
@@ -57,12 +58,15 @@ class LinkRole(str, enum.Enum):
 class LinkParams:
     """Large-scale parameters of one link.
 
-    ``beta`` is the linear pathloss at reference distance ``d0``; ``eta`` the
+    ``beta_db`` is the pathloss at reference distance ``d0``; ``eta`` the
     pathloss exponent; ``k_factor`` the (linear) Rician K-factor; blockage and
     shadow terms are deterministic dB offsets folded into the power budget.
+    Scattering clusters of the geometric models are drawn in
+    ``cluster_volume``.
     """
 
-    beta: float
+    beta_db: float
+    cluster_volume: Box
     d0: float = 1.0
     eta: float = 2.0
     k_factor: float = 0.0
@@ -70,24 +74,27 @@ class LinkParams:
     shadow_db: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("beta", self.beta), ("d0", self.d0)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.beta_db) and self.beta_db < _MAX_GAIN_DB):
+            raise ValueError(
+                f"beta_db must be finite and below {_MAX_GAIN_DB:.1f}, got {self.beta_db!r}"
+            )
+        if not (math.isfinite(self.d0) and self.d0 > 0):
+            raise ValueError(f"d0 must be finite and > 0, got {self.d0!r}")
         for name, value in (("eta", self.eta), ("k_factor", self.k_factor)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         # -inf dB is a fully blocked link; NaN, +inf and gains past the
         # largest float have no meaning.
         for name, value in (("blockage_db", self.blockage_db), ("shadow_db", self.shadow_db)):
-            if math.isnan(value) or value > _MAX_GAIN_DB:
-                raise ValueError(f"{name} must be -inf or at most {_MAX_GAIN_DB:.1f}, got {value!r}")
+            if not value < _MAX_GAIN_DB:
+                raise ValueError(f"{name} must be -inf or below {_MAX_GAIN_DB:.1f}, got {value!r}")
 
 
 def pathloss(params: LinkParams, d: float) -> float:
-    """Composite linear power budget ``beta*(d0/d)^eta`` with blockage/shadow offsets."""
+    """Linear power budget ``10^(beta_db/10) * (d0/d)^eta`` with blockage/shadow offsets."""
     if d <= 0:
         raise ValueError(f"distance must be positive, got {d}")
-    gain = params.beta * (params.d0 / d) ** params.eta
+    gain = units.db_to_linear(params.beta_db) * (params.d0 / d) ** params.eta
     return gain * units.db_to_linear(params.blockage_db) * units.db_to_linear(params.shadow_db)
 
 
@@ -244,7 +251,7 @@ def draw_clusters(
 
 
 def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry):
-    """Per-sub-path center distances and local propagation directions.
+    """Per-sub-path center distances and propagation directions.
 
     Directions follow the wave: at the transmitter the ray leaves toward the
     scatterer, at the receiver it continues from the scatterer through the
@@ -257,8 +264,8 @@ def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom:
     d_rx = distance_matrix(rx_geom.center[None], p)[0]
     if d_tx.min() < _MIN_SCATTER_CLEARANCE or d_rx.min() < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an array center")
-    dir_tx = tx_geom.rotation.T @ (v_tx / d_tx[:, None]).T  # (3, LR), local frame
-    dir_rx = rx_geom.rotation.T @ (v_rx / d_rx[:, None]).T
+    dir_tx = (v_tx / d_tx[:, None]).T  # (3, LR)
+    dir_rx = (v_rx / d_rx[:, None]).T
     return d_tx, d_rx, dir_tx, dir_rx
 
 

@@ -5,9 +5,9 @@ Conventions
 * Elements of an ``N_y x N_z`` planar array are flattened y-major,
   ``n = n_y * N_z + n_z``, so the vectorized UPA steering vector equals the
   Kronecker product ``a_y (x) a_z`` of its per-axis ULA factors.
-* Angles are (elevation ``theta``, azimuth ``phi``) in radians, expressed in
-  the array's local frame: boresight along +x, rows along +y, columns along
-  +z.  The unit direction for an angle pair is
+* Every array lies in the global y-z plane: boresight along +x, rows
+  along +y, columns along +z.  Angles are (elevation ``theta``, azimuth
+  ``phi``) in radians in that frame.  The unit direction for an angle pair is
   ``[cos(theta)cos(phi), cos(theta)sin(phi), sin(theta)]``.
 * Steering phases are referenced to element (0, 0), which sits at the
   array origin.
@@ -20,21 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Local-to-global rotations for the supported mounting planes. The local
-# frame always has the elements in its own y-z plane; "plane" states where
-# that plane lands in global coordinates (boresight in parentheses):
-#   yz -> global y-z plane (+x), xz -> global x-z plane (+y),
-#   xy -> global x-y plane (+z).
-_PLANE_ROTATIONS = {
-    "yz": np.eye(3),
-    "xz": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-    "xy": np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).T,
-}
-
 
 @dataclass(frozen=True)
 class Angle:
-    """Elevation/azimuth pair in radians, in an array's local frame."""
+    """Elevation/azimuth pair in radians."""
 
     theta: float
     phi: float
@@ -65,51 +54,44 @@ def angle_from_direction(direction: np.ndarray) -> Angle:
 
 @dataclass
 class ArrayGeometry:
-    """A uniform planar (or linear) array of ``N_y x N_z`` elements.
+    """A uniform planar (or linear) array of ``N_y x N_z`` elements in the y-z plane.
 
     Element (0, 0) sits at ``origin``; element (n_y, n_z) sits at
-    ``origin + R @ [0, n_y*d_y, n_z*d_z]`` where ``R`` is the mounting
-    rotation selected by ``plane``.  ``counts == (1, 1)`` models a single
-    antenna (e.g. a UE).  ``element_positions`` (N, 3) and their mean,
-    ``center``, are computed once, when the geometry is built.
+    ``origin + [0, n_y*d_y, n_z*d_z]``.  ``counts == (1, 1)`` models a single
+    antenna (e.g. a UE).  ``local_coords`` (N, 3), the element offsets from
+    ``origin``, ``element_positions`` (N, 3) and their mean, ``center``, are
+    computed once, when the geometry is built.
     """
 
     counts: tuple[int, int]
     spacing: tuple[float, float]
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    plane: str = "yz"
-    rotation: np.ndarray | None = None
 
     def __post_init__(self):
         n_y, n_z = self.counts
         if n_y < 1 or n_z < 1:
             raise ValueError(f"element counts must be positive, got {self.counts}")
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
-        if self.rotation is None:
-            if self.plane not in _PLANE_ROTATIONS:
-                raise ValueError(f"unknown array plane {self.plane!r}")
-            self.rotation = _PLANE_ROTATIONS[self.plane]
-        self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         d_y, d_z = self.spacing
         iy = np.repeat(np.arange(n_y), n_z)  # y-major flattening
         iz = np.tile(np.arange(n_z), n_y)
         self.local_coords = np.column_stack(
             [np.zeros(n_y * n_z), iy * d_y, iz * d_z]
         )
-        self.element_positions = self.origin + self.local_coords @ self.rotation.T
+        self.element_positions = self.origin + self.local_coords
         self.center = self.element_positions.mean(axis=0)
 
     @classmethod
-    def upa(cls, n_y, n_z, spacing, origin=(0.0, 0.0, 0.0), plane="yz"):
+    def upa(cls, n_y, n_z, spacing, origin=(0.0, 0.0, 0.0)):
         """UPA with equal spacing along both axes, element (0,0) at origin."""
-        return cls(counts=(n_y, n_z), spacing=(spacing, spacing), origin=origin, plane=plane)
+        return cls(counts=(n_y, n_z), spacing=(spacing, spacing), origin=origin)
 
     @classmethod
-    def upa_centered(cls, n_y, n_z, spacing, center, plane="yz"):
+    def upa_centered(cls, n_y, n_z, spacing, center):
         """UPA placed so that its geometric center is at ``center``."""
-        geom = cls.upa(n_y, n_z, spacing, plane=plane)
+        geom = cls.upa(n_y, n_z, spacing)
         shift = np.asarray(center, dtype=float) - geom.element_positions.mean(axis=0)
-        return cls.upa(n_y, n_z, spacing, origin=shift, plane=plane)
+        return cls.upa(n_y, n_z, spacing, origin=shift)
 
     @classmethod
     def single(cls, position):
@@ -127,22 +109,18 @@ class ArrayGeometry:
         d_y, d_z = self.spacing
         return math.hypot((n_y - 1) * d_y, (n_z - 1) * d_z)
 
-    def to_local(self, direction: np.ndarray) -> np.ndarray:
-        """Express a global direction vector in the array's local frame."""
-        return self.rotation.T @ np.asarray(direction, dtype=float)
-
     def departure_angle(self, target: np.ndarray) -> Angle:
-        """Local angle of the ray from the array center toward ``target``."""
-        return angle_from_direction(self.to_local(np.asarray(target, float) - self.center))
+        """Angle of the ray from the array center toward ``target``."""
+        return angle_from_direction(np.asarray(target, float) - self.center)
 
     def arrival_angle(self, source: np.ndarray) -> Angle:
-        """Local angle of the propagation direction of a ray arriving from
+        """Angle of the propagation direction of a ray arriving from
         ``source``, i.e. the direction pointing from the source through the
         array center.  Using the propagation direction (rather than the
         direction back toward the source) makes the planar phase profile the
         far-field limit of the exact spherical one.
         """
-        return angle_from_direction(self.to_local(self.center - np.asarray(source, float)))
+        return angle_from_direction(self.center - np.asarray(source, float))
 
 
 def steering_vector(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.ndarray:

@@ -125,16 +125,16 @@ class SimContext:
         return self._factors[key]
 
     def flag_near_field(self, model: ChannelModel, role: LinkRole, tx, rx, distance):
-        """Warn once when a far-field model is evaluated inside the near field."""
+        """Warn once per (model, link) when a far-field model is evaluated inside the near field."""
         key = (model, role)
         if key in self._flagged:
             return
-        self._flagged.add(key)
         for geom, name in ((tx, "tx"), (rx, "rx")):
             if geom.aperture <= 0:
                 continue
             boundary = fraunhofer_distance(geom.aperture, self.config.wavelength)
             if distance < boundary:
+                self._flagged.add(key)
                 logger.warning(
                     "far-field model %s on link %s: %s-side distance %.1f m is inside "
                     "the Fraunhofer boundary %.1f m",
@@ -158,32 +158,30 @@ def draw_link(
     :mod:`rissim.channels`: iid Rayleigh is the fading draw alone; the other
     models mix their nLOS draw (iid, correlated, or a cluster sum) with the
     planar or spherical LOS matrix by the link's K-factor,
-    ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.  The fading and cluster
-    streams are seeded from (master seed, trial, link, UE) alone, never from
-    the model or Q.
+    ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.  The geometric models
+    draw from the cluster stream, the others from the fading stream; each is
+    seeded from (master seed, trial, link, UE) alone, never from the model
+    or Q, and only the stream the model uses is derived.
     """
     link = config.links[role]
     distance = pairwise_distance(tx_geom.center, rx_geom.center)
-    h_p = pathloss(link.params, distance)
+    h_p = pathloss(link, distance)
     wl = config.wavelength
-    seed_tail = (seeding.LINK_IDS[role.value], ue_index)
-    rng_fading = seeding.derive_rng(
-        config.master_seed, trial, seeding.STREAM_FADING, *seed_tail
+    stream = seeding.STREAM_CLUSTERS if model in _GEOMETRIC_MODELS else seeding.STREAM_FADING
+    rng = seeding.derive_rng(
+        config.master_seed, trial, stream, seeding.LINK_IDS[role.value], ue_index
     )
 
     if model == ChannelModel.IID_RAYLEIGH:
         # Pure scatter everywhere; the K-factor is deliberately ignored.
-        return sample_iid_rayleigh(rng_fading, rx_geom.size, tx_geom.size, h_p)
+        return sample_iid_rayleigh(rng, rx_geom.size, tx_geom.size, h_p)
 
     if model in _PLANAR_MODELS:
         ctx.flag_near_field(model, role, tx_geom, rx_geom, distance)
 
     if model in _GEOMETRIC_MODELS:
-        rng_clusters = seeding.derive_rng(
-            config.master_seed, trial, seeding.STREAM_CLUSTERS, *seed_tail
-        )
         clusters = draw_clusters(
-            rng_clusters,
+            rng,
             link.cluster_volume,
             config.n_clusters,
             config.n_subpaths,
@@ -196,10 +194,10 @@ def draw_link(
         else:
             nlos = nearfield_from_clusters(clusters, tx_geom, rx_geom, wl)
     elif model == ChannelModel.IID_RICIAN:
-        nlos = sample_iid_rayleigh(rng_fading, rx_geom.size, tx_geom.size, h_p)
+        nlos = sample_iid_rayleigh(rng, rx_geom.size, tx_geom.size, h_p)
     elif model == ChannelModel.CORRELATED_RAYLEIGH:
         nlos = sample_matrix_normal_factor(
-            rng_fading,
+            rng,
             ctx.correlation_factor(rx_geom),
             ctx.correlation_factor(tx_geom),
             math.sqrt(h_p),
@@ -216,7 +214,7 @@ def draw_link(
             rx_geom.arrival_angle(tx_geom.center),
             h_p, wl,
         )
-    k = link.params.k_factor
+    k = link.k_factor
     return math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * nlos
 
 
@@ -226,8 +224,8 @@ def ue_positions(config: ScenarioConfig, trial: int) -> np.ndarray:
     UE ``j`` gets its own seed path, so its position is identical across
     models and across sweep cells with different UE counts.
     """
-    cx, cy, cz = config.ue_area.center
-    half = config.ue_area.side / 2.0
+    cx, cy, cz = config.ue_center
+    half = config.ue_side / 2.0
     out = np.empty((config.ue_count, 3))
     for j in range(config.ue_count):
         rng = seeding.derive_rng(config.master_seed, trial, seeding.STREAM_UE_POSITION, j)

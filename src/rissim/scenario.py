@@ -19,36 +19,19 @@ from . import units
 from .channels import GAIN_DISTRIBUTIONS, Box, ChannelModel, LinkParams, LinkRole
 from .ris import TILE_ORDERS
 
-DEFAULT_BETA_DB = -46.0
 
-
-@dataclass
-class UeArea:
-    """Square deployment area for UEs at a fixed height."""
-
-    center: tuple[float, float, float] = (10.0, 50.0, 1.0)
-    side: float = 8.0
-
-
-@dataclass
-class LinkConfig:
-    params: LinkParams
-    cluster_volume: Box
-
-
-def _default_links() -> dict[LinkRole, LinkConfig]:
-    beta = units.db_to_linear(DEFAULT_BETA_DB)
+def _default_links() -> dict[LinkRole, LinkParams]:
     return {
-        LinkRole.DIRECT: LinkConfig(
-            params=LinkParams(beta=beta, d0=1.0, eta=3.5, k_factor=0.0, blockage_db=-40.0),
+        LinkRole.DIRECT: LinkParams(
+            beta_db=-46.0, eta=3.5, blockage_db=-40.0,
             cluster_volume=Box(lo=(0.0, 0.0, 0.0), hi=(40.0, 60.0, 10.0)),
         ),
-        LinkRole.TX_TO_RIS: LinkConfig(
-            params=LinkParams(beta=beta, d0=1.0, eta=2.0, k_factor=10.0),
+        LinkRole.TX_TO_RIS: LinkParams(
+            beta_db=-46.0, eta=2.0, k_factor=10.0,
             cluster_volume=Box(lo=(0.0, 0.0, 0.0), hi=(40.0, 50.0, 10.0)),
         ),
-        LinkRole.RIS_TO_RX: LinkConfig(
-            params=LinkParams(beta=beta, d0=1.0, eta=2.8, k_factor=1.0),
+        LinkRole.RIS_TO_RX: LinkParams(
+            beta_db=-46.0, eta=2.8, k_factor=1.0,
             cluster_volume=Box(lo=(0.0, 40.0, 0.0), hi=(40.0, 60.0, 10.0)),
         ),
     }
@@ -56,7 +39,12 @@ def _default_links() -> dict[LinkRole, LinkConfig]:
 
 @dataclass
 class ScenarioConfig:
-    """Every physical and run-control parameter of a simulation."""
+    """Every physical and run-control parameter of a simulation.
+
+    ``ris_tiles`` and ``ue_count`` are the size of one sweep cell:
+    :func:`rissim.harness.run_sweep` sets them from ``sweep_q`` and
+    ``sweep_n_ue``, so they have no INI key.
+    """
 
     carrier_hz: float = 5e9
     bandwidth_hz: float = 20e6
@@ -73,9 +61,10 @@ class ScenarioConfig:
     tile_order: str = "raster"
 
     ue_count: int = 2
-    ue_area: UeArea = field(default_factory=UeArea)
+    ue_center: tuple[float, float, float] = (10.0, 50.0, 1.0)
+    ue_side: float = 8.0
 
-    links: dict[LinkRole, LinkConfig] = field(default_factory=_default_links)
+    links: dict[LinkRole, LinkParams] = field(default_factory=_default_links)
     n_clusters: int = 5
     n_subpaths: int = 20
     gain_distribution: str = "gaussian"
@@ -90,22 +79,18 @@ class ScenarioConfig:
     sweep_n_ue: list[int] = field(default_factory=lambda: [2])
 
     def __post_init__(self):
-        positive = [
-            (name, getattr(self, name))
-            for name in (
-                "carrier_hz", "bandwidth_hz", "gamma_thr", "spacing_wavelengths", "precoder_tol"
-            )
-        ]
-        positive.append(("ue_area.side", self.ue_area.side))
-        for name, value in positive:
+        positive = (
+            "carrier_hz", "bandwidth_hz", "gamma_thr", "spacing_wavelengths", "precoder_tol", "ue_side"
+        )
+        for name in positive:
+            value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("noise_figure_db", "n0_dbm_per_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        points = (("bs_center", self.bs_center), ("ris_center", self.ris_center),
-                  ("ue_area.center", self.ue_area.center))
-        for name, point in points:
+        for name in ("bs_center", "ris_center", "ue_center"):
+            point = getattr(self, name)
             if len(point) != 3 or not all(map(math.isfinite, point)):
                 raise ValueError(f"{name} must be 3 finite coordinates, got {point!r}")
         for name in ("precoder_max_iters", "trials", "ue_count", "n_clusters", "n_subpaths"):
@@ -170,12 +155,6 @@ PRESETS = {"desk": default_config, "full": full_config}
 # INI round trip
 # ---------------------------------------------------------------------------
 
-_LINK_SECTIONS = {
-    LinkRole.DIRECT: "link.bs_ue",
-    LinkRole.TX_TO_RIS: "link.bs_ris",
-    LinkRole.RIS_TO_RX: "link.ris_ue",
-}
-
 
 def _fmt(x: float) -> str:
     """12 significant digits, or all of them where 12 would change the value,
@@ -186,19 +165,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_seq(values) -> str:
     return ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
-
-
-def _fmt_db(x: float) -> str:
-    """``x`` in dB at 12 significant digits, a rounded view that survives
-    reloading.  Near the largest float, rounding to nearest can step past
-    it; the text is then rounded down instead."""
-    db = units.linear_to_db(x)
-    text = format(db, ".12g")
-    try:
-        units.db_to_linear(float(text))
-    except OverflowError:
-        text = format(float(text) - 10.0 ** (math.floor(math.log10(db)) - 11), ".12g")
-    return text
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -226,7 +192,6 @@ _INT = (int, str)
 _STR = (str, str)
 _FLOATS = (_floats, _fmt_seq)
 _INTS = (_ints, _fmt_seq)
-_DB = (lambda text: units.db_to_linear(float(text)), _fmt_db)
 _BOX = (_parse_box, lambda box: _fmt_seq([c for pair in zip(box.lo, box.hi) for c in pair]))
 _MODELS = (_parse_models, lambda models: ", ".join(m.value for m in models))
 
@@ -242,27 +207,24 @@ _FIELDS = [
     ("bs", "n_y", ("bs_counts", 0), _INT),
     ("bs", "n_z", ("bs_counts", 1), _INT),
     ("bs", "center", ("bs_center",), _FLOATS),
-    ("ris", "tiles_y", ("ris_tiles", 0), _INT),
-    ("ris", "tiles_z", ("ris_tiles", 1), _INT),
     ("ris", "tile_n_y", ("tile_shape", 0), _INT),
     ("ris", "tile_n_z", ("tile_shape", 1), _INT),
     ("ris", "center", ("ris_center",), _FLOATS),
     ("ris", "spacing_wavelengths", ("spacing_wavelengths",), _FLOAT),
     ("ris", "tile_order", ("tile_order",), _STR),
-    ("ue", "count", ("ue_count",), _INT),
-    ("ue", "area_center", ("ue_area", "center"), _FLOATS),
-    ("ue", "area_side", ("ue_area", "side"), _FLOAT),
+    ("ue", "area_center", ("ue_center",), _FLOATS),
+    ("ue", "area_side", ("ue_side",), _FLOAT),
     *(
-        (section, key, ("links", role, *path), codec)
-        for role, section in _LINK_SECTIONS.items()
-        for key, path, codec in (
-            ("beta_db", ("params", "beta"), _DB),
-            ("d0", ("params", "d0"), _FLOAT),
-            ("eta", ("params", "eta"), _FLOAT),
-            ("k_factor", ("params", "k_factor"), _FLOAT),
-            ("blockage_db", ("params", "blockage_db"), _FLOAT),
-            ("shadow_db", ("params", "shadow_db"), _FLOAT),
-            ("cluster_volume", ("cluster_volume",), _BOX),
+        (f"link.{role.value}", key, ("links", role, key), codec)
+        for role in LinkRole
+        for key, codec in (
+            ("beta_db", _FLOAT),
+            ("d0", _FLOAT),
+            ("eta", _FLOAT),
+            ("k_factor", _FLOAT),
+            ("blockage_db", _FLOAT),
+            ("shadow_db", _FLOAT),
+            ("cluster_volume", _BOX),
         )
     ),
     ("clusters", "count", ("n_clusters",), _INT),

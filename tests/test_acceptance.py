@@ -259,7 +259,7 @@ GEOMETRIC = (ChannelModel.LOWRANK_GEOMETRIC, ChannelModel.NEARFIELD_GEOMETRIC)
 def trend_sweeps():
     cfg = default_config()  # gamma_thr=10, direct blockage -40 dB, 200 trials
     assert cfg.gamma_thr == 10.0 and cfg.trials == 200
-    assert cfg.links[list(cfg.links)[0]].params.blockage_db == -40.0
+    assert cfg.links[list(cfg.links)[0]].blockage_db == -40.0
     t0 = time.perf_counter()
     over_q = run_sweep(
         replace(cfg, models=list(ChannelModel), sweep_q=[64, 256, 1024], sweep_n_ue=[2])
@@ -330,7 +330,7 @@ def test_criterion_8_runtime(trend_sweeps):
 def test_criterion_9_byte_identical_runs(tmp_path):
     ini = tmp_path / "cfg.ini"
     ini.write_text(
-        "[ris]\ntiles_y = 2\ntiles_z = 1\ntile_n_y = 2\ntile_n_z = 2\n"
+        "[ris]\ntile_n_y = 2\ntile_n_z = 2\n"
         "[run]\ntrials = 5\nmodels = iid_rayleigh, nearfield_geometric\n"
         "[sweep]\nq = 8\nn_ue = 2\n"
     )

@@ -20,22 +20,23 @@ from rissim.channels import (
 )
 from rissim.geometry import Angle, ArrayGeometry, fraunhofer_distance, steering_vector
 from rissim.harness import SimContext, draw_link
-from rissim.scenario import LinkConfig, default_config, load_config
+from rissim.scenario import default_config, load_config
 
 LAM = 0.06
 ROLE = LinkRole.TX_TO_RIS
 LOWRANK = ChannelModel.LOWRANK_GEOMETRIC
 NEARFIELD = ChannelModel.NEARFIELD_GEOMETRIC
+VOLUME = Box(lo=(5.0, -10.0, -5.0), hi=(25.0, 10.0, 5.0))
 
 
 class TestPathloss:
     def test_reference_distance(self):
-        p = LinkParams(beta=1e-4, d0=1.0, eta=2.0)
+        p = LinkParams(beta_db=-40.0, cluster_volume=VOLUME, d0=1.0, eta=2.0)
         assert pathloss(p, 1.0) == pytest.approx(1e-4)
 
     def test_minus_46_db_at_10m(self):
         # -46 dB - 20*log10(10) = -66 dB
-        p = LinkParams(beta=units.db_to_linear(-46.0), d0=1.0, eta=2.0)
+        p = LinkParams(beta_db=-46.0, cluster_volume=VOLUME, d0=1.0, eta=2.0)
         assert units.linear_to_db(pathloss(p, 10.0)) == pytest.approx(-66.0, abs=1e-9)
 
     def test_free_space_beta_at_5ghz(self):
@@ -44,11 +45,11 @@ class TestPathloss:
         assert units.linear_to_db((lam / (4.0 * math.pi)) ** 2) == pytest.approx(-46.4, abs=0.05)
 
     def test_blockage_and_shadow_offsets(self):
-        p = LinkParams(beta=1.0, blockage_db=-40.0, shadow_db=-3.0)
+        p = LinkParams(beta_db=0.0, cluster_volume=VOLUME, blockage_db=-40.0, shadow_db=-3.0)
         assert units.linear_to_db(pathloss(p, 1.0)) == pytest.approx(-43.0)
 
     def test_nonpositive_distance_rejected(self):
-        p = LinkParams(beta=1.0)
+        p = LinkParams(beta_db=0.0, cluster_volume=VOLUME)
         with pytest.raises(ValueError):
             pathloss(p, 0.0)
         with pytest.raises(ValueError):
@@ -56,9 +57,9 @@ class TestPathloss:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            LinkParams(beta=0.0)
+            LinkParams(beta_db=-math.inf, cluster_volume=VOLUME)
         with pytest.raises(ValueError):
-            LinkParams(beta=1.0, k_factor=-1.0)
+            LinkParams(beta_db=0.0, cluster_volume=VOLUME, k_factor=-1.0)
 
 
 class TestIidRayleigh:
@@ -107,9 +108,6 @@ class TestLosMatrix:
         assert np.linalg.norm(h) ** 2 == pytest.approx(h_p * 9 * 8, rel=1e-12)
 
 
-VOLUME = Box(lo=(5.0, -10.0, -5.0), hi=(25.0, 10.0, 5.0))
-
-
 def far_apart_geoms():
     tx = ArrayGeometry.upa_centered(2, 2, LAM / 2, (0.0, 0.0, 0.0))
     rx = ArrayGeometry.upa_centered(2, 1, LAM / 2, (30.0, 0.0, 0.0))
@@ -120,7 +118,9 @@ def link_setup(h_p=1.0, k_factor=0.0, n_clusters=5, n_subpaths=20, volume=VOLUME
     """Config and context whose ``ROLE`` link has power budget ``h_p`` at any distance."""
     base = default_config()
     links = dict(base.links)
-    links[ROLE] = LinkConfig(LinkParams(beta=h_p, eta=0.0, k_factor=k_factor), volume)
+    links[ROLE] = LinkParams(
+        beta_db=units.linear_to_db(h_p), cluster_volume=volume, eta=0.0, k_factor=k_factor
+    )
     config = replace(
         base, carrier_hz=units.SPEED_OF_LIGHT / LAM, links=links,
         n_clusters=n_clusters, n_subpaths=n_subpaths,

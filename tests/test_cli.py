@@ -16,8 +16,6 @@ n_y = 2
 n_z = 2
 
 [ris]
-tiles_y = 2
-tiles_z = 1
 tile_n_y = 2
 tile_n_z = 2
 
@@ -41,13 +39,13 @@ class TestConfigRoundTrip:
     def test_overrides_apply(self):
         cfg = load_config(SMALL_INI)
         assert cfg.bs_counts == (2, 2)
-        assert cfg.ris_tiles == (2, 1)
-        assert cfg.q_total == 8
+        assert cfg.tile_shape == (2, 2)
+        assert cfg.sweep_q == [8]
         assert cfg.trials == 3
         assert cfg.models == [ChannelModel.IID_RAYLEIGH, ChannelModel.IID_RICIAN]
         # untouched defaults survive
-        assert cfg.links[LinkRole.DIRECT].params.eta == 3.5
-        assert cfg.links[LinkRole.DIRECT].params.blockage_db == -40.0
+        assert cfg.links[LinkRole.DIRECT].eta == 3.5
+        assert cfg.links[LinkRole.DIRECT].blockage_db == -40.0
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError):
@@ -84,9 +82,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_ue_area_side_rejected(self, value):
-        cfg = default_config()
-        with pytest.raises(ValueError, match="ue_area.side"):
-            replace(cfg, ue_area=replace(cfg.ue_area, side=value))
+        with pytest.raises(ValueError, match="ue_side"):
+            replace(default_config(), ue_side=value)
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_precoder_max_iters_below_one_rejected(self, value):
@@ -99,8 +96,8 @@ class TestConfigValidation:
             ("[precoder]\ntol = nan\n", "precoder_tol"),
             ("[precoder]\ntol = 0\n", "precoder_tol"),
             ("[precoder]\nmax_iters = 0\n", "precoder_max_iters"),
-            ("[ue]\narea_side = nan\n", "ue_area.side"),
-            ("[ue]\narea_side = -8\n", "ue_area.side"),
+            ("[ue]\narea_side = nan\n", "ue_side"),
+            ("[ue]\narea_side = -8\n", "ue_side"),
         ],
     )
     def test_bad_precoder_and_area_in_ini_rejected(self, text, name):

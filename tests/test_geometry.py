@@ -73,15 +73,6 @@ class TestArrayGeometry:
         geom = ArrayGeometry.upa_centered(4, 4, 0.03, (30.0, 0.0, 10.0))
         np.testing.assert_allclose(geom.center, [30.0, 0.0, 10.0], atol=1e-12)
 
-    def test_mounting_planes(self):
-        for plane, axis in [("yz", 0), ("xz", 1), ("xy", 2)]:
-            geom = ArrayGeometry.upa(3, 3, 0.1, plane=plane)
-            # all elements share the coordinate along the boresight axis
-            assert np.ptp(geom.element_positions[:, axis]) < 1e-12
-            r = geom.rotation
-            np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0)
-
     def test_aperture_is_diagonal(self):
         geom = ArrayGeometry.upa(4, 3, 0.5)
         assert geom.aperture == pytest.approx(math.hypot(1.5, 1.0))

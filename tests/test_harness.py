@@ -1,11 +1,13 @@
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rissim import correlation, harness, units
+from rissim import correlation, harness, seeding, units
 from rissim.channels import ChannelModel, LinkRole
+from rissim.geometry import fraunhofer_distance, pairwise_distance
 from rissim.harness import (
     SimContext,
     aggregate,
@@ -80,14 +82,8 @@ class TestRunTrial:
     def test_fully_blocked_links_flag_infeasible(self):
         cfg = small_config()
         links = dict(cfg.links)
-        links[LinkRole.DIRECT] = replace(
-            links[LinkRole.DIRECT],
-            params=replace(links[LinkRole.DIRECT].params, blockage_db=-math.inf),
-        )
-        links[LinkRole.RIS_TO_RX] = replace(
-            links[LinkRole.RIS_TO_RX],
-            params=replace(links[LinkRole.RIS_TO_RX].params, blockage_db=-math.inf),
-        )
+        for role in (LinkRole.DIRECT, LinkRole.RIS_TO_RX):
+            links[role] = replace(links[role], blockage_db=-math.inf)
         cfg = replace(cfg, links=links)
         r = run_trial(cfg, 0, model=ChannelModel.IID_RAYLEIGH)
         assert not r.feasible
@@ -131,6 +127,39 @@ class TestPairedRandomness:
         corr = run_cell(cfg, ChannelModel.CORRELATED_RAYLEIGH)
         mean = lambda rs: np.mean([r.total_power_watts for r in rs if r.feasible])
         assert mean(iid) < mean(corr)
+
+    @pytest.mark.parametrize("model", list(ChannelModel), ids=lambda m: m.value)
+    def test_one_stream_per_link(self, monkeypatch, model):
+        calls = []
+        derive = seeding.derive_rng
+        monkeypatch.setattr(seeding, "derive_rng", lambda *p: calls.append(p) or derive(*p))
+        run_trial(small_config(), 0, model=model)
+        # two UE positions, then one stream for each of the 1 + 2 * 2 links
+        assert len(calls) == 7
+        geometric = model in (ChannelModel.LOWRANK_GEOMETRIC, ChannelModel.NEARFIELD_GEOMETRIC)
+        stream = seeding.STREAM_CLUSTERS if geometric else seeding.STREAM_FADING
+        assert {path[2] for path in calls[2:]} == {stream}
+
+
+class TestNearFieldWarning:
+    def test_warns_on_a_later_draw_inside_the_boundary(self, caplog):
+        # At Q=1024 the surface's Fraunhofer boundary is 57.6 m.  In a 100 m
+        # square around (60, 50, 1) the first UE of seed 0 lies outside it,
+        # and later UEs lie inside.
+        cfg = replace(
+            default_config(), models=[ChannelModel.IID_RICIAN], sweep_q=[1024],
+            sweep_n_ue=[2], trials=20, ue_center=(60.0, 50.0, 1.0), ue_side=100.0,
+            master_seed=0,
+        )
+        ctx = SimContext(with_q(cfg, 1024))
+        boundary = fraunhofer_distance(ctx.ris_geom.aperture, cfg.wavelength)
+        assert boundary == pytest.approx(57.6, abs=0.05)
+        assert pairwise_distance(ctx.ris_geom.center, ue_positions(cfg, 0)[0]) > boundary
+        with caplog.at_level(logging.WARNING, logger="rissim.harness"):
+            run_sweep(cfg)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1, messages
+        assert "iid_rician on link ris_ue" in messages[0]
 
 
 class TestAggregation:
