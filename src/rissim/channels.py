@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .geometry import Angle, ArrayGeometry, distance_matrix, steering_vector
+from .geometry import ArrayGeometry, angle_from_direction, distance_matrix, steering_vector
 
 # Minimum allowed separation between a scatterer and any antenna element;
 # draws closer than this are rejected and resampled.
@@ -35,9 +35,6 @@ _MIN_SCATTER_CLEARANCE = 1e-9
 # dB values must stay below this for their linear gain to be a finite float;
 # the bound itself overflows.
 _MAX_GAIN_DB = 10.0 * math.log10(sys.float_info.max)
-
-# Distributions of the per-cluster gains accepted by :func:`draw_clusters`.
-GAIN_DISTRIBUTIONS = ("gaussian", "rademacher")
 
 
 class ChannelModel(str, enum.Enum):
@@ -88,14 +85,29 @@ class LinkParams:
         for name, value in (("blockage_db", self.blockage_db), ("shadow_db", self.shadow_db)):
             if not value < _MAX_GAIN_DB:
                 raise ValueError(f"{name} must be -inf or below {_MAX_GAIN_DB:.1f}, got {value!r}")
+        total_db = self.beta_db + self.blockage_db + self.shadow_db
+        if total_db >= _MAX_GAIN_DB:
+            raise ValueError(
+                f"beta_db + blockage_db + shadow_db must be below {_MAX_GAIN_DB:.1f}, got {total_db!r}"
+            )
 
 
 def pathloss(params: LinkParams, d: float) -> float:
-    """Linear power budget ``10^(beta_db/10) * (d0/d)^eta`` with blockage/shadow offsets."""
+    """Linear power budget ``10^(beta_db/10) * (d0/d)^eta`` with blockage/shadow offsets.
+
+    ``LinkParams`` bounds the dB terms; a budget that is still not a finite
+    float at distance ``d`` raises ``ValueError``.
+    """
     if d <= 0:
         raise ValueError(f"distance must be positive, got {d}")
-    gain = units.db_to_linear(params.beta_db) * (params.d0 / d) ** params.eta
-    return gain * units.db_to_linear(params.blockage_db) * units.db_to_linear(params.shadow_db)
+    try:
+        gain = units.db_to_linear(params.beta_db) * (params.d0 / d) ** params.eta
+        gain = gain * units.db_to_linear(params.blockage_db) * units.db_to_linear(params.shadow_db)
+    except OverflowError:
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise ValueError(f"power budget at {d:g} m is not finite (d0={params.d0}, eta={params.eta})")
+    return gain
 
 
 def sample_iid_rayleigh(
@@ -109,20 +121,18 @@ def sample_iid_rayleigh(
 
 
 def los_matrix(
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-    tx_angle: Angle,
-    rx_angle: Angle,
-    h_p: float,
-    wavelength: float,
+    tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, h_p: float, wavelength: float
 ) -> np.ndarray:
     """Rank-one planar line-of-sight matrix ``sqrt(h_p) * a_rx a_tx^H``.
 
-    All steering entries are unit modulus, so the squared Frobenius norm is
-    ``h_p * N_rx * N_tx``.
+    Both arrays steer along the propagation direction, from the transmitter's
+    center to the receiver's, so the phases are the far-field limit of
+    :func:`nearfield_los`.  All steering entries are unit modulus, so the
+    squared Frobenius norm is ``h_p * N_rx * N_tx``.
     """
-    a_rx = steering_vector(rx_geom, rx_angle, wavelength)
-    a_tx = steering_vector(tx_geom, tx_angle, wavelength)
+    angle = angle_from_direction(rx_geom.center - tx_geom.center)
+    a_rx = steering_vector(rx_geom, angle, wavelength)
+    a_tx = steering_vector(tx_geom, angle, wavelength)
     return math.sqrt(h_p) * np.outer(a_rx, np.conj(a_tx))
 
 
@@ -206,14 +216,13 @@ def draw_clusters(
     n_clusters: int,
     n_subpaths: int,
     h_p: float,
-    gain_distribution: str = "gaussian",
     avoid_sets: tuple[np.ndarray, ...] = (),
 ) -> ClusterSet:
     """Draw cluster centroids, per-cluster gains, and sub-path positions/phases.
 
     Centroids are uniform in ``volume``; sub-paths are uniform in the 2 m cube
-    around their centroid; gains are zero mean with variance ``h_p``
-    (``gaussian`` or ``rademacher``); phases are iid uniform on [0, 2*pi).
+    around their centroid; gains are zero-mean Gaussian with variance ``h_p``;
+    phases are iid uniform on [0, 2*pi).
     Sub-paths within the clearance distance of a point of ``avoid_sets``
     (each an (N, 3) array, e.g. one array's elements) are resampled, in
     index order, until they clear; random numbers are drawn only then.
@@ -227,12 +236,7 @@ def draw_clusters(
     if n_clusters < 1 or n_subpaths < 1:
         raise ValueError("need at least one cluster and one sub-path")
     centroids = volume.sample(rng, n_clusters)
-    if gain_distribution == "gaussian":
-        gains = math.sqrt(h_p) * rng.standard_normal(n_clusters)
-    elif gain_distribution == "rademacher":
-        gains = math.sqrt(h_p) * rng.choice([-1.0, 1.0], size=n_clusters)
-    else:
-        raise ValueError(f"unknown gain distribution {gain_distribution!r}")
+    gains = math.sqrt(h_p) * rng.standard_normal(n_clusters)
     sets = [pts for pts in avoid_sets if len(pts)]
     lo, hi = (np.array([f(pts, axis=0) for pts in sets]).reshape(-1, 1, 3) for f in (np.min, np.max))
     half = SUBPATH_CUBE_SIDE / 2.0

@@ -109,19 +109,6 @@ class ArrayGeometry:
         d_y, d_z = self.spacing
         return math.hypot((n_y - 1) * d_y, (n_z - 1) * d_z)
 
-    def departure_angle(self, target: np.ndarray) -> Angle:
-        """Angle of the ray from the array center toward ``target``."""
-        return angle_from_direction(np.asarray(target, float) - self.center)
-
-    def arrival_angle(self, source: np.ndarray) -> Angle:
-        """Angle of the propagation direction of a ray arriving from
-        ``source``, i.e. the direction pointing from the source through the
-        array center.  Using the propagation direction (rather than the
-        direction back toward the source) makes the planar phase profile the
-        far-field limit of the exact spherical one.
-        """
-        return angle_from_direction(self.center - np.asarray(source, float))
-
 
 def steering_vector(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.ndarray:
     """Array steering vector ``exp(j*kappa*d(angle)^T u_n)`` for all elements.

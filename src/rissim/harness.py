@@ -104,9 +104,7 @@ class SimContext:
         )
         n_y, n_z = config.ris_counts
         self.ris_geom = ArrayGeometry.upa_centered(n_y, n_z, spacing, config.ris_center)
-        self.tiles = build_tile_partition(
-            config.ris_counts, config.tile_shape, config.tile_order
-        )
+        self.tiles = build_tile_partition(config.ris_counts, config.tile_shape)
         self.codebook = build_codebook(config.tile_shape)
         self.noise_power = noise_power(config)
         self._factors: dict = {}
@@ -186,7 +184,6 @@ def draw_link(
             config.n_clusters,
             config.n_subpaths,
             h_p,
-            config.gain_distribution,
             avoid_sets=(tx_geom.element_positions, rx_geom.element_positions),
         )
         if model == ChannelModel.LOWRANK_GEOMETRIC:
@@ -205,15 +202,8 @@ def draw_link(
     else:
         raise ValueError(f"unknown channel model {model!r}")
 
-    if model == ChannelModel.NEARFIELD_GEOMETRIC:
-        los = nearfield_los(tx_geom, rx_geom, h_p, wl)
-    else:
-        los = los_matrix(
-            tx_geom, rx_geom,
-            tx_geom.departure_angle(rx_geom.center),
-            rx_geom.arrival_angle(tx_geom.center),
-            h_p, wl,
-        )
+    los_fn = nearfield_los if model == ChannelModel.NEARFIELD_GEOMETRIC else los_matrix
+    los = los_fn(tx_geom, rx_geom, h_p, wl)
     k = link.k_factor
     return math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * nlos
 

@@ -32,9 +32,6 @@ import numpy as np
 
 WAVEFRONT_PHASE_COUNT = 8  # three-bit global phase offsets per tile
 
-# Tile visit orders accepted by :func:`build_tile_partition`.
-TILE_ORDERS = ("raster", "reversed")
-
 # Candidates solved exactly, by bound, to set the pruning floor (K >= 3).
 _FLOOR_CANDIDATES = 8
 # Pruning margin as a multiple of the tile's largest Gram trace.  It covers
@@ -43,19 +40,14 @@ _FLOOR_CANDIDATES = 8
 _PRUNE_MARGIN = 1e-6
 
 
-def build_tile_partition(
-    ris_counts: tuple[int, int],
-    tile_shape: tuple[int, int],
-    order: str = "raster",
-) -> np.ndarray:
+def build_tile_partition(ris_counts: tuple[int, int], tile_shape: tuple[int, int]) -> np.ndarray:
     """Partition the surface into a grid of equally shaped tiles.
 
     Returns the (n_tiles, tile_size) ``intp`` table of element ids: row
     ``t`` lists the global (y-major) element indices of the ``t``-th tile
-    visited, themselves in y-major order within the tile.  The element
-    counts must be integer multiples of the tile shape along each axis.
-    Tiles are visited in raster (y-major) order by default; ``order`` may be
-    ``"reversed"`` to flip the visit sequence.
+    visited, themselves in y-major order within the tile.  Tiles are visited
+    in raster (y-major) order.  The element counts must be integer multiples
+    of the tile shape along each axis.
     """
     n_y, n_z = ris_counts
     q_y, q_z = tile_shape
@@ -65,11 +57,8 @@ def build_tile_partition(
         raise ValueError(
             f"surface {ris_counts} is not divisible into {tile_shape} tiles"
         )
-    if order not in TILE_ORDERS:
-        raise ValueError(f"unknown tile order {order!r}")
     grid = np.arange(n_y * n_z, dtype=np.intp).reshape(n_y // q_y, q_y, n_z // q_z, q_z)
-    tiles = grid.transpose(0, 2, 1, 3).reshape(-1, q_y * q_z)
-    return tiles[::-1] if order == "reversed" else tiles
+    return grid.transpose(0, 2, 1, 3).reshape(-1, q_y * q_z)
 
 
 @dataclass

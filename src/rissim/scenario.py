@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import units
-from .channels import GAIN_DISTRIBUTIONS, Box, ChannelModel, LinkParams, LinkRole
-from .ris import TILE_ORDERS
+from .channels import Box, ChannelModel, LinkParams, LinkRole
 
 
 def _default_links() -> dict[LinkRole, LinkParams]:
@@ -58,7 +57,6 @@ class ScenarioConfig:
     tile_shape: tuple[int, int] = (8, 8)
     ris_center: tuple[float, float, float] = (0.0, 50.0, 5.0)
     spacing_wavelengths: float = 0.5
-    tile_order: str = "raster"
 
     ue_count: int = 2
     ue_center: tuple[float, float, float] = (10.0, 50.0, 1.0)
@@ -67,7 +65,6 @@ class ScenarioConfig:
     links: dict[LinkRole, LinkParams] = field(default_factory=_default_links)
     n_clusters: int = 5
     n_subpaths: int = 20
-    gain_distribution: str = "gaussian"
 
     precoder_max_iters: int = 500
     precoder_tol: float = 1e-10
@@ -96,12 +93,11 @@ class ScenarioConfig:
         for name in ("precoder_max_iters", "trials", "ue_count", "n_clusters", "n_subpaths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("bs_counts", "tile_shape", "ris_tiles"):
+            if not all(n >= 1 for n in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
-        choices = (("gain_distribution", GAIN_DISTRIBUTIONS), ("tile_order", TILE_ORDERS))
-        for name, allowed in choices:
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
 
     @property
     def wavelength(self) -> float:
@@ -189,7 +185,6 @@ def _parse_models(text: str) -> list[ChannelModel]:
 # Codecs: (parse the INI text, format the value).
 _FLOAT = (float, _fmt)
 _INT = (int, str)
-_STR = (str, str)
 _FLOATS = (_floats, _fmt_seq)
 _INTS = (_ints, _fmt_seq)
 _BOX = (_parse_box, lambda box: _fmt_seq([c for pair in zip(box.lo, box.hi) for c in pair]))
@@ -211,7 +206,6 @@ _FIELDS = [
     ("ris", "tile_n_z", ("tile_shape", 1), _INT),
     ("ris", "center", ("ris_center",), _FLOATS),
     ("ris", "spacing_wavelengths", ("spacing_wavelengths",), _FLOAT),
-    ("ris", "tile_order", ("tile_order",), _STR),
     ("ue", "area_center", ("ue_center",), _FLOATS),
     ("ue", "area_side", ("ue_side",), _FLOAT),
     *(
@@ -229,7 +223,6 @@ _FIELDS = [
     ),
     ("clusters", "count", ("n_clusters",), _INT),
     ("clusters", "subpaths", ("n_subpaths",), _INT),
-    ("clusters", "gain_distribution", ("gain_distribution",), _STR),
     ("precoder", "max_iters", ("precoder_max_iters",), _INT),
     ("precoder", "tol", ("precoder_tol",), _FLOAT),
     ("run", "trials", ("trials",), _INT),

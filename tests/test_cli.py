@@ -200,6 +200,34 @@ class TestCliErrors:
     def test_non_integer_flag(self, capsys, argv):
         assert "invalid int value: 'abc'" in self.error_line(capsys, argv)
 
+    @pytest.mark.parametrize("command", ["run", "scenario"])
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[ris]\ntile_n_y = 0\n", "tile_shape"),
+            ("[ris]\ntile_n_y = -8\n", "tile_shape"),
+            ("[bs]\nn_y = -4\nn_z = -4\n", "bs_counts"),
+            ("[bs]\nn_y = 0\n", "bs_counts"),
+            ("[link.bs_ue]\nbeta_db = 3000\nshadow_db = 3000\n", "beta_db + blockage_db + shadow_db"),
+        ],
+        ids=["tile-zero", "tile-negative", "bs-negative", "bs-zero", "db-budget"],
+    )
+    def test_bad_size_or_budget_fails_before_first_trial(
+        self, tmp_path, capsys, monkeypatch, command, text, name
+    ):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **k: trials.append(a))
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert name in self.error_line(capsys, [command, "--config", str(ini)])
+        assert trials == []
+
+    def test_overflowing_pathloss(self, tmp_path, capsys):
+        # the distance term depends on the UE draw, so this one fails in the first trial
+        ini = tmp_path / "overflow.ini"
+        ini.write_text("[run]\nmodels = iid_rayleigh\n[link.bs_ue]\nd0 = 1e6\neta = 100\n")
+        assert "power budget" in self.error_line(capsys, ["run", "--trials", "1", "--config", str(ini)])
+
     @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "is-dir"])
     def test_unusable_out_fails_before_first_trial(self, tmp_path, capsys, monkeypatch, out):
         trials = []

@@ -173,15 +173,3 @@ class TestFraunhofer:
     def test_zero_aperture_rejected(self):
         with pytest.raises(ValueError):
             fraunhofer_distance(0.0, 0.06)
-
-
-class TestAnglesOfArrays:
-    def test_departure_points_at_target(self):
-        geom = ArrayGeometry.upa_centered(2, 2, 0.03, (0.0, 0.0, 0.0))
-        ang = geom.departure_angle([10.0, 0.0, 0.0])
-        np.testing.assert_allclose(direction_from_angle(ang), [1, 0, 0], atol=1e-12)
-
-    def test_arrival_is_propagation_direction(self):
-        geom = ArrayGeometry.upa_centered(2, 2, 0.03, (0.0, 0.0, 0.0))
-        ang = geom.arrival_angle([-10.0, 0.0, 0.0])  # source on the -x side
-        np.testing.assert_allclose(direction_from_angle(ang), [1, 0, 0], atol=1e-12)

@@ -33,18 +33,10 @@ class TestTilePartition:
             for t_z in range(n_z // q_z)
         ]
         np.testing.assert_array_equal(build_tile_partition(ris, tile), expected)
-        np.testing.assert_array_equal(build_tile_partition(ris, tile, "reversed"), expected[::-1])
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
             build_tile_partition((4, 4), (3, 2))
-
-    def test_orders(self):
-        fwd = build_tile_partition((4, 4), (2, 2), order="raster")
-        rev = build_tile_partition((4, 4), (2, 2), order="reversed")
-        np.testing.assert_array_equal(fwd, rev[::-1])
-        with pytest.raises(ValueError):
-            build_tile_partition((4, 4), (2, 2), order="spiral")
 
 
 class TestCodebook:

@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rissim import channels, harness
-from rissim.channels import GAIN_DISTRIBUTIONS, Box, ChannelModel, LinkParams, LinkRole
+from rissim.channels import Box, ChannelModel, LinkParams, LinkRole
 from rissim.cli import main
-from rissim.ris import TILE_ORDERS
 from rissim.scenario import ScenarioConfig, default_config, dump_config, load_config
 
 BAD_FLOATS = [math.nan, math.inf, -math.inf]
@@ -37,6 +36,19 @@ class TestLinkParams:
     def test_nan_or_inf_offset_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             LinkParams(beta_db=0.0, cluster_volume=VOLUME, **{name: value})
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            dict(shadow_db=3000.0),
+            dict(blockage_db=2000.0, shadow_db=1000.0),
+            dict(blockage_db=100.0),
+        ],
+    )
+    def test_db_budget_rejected(self, offsets):
+        # each term is below the bound, their sum is not
+        with pytest.raises(ValueError, match="beta_db \\+ blockage_db \\+ shadow_db"):
+            LinkParams(beta_db=3000.0, cluster_volume=VOLUME, **offsets)
 
     @pytest.mark.parametrize(
         "section, key, value, name",
@@ -79,9 +91,10 @@ class TestClusterSettings:
         [
             (dict(n_clusters=0), "n_clusters"),
             (dict(n_subpaths=0), "n_subpaths"),
-            (dict(gain_distribution="cauchy"), "gain_distribution"),
-            (dict(tile_order="spiral"), "tile_order"),
+            (dict(bs_counts=(4, 0)), "bs_counts"),
+            (dict(tile_shape=(-8, 8)), "tile_shape"),
             (dict(master_seed=-1), "master_seed"),
+            (dict(ris_tiles=(1, 0)), "ris_tiles"),
         ],
     )
     def test_bad_setting_rejected(self, changes, name):
@@ -93,8 +106,6 @@ class TestClusterSettings:
         [
             ("[clusters]\ncount = 0\n", "n_clusters"),
             ("[clusters]\nsubpaths = 0\n", "n_subpaths"),
-            ("[clusters]\ngain_distribution = cauchy\n", "gain_distribution"),
-            ("[ris]\ntile_order = spiral\n", "tile_order"),
         ],
     )
     def test_bad_setting_in_ini_rejected(self, text, name):
@@ -112,7 +123,8 @@ class TestClusterSettings:
 
 
 class TestUnknownKeys:
-    # Q and the UE count come from [sweep] only, so the per-cell keys are unknown.
+    # Q and the UE count come from [sweep] only, so the per-cell keys are
+    # unknown; every run uses the raster tile order and Gaussian cluster gains.
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -120,6 +132,8 @@ class TestUnknownKeys:
             ("[system]\ncarier_hz = 1e9\n", "carier_hz"),
             ("[ue]\ncount = 4\n", "count"),
             ("[ris]\ntiles_y = 4\n", "tiles_y"),
+            ("[ris]\ntile_order = raster\n", "tile_order"),
+            ("[clusters]\ngain_distribution = gaussian\n", "gain_distribution"),
         ],
     )
     def test_unknown_key_rejected(self, text, key):
@@ -132,7 +146,8 @@ class TestUnknownKeys:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
-level_db = st.floats(max_value=3000.0, allow_nan=False, allow_infinity=False)
+# three terms of at most 1000 dB keep the link's budget below the bound
+level_db = st.floats(max_value=1000.0, allow_nan=False, allow_infinity=False)
 offset_db = level_db | st.just(-math.inf)
 count = st.integers(1, 10**6)
 points = st.tuples(finite, finite, finite)
@@ -169,14 +184,12 @@ def configs(draw):
         tile_shape=draw(counts),
         ris_center=draw(points),
         spacing_wavelengths=draw(positive),
-        tile_order=draw(st.sampled_from(TILE_ORDERS)),
         ue_count=draw(count),
         ue_center=draw(points),
         ue_side=draw(positive),
         links={role: draw(link_params()) for role in LinkRole},
         n_clusters=draw(count),
         n_subpaths=draw(count),
-        gain_distribution=draw(st.sampled_from(GAIN_DISTRIBUTIONS)),
         precoder_max_iters=draw(count),
         precoder_tol=draw(positive),
         trials=draw(count),
@@ -212,7 +225,7 @@ NUMERIC_KEYS = _numeric_keys()
 
 
 def test_every_numeric_key_is_covered():
-    # all keys but tile_order, gain_distribution and models
+    # all keys but models
     assert len(NUMERIC_KEYS) == 43
 
 
