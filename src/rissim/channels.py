@@ -85,11 +85,16 @@ class LinkParams:
         for name, value in (("blockage_db", self.blockage_db), ("shadow_db", self.shadow_db)):
             if not value < _MAX_GAIN_DB:
                 raise ValueError(f"{name} must be -inf or below {_MAX_GAIN_DB:.1f}, got {value!r}")
-        total_db = self.beta_db + self.blockage_db + self.shadow_db
-        if total_db >= _MAX_GAIN_DB:
+        if self.budget_db >= _MAX_GAIN_DB:
             raise ValueError(
-                f"beta_db + blockage_db + shadow_db must be below {_MAX_GAIN_DB:.1f}, got {total_db!r}"
+                f"beta_db + blockage_db + shadow_db must be below {_MAX_GAIN_DB:.1f}, "
+                f"got {self.budget_db!r}"
             )
+
+    @property
+    def budget_db(self) -> float:
+        """The dB terms of the power budget: ``beta_db + blockage_db + shadow_db``."""
+        return self.beta_db + self.blockage_db + self.shadow_db
 
 
 def pathloss(params: LinkParams, d: float) -> float:

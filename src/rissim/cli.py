@@ -2,7 +2,7 @@
 
 Subcommands:
   run       execute the configured sweep and emit aggregate (and raw) CSV
-  check     quick invariant/oracle suite (covariance, codebook, precoder)
+  check     quick invariant/oracle suite (covariance, codebook, precoder, factor)
   scenario  print the fully resolved configuration as INI
 """
 
@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness, oracles
+from .correlation import matrix_sqrt_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import min_power_precoder
 from .ris import configure_tiles
@@ -95,6 +96,18 @@ def _check_codebook(seed: int) -> tuple[bool, str]:
     return True, f"all {n_tiles} tile selections (K=2 and K=4) match the brute-force oracle"
 
 
+def _check_factor_fold(seed: int) -> tuple[bool, str]:
+    # deterministic; an even and an odd element count
+    lam = 0.06
+    worst_ref = worst_rec = 0.0
+    for geom in (ArrayGeometry.upa(16, 16, lam / 2.0), ArrayGeometry.upa(5, 7, 0.4 * lam)):
+        r = sinc_correlation(geom, lam)
+        ref, rec = oracles.sqrt_factor_errors(r, matrix_sqrt_factor(r))
+        worst_ref, worst_rec = max(worst_ref, ref), max(worst_rec, rec)
+    ok = worst_ref <= 1e-8 and worst_rec <= 1e-13
+    return ok, f"|F - F_dense| {worst_ref:.1e} (tol 1e-8), |F F^T - R| {worst_rec:.1e} (tol 1e-13)"
+
+
 def _check_precoder(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed)
     worst_gap = worst_slack = 0.0
@@ -114,6 +127,7 @@ def _cmd_check(args) -> int:
         ("covariance-limit", _check_covariance_limit),
         ("codebook-brute-force", _check_codebook),
         ("precoder-duality", _check_precoder),
+        ("factor-fold", _check_factor_fold),
     ]
     failed = 0
     for name, fn in checks:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .channels import sample_iid_rayleigh
-from .geometry import ArrayGeometry, distance_matrix
+from .geometry import ArrayGeometry
 
 # Eigenvalues in (_EIG_FLOOR, 0) are rounding and clamp to zero; anything
 # below is a matrix that is not a correlation.
@@ -30,30 +30,76 @@ def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
     the element separation is a positive integer multiple of half a
     wavelength, so same-row and same-column pairs of a half-wavelength UPA
     decorrelate while diagonal neighbors do not.
+
+    On the grid the separation depends only on the index offsets
+    ``(|di_y|, |di_z|)``, so the sinc is evaluated once per offset, in an
+    ``N_y x N_z`` table, and ``R`` is read out of it.  The result is
+    symmetric and centrosymmetric (``R == R[::-1, ::-1]``) bit for bit.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     kappa = 2.0 * math.pi / wavelength
-    pos = geom.element_positions
+    i_y, i_z = np.arange(geom.counts[0]), np.arange(geom.counts[1])
+    d_y, d_z = geom.spacing
+    dist = np.sqrt((i_y * d_y)[:, None] ** 2 + (i_z * d_z)[None, :] ** 2)
     # np.sinc is the normalized sin(pi x)/(pi x); rescale to plain sin(x)/x.
-    return np.sinc(kappa * distance_matrix(pos, pos) / np.pi)
+    table = np.sinc(kappa * dist / np.pi)
+    a_y = np.abs(np.subtract.outer(i_y, i_y))
+    a_z = np.abs(np.subtract.outer(i_z, i_z))
+    # (n_y, n_z, n_y, n_z) is the y-major (N, N) layout
+    return table[a_y[:, None, :, None], a_z[None, :, None, :]].reshape(geom.size, geom.size)
 
 
-def matrix_sqrt_factor(r: np.ndarray) -> np.ndarray:
-    """Symmetric factor ``Rbar`` with ``Rbar @ Rbar.T == r``.
-
-    Uses the eigendecomposition rather than Cholesky so that the
-    rank-deficient correlation matrices of large half-wavelength arrays still
-    factor; eigenvalues in ``(-1e-6, 0)`` are clamped to zero, anything
-    lower raises :class:`NotPositiveSemidefiniteError`.
-    """
-    vals, vecs = np.linalg.eigh(r)
+def _symmetric_root(block: np.ndarray) -> np.ndarray:
+    """Symmetric PSD root ``V sqrt(L) V^T`` of a symmetric block, by ``eigh``."""
+    vals, vecs = np.linalg.eigh(block)
     if vals.min() < _EIG_FLOOR:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {vals.min():.3e} below tolerance {_EIG_FLOOR:.1e}"
         )
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def matrix_sqrt_factor(r: np.ndarray) -> np.ndarray:
+    """Symmetric factor ``Rbar`` with ``Rbar @ Rbar.T == r``.
+
+    ``r`` must be centrosymmetric (``r == r[::-1, ::-1]``, as every
+    :func:`sinc_correlation` is); otherwise ``ValueError``.  With
+    ``h = N // 2``, ``A = r[:h, :h]`` and ``B = r[:h, -h:]``, the orthogonal
+    ``P = [[I, I], [J, -J]] / sqrt(2)`` (``J`` the exchange matrix) folds
+    ``r`` into ``diag(A + BJ, A - BJ)`` (Cantoni and Butler, 1976); for odd
+    ``N`` the middle row and column join the even block, scaled by
+    ``sqrt(2)``.  Each block gets the ``eigh`` root, with eigenvalues in
+    ``(-1e-6, 0)`` clamped to zero and anything lower raising
+    :class:`NotPositiveSemidefiniteError` (so rank-deficient correlations of
+    large half-wavelength arrays still factor), and
+    ``Rbar = P diag(F_e, F_o) P^T``.
+    """
+    if not np.array_equal(r, r[::-1, ::-1]):
+        raise ValueError("correlation matrix is not centrosymmetric")
+    n = r.shape[0]
+    h, odd = divmod(n, 2)
+    a, b_j = r[:h, :h], r[:h, n - h :][:, ::-1]
+    even = np.empty((h + odd, h + odd))
+    np.add(a, b_j, out=even[:h, :h])
+    if odd:
+        even[:h, h] = even[h, :h] = math.sqrt(2.0) * r[:h, h]
+        even[h, h] = r[h, h]
+    f_even = _symmetric_root(even)
+    f_odd = _symmetric_root(a - b_j) if h else np.empty((0, 0))
+    out = np.empty((n, n))
+    top = n - h  # first index of the bottom half
+    s = 0.5 * (f_even[:h, :h] + f_odd)
+    d = 0.5 * (f_even[:h, :h] - f_odd)
+    out[:h, :h], out[top:, top:] = s, s[::-1, ::-1]
+    out[:h, top:], out[top:, :h] = d[:, ::-1], d[::-1, :]
+    if odd:
+        mid = f_even[:h, h] / math.sqrt(2.0)
+        out[:h, h] = out[h, :h] = mid
+        out[top:, h] = out[h, top:] = mid[::-1]
+        out[h, h] = f_even[h, h]
+    return out
 
 
 def sample_matrix_normal_factor(

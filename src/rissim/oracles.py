@@ -12,7 +12,9 @@ theory says it must be:
   against its matrix-Gaussian limit;
 * :func:`sample_matrix_normal_vec` draws the correlated channel through the
   Kronecker covariance instead of the two-sided factor product;
-* :func:`kron_steering` builds the UPA steering vector from its ULA factors.
+* :func:`kron_steering` builds the UPA steering vector from its ULA factors;
+* :func:`sqrt_factor_errors` measures a correlation factor against the root
+  from one eigendecomposition of the whole matrix, without the fold.
 
 :func:`complex_randn` and :func:`tile_instance` draw the random inputs that
 ``rissim check`` and the tests give these references.
@@ -112,6 +114,19 @@ def kron_steering(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.nd
     )
     a_z = np.exp(1j * kappa * d_z * math.sin(angle.theta) * np.arange(n_z))
     return np.kron(a_y, a_z)
+
+
+def sqrt_factor_errors(r: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """Largest entries of ``|f - V sqrt(L) V^T|`` and ``|f f^T - r|``.
+
+    ``V sqrt(L) V^T`` is the symmetric root of ``r`` from one ``eigh`` of
+    the whole matrix, negative eigenvalues clamped to zero: the root that
+    :func:`rissim.correlation.matrix_sqrt_factor` computes from the two
+    half-size blocks of its fold.
+    """
+    vals, vecs = np.linalg.eigh(r)
+    dense = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    return float(np.abs(f - dense).max()), float(np.abs(f @ f.T - r).max())
 
 
 def sample_matrix_normal_vec(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from . import units
@@ -98,6 +99,44 @@ class ScenarioConfig:
                 raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
+        self._check_link_budgets()
+
+    def _check_link_budgets(self) -> None:
+        """Reject dB budgets whose channels overflow the tile search.
+
+        The search squares the trace of each user pair's Gram matrix of the
+        effective channel (``tr * tr`` in the 2 x 2 closed form), so that
+        trace must stay below ``sqrt(F)``, ``F`` the largest float.  An entry
+        of a link with linear budget ``g`` has ``|h|^2 <= T * g`` but with
+        probability ``exp(-T)`` (the exponential tail of CN; ``T = 100``).
+        An effective-channel entry adds the direct entry to ``Q`` cascaded
+        products, so ``|h_eff|^2 <= 2 * (T * g_d + Q^2 * T^2 * g_c)`` with
+        ``g_c`` the product of the ``bs_ris`` and ``ris_ue`` budgets; a Gram
+        diagonal sums ``N_t`` of these and the trace is at most twice the
+        larger diagonal.  ``tr * tr < F`` therefore holds when
+        ``N_t * T * g_d`` and ``N_t * Q^2 * T^2 * g_c`` both stay below
+        ``sqrt(F) / 8``, at the largest ``Q`` the config can run.  The
+        distance term ``(d0/d)^eta`` is at most 1 beyond ``d0`` and is left
+        out.
+        """
+        q = max([self.q_total, *self.sweep_q])
+        n_t = self.bs_counts[0] * self.bs_counts[1]
+        limit_db = 10.0 * math.log10(math.sqrt(sys.float_info.max) / (8.0 * n_t))
+        links = self.links
+        budgets = [
+            ("bs_ue", links[LinkRole.DIRECT].budget_db, limit_db - 20.0),
+            (
+                "bs_ris + ris_ue",
+                links[LinkRole.TX_TO_RIS].budget_db + links[LinkRole.RIS_TO_RX].budget_db,
+                limit_db - 40.0 - 20.0 * math.log10(q),
+            ),
+        ]
+        for name, budget_db, bound_db in budgets:
+            if budget_db >= bound_db:
+                raise ValueError(
+                    f"{name} link budget {budget_db:.1f} dB must be below {bound_db:.1f} dB "
+                    f"so the tile search stays finite at Q={q}, N_t={n_t}"
+                )
 
     @property
     def wavelength(self) -> float:

@@ -155,7 +155,7 @@ class TestCliCheck:
     def test_oracle_suite_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 3 and "FAIL" not in out
+        assert out.count("PASS") == 4 and "FAIL" not in out
 
     @pytest.mark.parametrize(
         "flags",
@@ -209,8 +209,9 @@ class TestCliErrors:
             ("[bs]\nn_y = -4\nn_z = -4\n", "bs_counts"),
             ("[bs]\nn_y = 0\n", "bs_counts"),
             ("[link.bs_ue]\nbeta_db = 3000\nshadow_db = 3000\n", "beta_db + blockage_db + shadow_db"),
+            ("[link.bs_ris]\nbeta_db = 3000\n", "bs_ris + ris_ue link budget"),
         ],
-        ids=["tile-zero", "tile-negative", "bs-negative", "bs-zero", "db-budget"],
+        ids=["tile-zero", "tile-negative", "bs-negative", "bs-zero", "db-budget", "cascaded-budget"],
     )
     def test_bad_size_or_budget_fails_before_first_trial(
         self, tmp_path, capsys, monkeypatch, command, text, name

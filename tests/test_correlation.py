@@ -12,16 +12,27 @@ from rissim.correlation import (
     sample_matrix_normal_factor,
     sinc_correlation,
 )
-from rissim.geometry import ArrayGeometry
+from rissim.geometry import ArrayGeometry, distance_matrix
 from rissim.oracles import (
     _halfspace_direction_yz,
     path_sum_covariance_error,
     sample_matrix_normal_vec,
+    sqrt_factor_errors,
 )
 
 LAM = 0.06
 
 SINC_PI_SQRT2 = math.sin(math.pi * math.sqrt(2)) / (math.pi * math.sqrt(2))
+
+
+# Q = 1, a 3 x 5 UPA, a ULA, duplicated positions (zero spacing) and 32 x 32
+GEOMETRIES = {
+    "single": ArrayGeometry.single((0.0, 0.0, 0.0)),
+    "upa-3x5": ArrayGeometry.upa(3, 5, 0.4 * LAM),
+    "ula-7x1": ArrayGeometry.upa(7, 1, LAM / 2),
+    "zero-spacing": ArrayGeometry(counts=(2, 2), spacing=(0.0, 0.3 * LAM)),
+    "upa-32x32": ArrayGeometry.upa(32, 32, LAM / 2),
+}
 
 
 def empirical_vec_cov(sampler, rng, draws):
@@ -63,9 +74,23 @@ class TestSincCorrelation:
         vals = np.linalg.eigvalsh(sinc_correlation(geom, LAM))
         assert vals.min() > -1e-8
 
+    @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+    def test_exactly_symmetric_and_centrosymmetric(self, geom):
+        r = sinc_correlation(geom, LAM)
+        assert np.array_equal(r, r.T)
+        assert np.array_equal(r, r[::-1, ::-1])
+
+    @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+    def test_matches_element_distances(self, geom):
+        # the sinc of the distances between element positions; at an origin
+        # of zero the positions are the offsets the table uses
+        pos = geom.element_positions
+        dense = np.sinc(2.0 * math.pi / LAM * distance_matrix(pos, pos) / np.pi)
+        assert np.abs(sinc_correlation(geom, LAM) - dense).max() <= 1e-14
+
     def test_peak_memory(self):
-        # the (Q, Q) result and a few same-size temporaries; a (Q, Q, 3)
-        # array of element differences alone would take 3 Q^2
+        # the (Q, Q) result; a (Q, Q) distance array, or a (Q, Q, 3) array
+        # of element differences, would come on top
         geom = ArrayGeometry.upa(32, 32, LAM / 2)
         q = geom.size
         tracemalloc.start()
@@ -74,7 +99,7 @@ class TestSincCorrelation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * q * q * np.dtype(np.float64).itemsize
+        assert peak <= 4 * q * q * np.dtype(np.float64).itemsize
 
 
 class TestMatrixSqrtFactor:
@@ -92,6 +117,32 @@ class TestMatrixSqrtFactor:
         r = sinc_correlation(geom, LAM)
         f = matrix_sqrt_factor(r)
         np.testing.assert_allclose(f @ f.T, r, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "r",
+        [*(sinc_correlation(g, LAM) for g in GEOMETRIES.values()), np.eye(3)],
+        ids=[*GEOMETRIES.keys(), "eye-3"],
+    )
+    def test_fold_matches_dense_root(self, r):
+        f = matrix_sqrt_factor(r)
+        assert f.shape == r.shape
+        ref_err, rec_err = sqrt_factor_errors(r, f)
+        # the root of a zero eigenvalue rounds to about sqrt(1e-16)
+        assert ref_err <= 1e-8
+        assert rec_err <= 1e-13
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            np.array([[1.0, 0.5], [0.5, 2.0]]),
+            np.diag([1.0, 2.0, 3.0]),
+            sinc_correlation(GEOMETRIES["upa-3x5"], LAM)[:-1, :-1],
+        ],
+        ids=["2x2", "diag-3", "cropped"],
+    )
+    def test_not_centrosymmetric_rejected(self, r):
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            matrix_sqrt_factor(r)
 
     def test_not_psd_rejected(self):
         with pytest.raises(NotPositiveSemidefiniteError):

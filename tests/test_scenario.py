@@ -65,6 +65,37 @@ class TestLinkParams:
             load_config(f"[{section}]\n{key} = {value}\n")
 
 
+class TestLinkBudgets:
+    # At Q = 64 and N_t = 16 the direct budget must stay below 1500.2 dB and
+    # the cascaded bs_ris + ris_ue budget below 1444.1 dB.
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[link.bs_ris]\nbeta_db = 3000\n", "bs_ris \\+ ris_ue"),
+            ("[link.ris_ue]\nbeta_db = 800\n[link.bs_ris]\nbeta_db = 800\n", "bs_ris \\+ ris_ue"),
+            ("[link.bs_ue]\nbeta_db = 1600\n", "bs_ue link budget"),
+            # 1490.3 - 46 = 1444.3 dB
+            ("[link.bs_ris]\nbeta_db = 1490.3\n", "bs_ris \\+ ris_ue"),
+            # below the bound at Q = 64, not at Q = 4096
+            ("[link.bs_ris]\nbeta_db = 1466\n[sweep]\nq = 64, 4096\n", "Q=4096"),
+        ],
+    )
+    def test_budget_past_float_range_rejected(self, text, name):
+        with pytest.raises(ValueError, match=name):
+            load_config(text)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_budget_below_bound_runs_clean(self):
+        config = default_config()
+        links = dict(config.links)
+        links[LinkRole.DIRECT] = replace(links[LinkRole.DIRECT], beta_db=1540.0, blockage_db=-40.0)
+        links[LinkRole.TX_TO_RIS] = replace(links[LinkRole.TX_TO_RIS], beta_db=1490.0)
+        config = replace(config, links=links, trials=2)
+        for model in ChannelModel:
+            rows = harness.run_cell(config, model)
+            assert all(row.feasible for row in rows)
+
 class TestClusterSettings:
     @pytest.mark.parametrize(
         "lo, hi",
@@ -146,8 +177,9 @@ class TestUnknownKeys:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
-# three terms of at most 1000 dB keep the link's budget below the bound
-level_db = st.floats(max_value=1000.0, allow_nan=False, allow_infinity=False)
+# terms of at most 100 dB keep every budget below its bound, even a
+# cascaded one at Q = 10^24 and N_t = 10^12
+level_db = st.floats(max_value=100.0, allow_nan=False, allow_infinity=False)
 offset_db = level_db | st.just(-math.inf)
 count = st.integers(1, 10**6)
 points = st.tuples(finite, finite, finite)
