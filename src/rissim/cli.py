@@ -19,7 +19,7 @@ from pathlib import Path
 from . import harness, oracles
 from .correlation import matrix_sqrt_factor, sinc_correlation
 from .geometry import ArrayGeometry
-from .precoding import min_power_precoder
+from .precoding import InfeasibleError, min_power_precoder
 from .ris import configure_tiles
 from .scenario import PRESETS, ScenarioConfig, dump_config, load_config
 from .seeding import derive_rng
@@ -120,6 +120,46 @@ def _check_precoder(seed: int) -> tuple[bool, str]:
     return ok, f"duality gap {worst_gap:.2e}, constraint slack {worst_slack:.2e} (tol 1e-6)"
 
 
+def _precoder_outcome(solve, h, gamma_thr):
+    """``(iterations, total power)`` of a solve, or ``(kind, None)`` when infeasible."""
+    try:
+        sol = solve(h, gamma_thr, 1.0)
+    except InfeasibleError as exc:
+        return exc.kind, None
+    return sol.iterations, sol.total_power
+
+
+def _check_precoder_gram(seed: int) -> tuple[bool, str]:
+    # Random channels at three SINR targets, plus a collinear pair for each
+    # K >= 2 that both solvers must report infeasible in the same way.
+    rng = derive_rng(seed)
+    instances = []
+    for k in range(1, 5):
+        for n_t in range(k, 17):
+            h = oracles.complex_randn(rng, (n_t, k))
+            instances += [(h, gamma) for gamma in (1.0, 10.0, 100.0)]
+            if k >= 2:
+                collinear = h.copy()
+                collinear[:, -1] = h[:, 0]
+                instances.append((collinear, 10.0))
+    mismatches, worst, infeasible = [], 0.0, 0
+    for h, gamma in instances:
+        gram = _precoder_outcome(min_power_precoder, h, gamma)
+        ref = _precoder_outcome(oracles.nt_space_precoder, h, gamma)
+        if gram[0] != ref[0]:
+            mismatches.append((h.shape, gamma, gram[0], ref[0]))
+        elif ref[1] is None:
+            infeasible += 1
+        else:
+            worst = max(worst, abs(gram[1] - ref[1]) / ref[1])
+    if mismatches:
+        return False, f"(shape, gamma, Gram, reference) iteration/kind mismatches: {mismatches}"
+    return worst <= 1e-12, (
+        f"{len(instances)} instances ({infeasible} infeasible) match the N_t-space reference "
+        f"in feasibility and iterations; total power {worst:.1e} relative (tol 1e-12)"
+    )
+
+
 def _cmd_check(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
@@ -127,6 +167,7 @@ def _cmd_check(args) -> int:
         ("covariance-limit", _check_covariance_limit),
         ("codebook-brute-force", _check_codebook),
         ("precoder-duality", _check_precoder),
+        ("precoder-gram", _check_precoder_gram),
         ("factor-fold", _check_factor_fold),
     ]
     failed = 0

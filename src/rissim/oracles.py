@@ -6,6 +6,9 @@ theory says it must be:
 
 * :func:`brute_force_tiles` repeats the greedy tile search with an explicit
   SVD of every candidate (no Gram form, no pruning);
+* :func:`nt_space_precoder` solves the min-power precoder in the N_t x N_t
+  uplink covariance, one N_t-sized solve per UE and iteration, instead of
+  in the K x K Gram form;
 * :func:`duality_gap_and_slack` measures a precoder solution against its
   dual and its SINR constraints;
 * :func:`path_sum_covariance_error` checks the finite-path channel sum
@@ -29,7 +32,7 @@ import numpy as np
 from .channels import sample_iid_rayleigh
 from .correlation import sinc_correlation
 from .geometry import Angle, ArrayGeometry
-from .precoding import PrecodingSolution
+from .precoding import _DIVERGENCE_FACTOR, InfeasibleError, PrecodingSolution, achieved_sinr
 from .ris import Codebook, build_codebook, build_tile_partition
 
 
@@ -83,6 +86,68 @@ def brute_force_tiles(
         chosen[t] = np.argmax(scores)
         h_eff = candidates[chosen[t]]
     return chosen, h_eff
+
+
+def nt_space_precoder(
+    h: np.ndarray,
+    gamma_thr: float,
+    noise_power: float,
+    max_iters: int = 500,
+    tol: float = 1e-10,
+) -> PrecodingSolution:
+    """The fixed point of :func:`rissim.precoding.min_power_precoder`, in N_t space.
+
+    Each iteration builds the uplink covariance
+    ``A = noise*I + H diag(q) H^H`` and sets
+    ``q_i = gamma / (h_i^H (A - q_i h_i h_i^H)^-1 h_i)`` with one N_t x N_t
+    solve per UE; the beam directions are the normalized columns of
+    ``A^-1 H``.  The guards, their order and the :class:`InfeasibleError`
+    kinds are the pipeline's, so both give the same iteration count and
+    feasibility.  Inputs are not validated.
+    """
+    h = np.asarray(h, dtype=complex)
+    n_t, k = h.shape
+    norms_sq = np.real(np.sum(np.conj(h) * h, axis=0))
+    if np.any(norms_sq == 0.0):
+        raise InfeasibleError("zero_channel", "a UE has a zero effective channel")
+    q_cap = _DIVERGENCE_FACTOR * gamma_thr * noise_power / norms_sq.min()
+
+    q = np.zeros(k)
+    eye = np.eye(n_t)
+    for iterations in range(1, max_iters + 1):
+        cov = noise_power * eye + (h * q) @ np.conj(h).T
+        q_new = np.empty(k)
+        for i in range(k):
+            cov_wo = cov - q[i] * np.outer(h[:, i], np.conj(h[:, i]))
+            q_new[i] = gamma_thr / np.real(np.conj(h[:, i]) @ np.linalg.solve(cov_wo, h[:, i]))
+        if not np.all(np.isfinite(q_new)) or q_new.max() > q_cap:
+            raise InfeasibleError("diverged", "dual uplink powers diverged")
+        delta = np.max(np.abs(q_new - q) / np.maximum(q_new, 1e-300))
+        q = q_new
+        if delta < tol:
+            break
+    else:
+        raise InfeasibleError(
+            "not_converged", f"dual fixed point did not converge in {max_iters} iterations"
+        )
+
+    cov = noise_power * eye + (h * q) @ np.conj(h).T
+    directions = np.linalg.solve(cov, h)
+    directions /= np.linalg.norm(directions, axis=0)
+    gains = np.abs(np.conj(h).T @ directions) ** 2
+    m = -gains
+    np.fill_diagonal(m, np.diag(gains) / gamma_thr)
+    p = np.linalg.solve(m, np.full(k, noise_power))
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise InfeasibleError("invalid_allocation", "downlink power allocation is not valid")
+    w = directions * np.sqrt(p)
+    return PrecodingSolution(
+        w=w,
+        total_power=float(p.sum()),
+        achieved_sinr=achieved_sinr(w, h, noise_power),
+        dual_total_power=float(q.sum()),
+        iterations=iterations,
+    )
 
 
 def duality_gap_and_slack(solution: PrecodingSolution, gamma_thr: float) -> tuple[float, float]:

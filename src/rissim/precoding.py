@@ -6,10 +6,15 @@ with MMSE receive directions, followed by a downlink power allocation that
 activates every SINR constraint with equality.  At the optimum of this
 problem class all constraints are tight and the dual uplink and downlink
 total powers coincide.
+
+Every step depends on the (N_t, K) channel ``H`` only through its K x K
+Gram matrix ``G = H^H H``, so the solver works on K x K matrices and
+touches ``H`` again only to form the beamformers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +23,24 @@ import numpy as np
 # divergence (near-collinear channels for the requested SINR target).
 _DIVERGENCE_FACTOR = 1e12
 
+_INFEASIBLE_KINDS = ("zero_channel", "diverged", "not_converged", "invalid_allocation")
+
 
 class InfeasibleError(RuntimeError):
-    """The SINR targets cannot be met (or the dual fixed point diverged)."""
+    """The SINR targets cannot be met (or the dual fixed point diverged).
+
+    ``kind`` names where the solve stopped: ``zero_channel`` (a UE has an
+    all-zero channel), ``diverged`` (the dual uplink powers left the
+    divergence guard), ``not_converged`` (``max_iters`` ran out) or
+    ``invalid_allocation`` (the downlink power system has no finite
+    non-negative solution).
+    """
+
+    def __init__(self, kind: str, message: str):
+        if kind not in _INFEASIBLE_KINDS:
+            raise ValueError(f"unknown infeasibility kind {kind!r}")
+        super().__init__(message)
+        self.kind = kind
 
 
 @dataclass
@@ -36,7 +56,11 @@ class PrecodingSolution:
 
 def achieved_sinr(w: np.ndarray, h: np.ndarray, noise_power: float) -> np.ndarray:
     """Per-UE SINR ``|h_k^H w_k|^2 / (sum_{j != k} |h_k^H w_j|^2 + noise)``."""
-    gains = np.abs(np.conj(h).T @ w) ** 2  # (K, K): gains[k, j] = |h_k^H w_j|^2
+    return _sinr(np.abs(np.conj(h).T @ w) ** 2, noise_power)
+
+
+def _sinr(gains: np.ndarray, noise_power: float) -> np.ndarray:
+    """Per-UE SINR from the received powers ``gains[k, j] = |h_k^H w_j|^2``."""
     signal = np.diag(gains)
     interference = gains.sum(axis=1) - signal
     return signal / (interference + noise_power)
@@ -53,73 +77,81 @@ def min_power_precoder(
 
     Parameters
     ----------
-    h : (N_t, K) stacked effective channels.
-    gamma_thr : SINR target (linear), > 0.
-    noise_power : receiver noise power in watts, > 0.
+    h : (N_t, K) stacked effective channels, all entries finite.
+    gamma_thr : SINR target (linear), finite and > 0.
+    noise_power : receiver noise power in watts, finite and > 0.
 
     Raises
     ------
+    ValueError
+        For a malformed or non-finite ``h``, ``gamma_thr`` or ``noise_power``.
     InfeasibleError
-        If the dual fixed point diverges or fails to converge within
-        ``max_iters`` (e.g. zero or collinear channels for the target).
+        If a UE has a zero channel, or the dual fixed point diverges or fails
+        to converge within ``max_iters`` (e.g. collinear channels for the
+        target), or the downlink allocation is not valid; ``kind`` says which.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError("effective channel must be a 2-D matrix")
-    n_t, k = h.shape
+    k = h.shape[1]
     if k < 1:
         raise ValueError("need at least one UE")
-    if gamma_thr <= 0 or noise_power <= 0:
-        raise ValueError("gamma_thr and noise_power must be positive")
+    if not (0.0 < gamma_thr < math.inf and 0.0 < noise_power < math.inf):
+        raise ValueError("gamma_thr and noise_power must be finite and positive")
+    if not np.isfinite(h).all():
+        raise ValueError("effective channel has a non-finite entry")
 
-    norms_sq = np.real(np.sum(np.conj(h) * h, axis=0))
-    if np.any(norms_sq == 0.0):
-        raise InfeasibleError("a UE has a zero effective channel")
+    gram = np.conj(h).T @ h
+    min_norm_sq = gram.diagonal().real.min()
+    if min_norm_sq == 0.0:
+        raise InfeasibleError("zero_channel", "a UE has a zero effective channel")
     # Largest single-user dual power; used to scale the divergence guard.
-    q_cap = _DIVERGENCE_FACTOR * gamma_thr * noise_power / norms_sq.min()
+    q_cap = _DIVERGENCE_FACTOR * gamma_thr * noise_power / min_norm_sq
 
+    noise_eye = noise_power * np.eye(k)
     q = np.zeros(k)
-    eye = np.eye(n_t)
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iters + 1):
-        cov = noise_power * eye + (h * q) @ np.conj(h).T
-        q_new = np.empty(k)
-        for i in range(k):
-            cov_wo = cov - q[i] * np.outer(h[:, i], np.conj(h[:, i]))
-            q_new[i] = gamma_thr / np.real(
-                np.conj(h[:, i]) @ np.linalg.solve(cov_wo, h[:, i])
-            )
-        if not np.all(np.isfinite(q_new)) or q_new.max() > q_cap:
-            raise InfeasibleError("dual uplink powers diverged")
-        delta = np.max(np.abs(q_new - q) / np.maximum(q_new, 1e-300))
+        # a_i = h_i^H A^-1 h_i for the uplink covariance A = noise*I + H diag(q) H^H:
+        # by push-through, H^H A^-1 H = (noise*I + G diag(q))^-1 G.
+        a = np.linalg.solve(noise_eye + gram * q, gram).diagonal().real
+        # Sherman-Morrison takes UE i's own term out of A:
+        # h_i^H (A - q_i h_i h_i^H)^-1 h_i = a_i / (1 - q_i a_i).
+        q_new = gamma_thr * (1.0 - q * a) / a
+        if not np.isfinite(q_new).all() or q_new.max() > q_cap:
+            raise InfeasibleError("diverged", "dual uplink powers diverged")
+        delta = (np.abs(q_new - q) / np.maximum(q_new, 1e-300)).max()
         q = q_new
         if delta < tol:
-            converged = True
             break
-    if not converged:
-        raise InfeasibleError(f"dual fixed point did not converge in {max_iters} iterations")
+    else:
+        raise InfeasibleError(
+            "not_converged", f"dual fixed point did not converge in {max_iters} iterations"
+        )
 
     # Optimal beam directions are the MMSE (MVDR) directions of the dual
-    # uplink problem at the fixed point.
-    cov = noise_power * eye + (h * q) @ np.conj(h).T
-    directions = np.linalg.solve(cov, h)
-    directions /= np.linalg.norm(directions, axis=0)
+    # uplink problem at the fixed point: A^-1 H = H X with
+    # X = (noise*I + diag(q) G)^-1, so u_j = H x_j / ||H x_j|| and
+    # ||H x_j||^2 = (X^H G X)_jj.
+    x = np.linalg.inv(noise_eye + q[:, None] * gram)
+    gx = gram @ x
+    norms = np.sqrt(np.sum(np.conj(x) * gx, axis=0).real)
+    gx /= norms
 
     # Downlink powers from the linear system that makes every SINR equal to
-    # the target: (1/gamma)*p_k*G[k,k] - sum_{j != k} p_j*G[k,j] = noise.
-    gains = np.abs(np.conj(h).T @ directions) ** 2  # G[k, j] = |h_k^H u_j|^2
+    # the target: (1/gamma)*p_k*g[k,k] - sum_{j != k} p_j*g[k,j] = noise,
+    # with g[k, j] = |h_k^H u_j|^2 = |(G X)_kj|^2 / ||H x_j||^2.
+    gains = np.abs(gx) ** 2
     m = -gains
     np.fill_diagonal(m, np.diag(gains) / gamma_thr)
     p = np.linalg.solve(m, np.full(k, noise_power))
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise InfeasibleError("downlink power allocation is not valid")
+    if not (np.isfinite(p).all() and p.min() >= 0.0):
+        raise InfeasibleError("invalid_allocation", "downlink power allocation is not valid")
 
-    w = directions * np.sqrt(p)
+    w = h @ (x * (np.sqrt(p) / norms))
     return PrecodingSolution(
         w=w,
         total_power=float(p.sum()),
-        achieved_sinr=achieved_sinr(w, h, noise_power),
+        achieved_sinr=_sinr(gains * p, noise_power),
         dual_total_power=float(q.sum()),
         iterations=iterations,
     )

@@ -102,7 +102,7 @@ class ScenarioConfig:
         self._check_link_budgets()
 
     def _check_link_budgets(self) -> None:
-        """Reject dB budgets whose channels overflow the tile search.
+        """Reject link budgets whose channels overflow the tile search.
 
         The search squares the trace of each user pair's Gram matrix of the
         effective channel (``tr * tr`` in the 2 x 2 closed form), so that
@@ -115,27 +115,43 @@ class ScenarioConfig:
         diagonal sums ``N_t`` of these and the trace is at most twice the
         larger diagonal.  ``tr * tr < F`` therefore holds when
         ``N_t * T * g_d`` and ``N_t * Q^2 * T^2 * g_c`` both stay below
-        ``sqrt(F) / 8``, at the largest ``Q`` the config can run.  The
-        distance term ``(d0/d)^eta`` is at most 1 beyond ``d0`` and is left
-        out.
+        ``sqrt(F) / 8``, at the largest ``Q`` the config can run.  Each
+        budget takes its distance term ``(d0/d)^eta`` at the smallest
+        distance the link allows (:func:`_closest_distances`), or 1 where
+        that distance is beyond ``d0``; a link that can have zero length
+        (a UE square that reaches an array center) is rejected.
         """
+        closest = _closest_distances(self.bs_center, self.ris_center, self.ue_center, self.ue_side)
+        reaches = {
+            LinkRole.DIRECT: "the UE square reaches the BS center",
+            LinkRole.TX_TO_RIS: "the BS and surface centers coincide",
+            LinkRole.RIS_TO_RX: "the UE square reaches the surface center",
+        }
+        for role, d in closest.items():
+            if d == 0.0:
+                raise ValueError(f"{reaches[role]}, so the {role.value} link can have zero length")
+
+        def link_db(role):
+            link = self.links[role]
+            distance_db = 10.0 * link.eta * (math.log10(link.d0) - math.log10(closest[role]))
+            return link.budget_db + max(0.0, distance_db)
+
         q = max([self.q_total, *self.sweep_q])
         n_t = self.bs_counts[0] * self.bs_counts[1]
         limit_db = 10.0 * math.log10(math.sqrt(sys.float_info.max) / (8.0 * n_t))
-        links = self.links
+        cascaded = (LinkRole.TX_TO_RIS, LinkRole.RIS_TO_RX)
         budgets = [
-            ("bs_ue", links[LinkRole.DIRECT].budget_db, limit_db - 20.0),
-            (
-                "bs_ris + ris_ue",
-                links[LinkRole.TX_TO_RIS].budget_db + links[LinkRole.RIS_TO_RX].budget_db,
-                limit_db - 40.0 - 20.0 * math.log10(q),
-            ),
+            ("bs_ue", (LinkRole.DIRECT,), limit_db - 20.0),
+            ("bs_ris + ris_ue", cascaded, limit_db - 40.0 - 20.0 * math.log10(q)),
         ]
-        for name, budget_db, bound_db in budgets:
-            if budget_db >= bound_db:
+        for name, roles, bound_db in budgets:
+            total_db = sum(link_db(role) for role in roles)
+            if total_db >= bound_db:
+                at = ", ".join(f"{role.value} {closest[role]:g} m" for role in roles)
                 raise ValueError(
-                    f"{name} link budget {budget_db:.1f} dB must be below {bound_db:.1f} dB "
-                    f"so the tile search stays finite at Q={q}, N_t={n_t}"
+                    f"{name} link budget {total_db:.1f} dB must be below {bound_db:.1f} dB "
+                    f"so the tile search stays finite at Q={q}, N_t={n_t} "
+                    f"(distance terms taken at the closest distances: {at})"
                 )
 
     @property
@@ -154,6 +170,29 @@ class ScenarioConfig:
     def q_total(self) -> int:
         n_y, n_z = self.ris_counts
         return n_y * n_z
+
+
+def _closest_distances(bs_center, ris_center, ue_center, ue_side) -> dict[LinkRole, float]:
+    """Smallest distance at which each link's pathloss is evaluated.
+
+    The BS-to-surface distance is fixed by the two array centers; a UE can
+    be anywhere in its square (side ``ue_side`` around ``ue_center``, at
+    its height), so the other two links are bounded by the distance from
+    the array center to that square.
+    """
+    half = ue_side / 2.0
+    cx, cy, cz = ue_center
+
+    def to_ue_square(point):
+        dx = max(0.0, abs(point[0] - cx) - half)
+        dy = max(0.0, abs(point[1] - cy) - half)
+        return math.hypot(dx, dy, point[2] - cz)
+
+    return {
+        LinkRole.DIRECT: to_ue_square(bs_center),
+        LinkRole.TX_TO_RIS: math.dist(bs_center, ris_center),
+        LinkRole.RIS_TO_RX: to_ue_square(ris_center),
+    }
 
 
 def tile_grid_for(q: int, tile_shape: tuple[int, int]) -> tuple[int, int]:

@@ -155,7 +155,7 @@ class TestCliCheck:
     def test_oracle_suite_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4 and "FAIL" not in out
+        assert out.count("PASS") == 5 and "FAIL" not in out
 
     @pytest.mark.parametrize(
         "flags",
@@ -223,11 +223,17 @@ class TestCliErrors:
         assert name in self.error_line(capsys, [command, "--config", str(ini)])
         assert trials == []
 
-    def test_overflowing_pathloss(self, tmp_path, capsys):
-        # the distance term depends on the UE draw, so this one fails in the first trial
+    def test_overflowing_pathloss(self, tmp_path, capsys, monkeypatch):
+        # the closest UE the square allows bounds the distance term, so this
+        # fails when the config is built
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *a, **k: trials.append(a))
         ini = tmp_path / "overflow.ini"
         ini.write_text("[run]\nmodels = iid_rayleigh\n[link.bs_ue]\nd0 = 1e6\neta = 100\n")
-        assert "power budget" in self.error_line(capsys, ["run", "--trials", "1", "--config", str(ini)])
+        assert "bs_ue link budget" in self.error_line(
+            capsys, ["run", "--trials", "1", "--config", str(ini)]
+        )
+        assert trials == []
 
     @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "is-dir"])
     def test_unusable_out_fails_before_first_trial(self, tmp_path, capsys, monkeypatch, out):

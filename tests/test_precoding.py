@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from rissim.oracles import complex_randn, duality_gap_and_slack
+from rissim.oracles import complex_randn, duality_gap_and_slack, nt_space_precoder
 from rissim.precoding import InfeasibleError, achieved_sinr, min_power_precoder
 
 
@@ -78,18 +80,70 @@ class TestMultiUser:
         )
 
 
+class TestGramForm:
+    # The K x K Gram solve against the N_t-space reference solver.
+
+    def test_matches_nt_space_reference(self):
+        rng = np.random.default_rng(12)
+        for k in range(1, 5):
+            for n_t in range(k, 17):
+                h = complex_randn(rng, (n_t, k))
+                for gamma in (1.0, 10.0, 100.0):
+                    sol = min_power_precoder(h, gamma, 0.5)
+                    ref = nt_space_precoder(h, gamma, 0.5)
+                    assert sol.iterations == ref.iterations
+                    assert sol.total_power == pytest.approx(ref.total_power, rel=1e-12)
+                    assert sol.dual_total_power == pytest.approx(ref.dual_total_power, rel=1e-12)
+                    np.testing.assert_allclose(sol.w, ref.w, rtol=0, atol=1e-9 * np.abs(ref.w).max())
+                    np.testing.assert_allclose(sol.achieved_sinr, gamma, rtol=1e-9)
+                    np.testing.assert_allclose(achieved_sinr(sol.w, h, 0.5), gamma, rtol=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8], ids=["collinear", "near-collinear"])
+    def test_near_collinear_both_raise(self, eps):
+        rng = np.random.default_rng(13)
+        for k in range(2, 5):
+            for n_t in (k, 8, 16):
+                h = complex_randn(rng, (n_t, k))
+                h[:, -1] = h[:, 0] + eps * complex_randn(rng, n_t)
+                for gamma in (1.0, 10.0):
+                    with pytest.raises(InfeasibleError) as gram:
+                        min_power_precoder(h, gamma, 1.0)
+                    with pytest.raises(InfeasibleError) as ref:
+                        nt_space_precoder(h, gamma, 1.0)
+                    assert gram.value.kind == ref.value.kind
+
+
 class TestInfeasible:
     def test_zero_channel(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as exc:
             min_power_precoder(np.zeros((4, 1), dtype=complex), 10.0, 1.0)
+        assert exc.value.kind == "zero_channel"
 
     def test_identical_channels(self):
         # two users on the same channel cannot both reach SINR 10
         rng = np.random.default_rng(7)
         h1 = complex_randn(rng, (4, 1))
         h = np.concatenate([h1, h1], axis=1)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as exc:
             min_power_precoder(h, 10.0, 1.0)
+        assert exc.value.kind == "diverged"
+
+    def test_iteration_budget_exhausted(self):
+        h = complex_randn(np.random.default_rng(14), (4, 2))
+        with pytest.raises(InfeasibleError) as exc:
+            min_power_precoder(h, 10.0, 1.0, max_iters=1)
+        assert exc.value.kind == "not_converged"
+
+    def test_invalid_allocation(self):
+        # A tolerance above 1 accepts the first iterate, the single-user
+        # powers; two users on one antenna cannot both reach SINR 4 > 1.
+        with pytest.raises(InfeasibleError) as exc:
+            min_power_precoder(np.ones((1, 2), dtype=complex), 4.0, 1.0, tol=2.0)
+        assert exc.value.kind == "invalid_allocation"
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            InfeasibleError("singular", "not one of the four kinds")
 
     def test_validation(self):
         rng = np.random.default_rng(8)
@@ -98,6 +152,22 @@ class TestInfeasible:
             min_power_precoder(h, 0.0, 1.0)
         with pytest.raises(ValueError):
             min_power_precoder(h, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["gamma_thr", "noise_power"])
+    def test_non_finite_target_or_noise_rejected(self, name, bad):
+        # a caller error, not an infeasible instance
+        h = complex_randn(np.random.default_rng(15), (4, 2))
+        args = {"gamma_thr": 10.0, "noise_power": 1.0, name: bad}
+        with pytest.raises(ValueError, match="finite"):
+            min_power_precoder(h, **args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_channel_rejected(self, bad):
+        h = complex_randn(np.random.default_rng(16), (4, 2))
+        h[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            min_power_precoder(h, 10.0, 1.0)
 
 
 class TestAchievedSinr:

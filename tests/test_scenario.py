@@ -11,13 +11,19 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rissim import channels, harness
 from rissim.channels import Box, ChannelModel, LinkParams, LinkRole
 from rissim.cli import main
-from rissim.scenario import ScenarioConfig, default_config, dump_config, load_config
+from rissim.scenario import (
+    ScenarioConfig,
+    _closest_distances,
+    default_config,
+    dump_config,
+    load_config,
+)
 
 BAD_FLOATS = [math.nan, math.inf, -math.inf]
 VOLUME = Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0))
@@ -79,9 +85,26 @@ class TestLinkBudgets:
             ("[link.bs_ris]\nbeta_db = 1490.3\n", "bs_ris \\+ ris_ue"),
             # below the bound at Q = 64, not at Q = 4096
             ("[link.bs_ris]\nbeta_db = 1466\n[sweep]\nq = 64, 4096\n", "Q=4096"),
+            # (d0/d)^eta at the closest distance: bs_ris 58.5 m, ris_ue 7.2 m, bs_ue 49.5 m
+            ("[link.bs_ris]\nd0 = 1e100\neta = 3\n", "bs_ris \\+ ris_ue"),
+            ("[link.ris_ue]\nd0 = 1e50\neta = 30\n", "bs_ris \\+ ris_ue"),
+            ("[link.bs_ue]\nd0 = 1e100\neta = 20\n", "bs_ue link budget"),
         ],
     )
     def test_budget_past_float_range_rejected(self, text, name):
+        with pytest.raises(ValueError, match=name):
+            load_config(text)
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("[ue]\narea_center = 30, 0, 10\n", "reaches the BS"),
+            # the 8 m square around (4, 50, 5) has the surface center on its edge
+            ("[ue]\narea_center = 4, 50, 5\n", "reaches the surface"),
+            ("[bs]\ncenter = 0, 50, 5\n", "coincide"),
+        ],
+    )
+    def test_zero_length_link_rejected(self, text, name):
         with pytest.raises(ValueError, match=name):
             load_config(text)
 
@@ -178,8 +201,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 # terms of at most 100 dB keep every budget below its bound, even a
-# cascaded one at Q = 10^24 and N_t = 10^12
+# cascaded one at Q = 10^24 and N_t = 10^12, while the distance term
+# (d0/d)^eta stays at most 1: d0 <= 1 m, and configs whose links can be
+# shorter than 1 m are discarded
 level_db = st.floats(max_value=100.0, allow_nan=False, allow_infinity=False)
+reference_distance = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 offset_db = level_db | st.just(-math.inf)
 count = st.integers(1, 10**6)
 points = st.tuples(finite, finite, finite)
@@ -196,7 +222,7 @@ def boxes(draw):
 @st.composite
 def link_params(draw):
     return LinkParams(
-        beta_db=draw(level_db), cluster_volume=draw(boxes()), d0=draw(positive),
+        beta_db=draw(level_db), cluster_volume=draw(boxes()), d0=draw(reference_distance),
         eta=draw(nonnegative), k_factor=draw(nonnegative), blockage_db=draw(offset_db),
         shadow_db=draw(offset_db),
     )
@@ -204,6 +230,9 @@ def link_params(draw):
 
 @st.composite
 def configs(draw):
+    bs_center, ris_center, ue_center = draw(points), draw(points), draw(points)
+    ue_side = draw(positive)
+    assume(min(_closest_distances(bs_center, ris_center, ue_center, ue_side).values()) >= 1.0)
     return ScenarioConfig(
         carrier_hz=draw(positive),
         bandwidth_hz=draw(positive),
@@ -211,14 +240,14 @@ def configs(draw):
         n0_dbm_per_hz=draw(finite),
         gamma_thr=draw(positive),
         bs_counts=draw(counts),
-        bs_center=draw(points),
+        bs_center=bs_center,
         ris_tiles=draw(counts),
         tile_shape=draw(counts),
-        ris_center=draw(points),
+        ris_center=ris_center,
         spacing_wavelengths=draw(positive),
         ue_count=draw(count),
-        ue_center=draw(points),
-        ue_side=draw(positive),
+        ue_center=ue_center,
+        ue_side=ue_side,
         links={role: draw(link_params()) for role in LinkRole},
         n_clusters=draw(count),
         n_subpaths=draw(count),
