@@ -137,7 +137,7 @@ def _check_precoder_gram(seed: int) -> tuple[bool, str]:
     for k in range(1, 5):
         for n_t in range(k, 17):
             h = oracles.complex_randn(rng, (n_t, k))
-            instances += [(h, gamma) for gamma in (1.0, 10.0, 100.0)]
+            instances += [(h, gamma) for gamma in (1.0, 10.0, 100.0, 1e3, 1e4)]
             if k >= 2:
                 collinear = h.copy()
                 collinear[:, -1] = h[:, 0]

@@ -109,7 +109,7 @@ def nt_space_precoder(
     n_t, k = h.shape
     norms_sq = np.real(np.sum(np.conj(h) * h, axis=0))
     if np.any(norms_sq == 0.0):
-        raise InfeasibleError("zero_channel", "a UE has a zero effective channel")
+        raise InfeasibleError("a UE has a zero effective channel", "zero_channel")
     q_cap = _DIVERGENCE_FACTOR * gamma_thr * noise_power / norms_sq.min()
 
     q = np.zeros(k)
@@ -121,14 +121,14 @@ def nt_space_precoder(
             cov_wo = cov - q[i] * np.outer(h[:, i], np.conj(h[:, i]))
             q_new[i] = gamma_thr / np.real(np.conj(h[:, i]) @ np.linalg.solve(cov_wo, h[:, i]))
         if not np.all(np.isfinite(q_new)) or q_new.max() > q_cap:
-            raise InfeasibleError("diverged", "dual uplink powers diverged")
+            raise InfeasibleError("dual uplink powers diverged", "diverged")
         delta = np.max(np.abs(q_new - q) / np.maximum(q_new, 1e-300))
         q = q_new
         if delta < tol:
             break
     else:
         raise InfeasibleError(
-            "not_converged", f"dual fixed point did not converge in {max_iters} iterations"
+            f"dual fixed point did not converge in {max_iters} iterations", "not_converged"
         )
 
     cov = noise_power * eye + (h * q) @ np.conj(h).T
@@ -139,7 +139,7 @@ def nt_space_precoder(
     np.fill_diagonal(m, np.diag(gains) / gamma_thr)
     p = np.linalg.solve(m, np.full(k, noise_power))
     if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise InfeasibleError("invalid_allocation", "downlink power allocation is not valid")
+        raise InfeasibleError("downlink power allocation is not valid", "invalid_allocation")
     w = directions * np.sqrt(p)
     return PrecodingSolution(
         w=w,

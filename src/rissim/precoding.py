@@ -23,8 +23,6 @@ import numpy as np
 # divergence (near-collinear channels for the requested SINR target).
 _DIVERGENCE_FACTOR = 1e12
 
-_INFEASIBLE_KINDS = ("zero_channel", "diverged", "not_converged", "invalid_allocation")
-
 
 class InfeasibleError(RuntimeError):
     """The SINR targets cannot be met (or the dual fixed point diverged).
@@ -36,9 +34,7 @@ class InfeasibleError(RuntimeError):
     non-negative solution).
     """
 
-    def __init__(self, kind: str, message: str):
-        if kind not in _INFEASIBLE_KINDS:
-            raise ValueError(f"unknown infeasibility kind {kind!r}")
+    def __init__(self, message: str, kind: str | None = None):
         super().__init__(message)
         self.kind = kind
 
@@ -56,11 +52,7 @@ class PrecodingSolution:
 
 def achieved_sinr(w: np.ndarray, h: np.ndarray, noise_power: float) -> np.ndarray:
     """Per-UE SINR ``|h_k^H w_k|^2 / (sum_{j != k} |h_k^H w_j|^2 + noise)``."""
-    return _sinr(np.abs(np.conj(h).T @ w) ** 2, noise_power)
-
-
-def _sinr(gains: np.ndarray, noise_power: float) -> np.ndarray:
-    """Per-UE SINR from the received powers ``gains[k, j] = |h_k^H w_j|^2``."""
+    gains = np.abs(np.conj(h).T @ w) ** 2  # (K, K): gains[k, j] = |h_k^H w_j|^2
     signal = np.diag(gains)
     interference = gains.sum(axis=1) - signal
     return signal / (interference + noise_power)
@@ -104,7 +96,7 @@ def min_power_precoder(
     gram = np.conj(h).T @ h
     min_norm_sq = gram.diagonal().real.min()
     if min_norm_sq == 0.0:
-        raise InfeasibleError("zero_channel", "a UE has a zero effective channel")
+        raise InfeasibleError("a UE has a zero effective channel", "zero_channel")
     # Largest single-user dual power; used to scale the divergence guard.
     q_cap = _DIVERGENCE_FACTOR * gamma_thr * noise_power / min_norm_sq
 
@@ -112,20 +104,23 @@ def min_power_precoder(
     q = np.zeros(k)
     for iterations in range(1, max_iters + 1):
         # a_i = h_i^H A^-1 h_i for the uplink covariance A = noise*I + H diag(q) H^H:
-        # by push-through, H^H A^-1 H = (noise*I + G diag(q))^-1 G.
-        a = np.linalg.solve(noise_eye + gram * q, gram).diagonal().real
+        # by push-through, H^H A^-1 H = M^-1 G with M = noise*I + G diag(q).
+        mi = np.linalg.inv(noise_eye + gram * q)
+        a = (mi * gram.T).sum(axis=1).real
         # Sherman-Morrison takes UE i's own term out of A:
-        # h_i^H (A - q_i h_i h_i^H)^-1 h_i = a_i / (1 - q_i a_i).
-        q_new = gamma_thr * (1.0 - q * a) / a
+        # h_i^H (A - q_i h_i h_i^H)^-1 h_i = a_i / (1 - q_i a_i), and
+        # 1 - q_i a_i = noise * (M^-1)_ii because M^-1 G diag(q) = I - noise*M^-1,
+        # which keeps the leave-one-out term free of cancellation.
+        q_new = gamma_thr * noise_power * mi.diagonal().real / a
         if not np.isfinite(q_new).all() or q_new.max() > q_cap:
-            raise InfeasibleError("diverged", "dual uplink powers diverged")
+            raise InfeasibleError("dual uplink powers diverged", "diverged")
         delta = (np.abs(q_new - q) / np.maximum(q_new, 1e-300)).max()
         q = q_new
         if delta < tol:
             break
     else:
         raise InfeasibleError(
-            "not_converged", f"dual fixed point did not converge in {max_iters} iterations"
+            f"dual fixed point did not converge in {max_iters} iterations", "not_converged"
         )
 
     # Optimal beam directions are the MMSE (MVDR) directions of the dual
@@ -145,13 +140,13 @@ def min_power_precoder(
     np.fill_diagonal(m, np.diag(gains) / gamma_thr)
     p = np.linalg.solve(m, np.full(k, noise_power))
     if not (np.isfinite(p).all() and p.min() >= 0.0):
-        raise InfeasibleError("invalid_allocation", "downlink power allocation is not valid")
+        raise InfeasibleError("downlink power allocation is not valid", "invalid_allocation")
 
     w = h @ (x * (np.sqrt(p) / norms))
     return PrecodingSolution(
         w=w,
         total_power=float(p.sum()),
-        achieved_sinr=_sinr(gains * p, noise_power),
+        achieved_sinr=achieved_sinr(w, h, noise_power),
         dual_total_power=float(q.sum()),
         iterations=iterations,
     )

@@ -8,6 +8,7 @@ generated configs.
 
 import configparser
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -201,11 +202,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 # terms of at most 100 dB keep every budget below its bound, even a
-# cascaded one at Q = 10^24 and N_t = 10^12, while the distance term
-# (d0/d)^eta stays at most 1: d0 <= 1 m, and configs whose links can be
-# shorter than 1 m are discarded
+# cascaded one at Q = 10^24 and N_t = 10^12, and so does a distance term
+# (d0/d)^eta of at most 100 dB at the link's closest distance d
 level_db = st.floats(max_value=100.0, allow_nan=False, allow_infinity=False)
-reference_distance = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 offset_db = level_db | st.just(-math.inf)
 count = st.integers(1, 10**6)
 points = st.tuples(finite, finite, finite)
@@ -220,10 +219,13 @@ def boxes(draw):
 
 
 @st.composite
-def link_params(draw):
+def link_params(draw, closest):
+    d0 = draw(positive)
+    excess = math.log10(d0) - math.log10(closest)
+    eta = nonnegative if excess <= 0.0 else st.floats(0.0, min(10.0 / excess, sys.float_info.max))
     return LinkParams(
-        beta_db=draw(level_db), cluster_volume=draw(boxes()), d0=draw(reference_distance),
-        eta=draw(nonnegative), k_factor=draw(nonnegative), blockage_db=draw(offset_db),
+        beta_db=draw(level_db), cluster_volume=draw(boxes()), d0=d0,
+        eta=draw(eta), k_factor=draw(nonnegative), blockage_db=draw(offset_db),
         shadow_db=draw(offset_db),
     )
 
@@ -232,7 +234,9 @@ def link_params(draw):
 def configs(draw):
     bs_center, ris_center, ue_center = draw(points), draw(points), draw(points)
     ue_side = draw(positive)
-    assume(min(_closest_distances(bs_center, ris_center, ue_center, ue_side).values()) >= 1.0)
+    closest = _closest_distances(bs_center, ris_center, ue_center, ue_side)
+    assume(min(closest.values()) > 0.0)
+    links = {role: draw(link_params(closest[role])) for role in LinkRole}
     return ScenarioConfig(
         carrier_hz=draw(positive),
         bandwidth_hz=draw(positive),
@@ -248,7 +252,7 @@ def configs(draw):
         ue_count=draw(count),
         ue_center=ue_center,
         ue_side=ue_side,
-        links={role: draw(link_params()) for role in LinkRole},
+        links=links,
         n_clusters=draw(count),
         n_subpaths=draw(count),
         precoder_max_iters=draw(count),
