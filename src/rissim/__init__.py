@@ -20,14 +20,7 @@ from .correlation import (
     sample_matrix_normal_factor,
     sinc_correlation,
 )
-from .geometry import (
-    Angle,
-    ArrayGeometry,
-    direction_from_angle,
-    fraunhofer_distance,
-    pairwise_distance,
-    steering_vector,
-)
+from .geometry import ArrayGeometry, fraunhofer_distance, steering_vector
 from .harness import noise_power, run_sweep, run_trial
 from .precoding import InfeasibleError, PrecodingSolution, achieved_sinr, min_power_precoder
 from .ris import (
@@ -41,7 +34,6 @@ from .scenario import ScenarioConfig, default_config, full_config, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle",
     "ArrayGeometry",
     "Box",
     "ChannelModel",
@@ -56,7 +48,6 @@ __all__ = [
     "build_tile_partition",
     "configure_tiles",
     "default_config",
-    "direction_from_angle",
     "fraunhofer_distance",
     "full_config",
     "load_config",
@@ -65,7 +56,6 @@ __all__ = [
     "min_power_precoder",
     "nearfield_los",
     "noise_power",
-    "pairwise_distance",
     "pathloss",
     "run_sweep",
     "run_trial",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .geometry import ArrayGeometry, angle_from_direction, distance_matrix, steering_vector
+from .geometry import ArrayGeometry, distance_matrix, steering_vector
 
 # Minimum allowed separation between a scatterer and any antenna element;
 # draws closer than this are rejected and resampled.
@@ -135,9 +135,9 @@ def los_matrix(
     :func:`nearfield_los`.  All steering entries are unit modulus, so the
     squared Frobenius norm is ``h_p * N_rx * N_tx``.
     """
-    angle = angle_from_direction(rx_geom.center - tx_geom.center)
-    a_rx = steering_vector(rx_geom, angle, wavelength)
-    a_tx = steering_vector(tx_geom, angle, wavelength)
+    direction = rx_geom.center - tx_geom.center
+    a_rx = steering_vector(rx_geom, direction, wavelength)
+    a_tx = steering_vector(tx_geom, direction, wavelength)
     return math.sqrt(h_p) * np.outer(a_rx, np.conj(a_tx))
 
 

@@ -36,8 +36,8 @@ def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
     ``N_y x N_z`` table, and ``R`` is read out of it.  The result is
     symmetric and centrosymmetric (``R == R[::-1, ::-1]``) bit for bit.
     """
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength!r}")
     kappa = 2.0 * math.pi / wavelength
     i_y, i_z = np.arange(geom.counts[0]), np.arange(geom.counts[1])
     d_y, d_z = geom.spacing

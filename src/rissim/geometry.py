@@ -6,9 +6,8 @@ Conventions
   ``n = n_y * N_z + n_z``, so the vectorized UPA steering vector equals the
   Kronecker product ``a_y (x) a_z`` of its per-axis ULA factors.
 * Every array lies in the global y-z plane: boresight along +x, rows
-  along +y, columns along +z.  Angles are (elevation ``theta``, azimuth
-  ``phi``) in radians in that frame.  The unit direction for an angle pair is
-  ``[cos(theta)cos(phi), cos(theta)sin(phi), sin(theta)]``.
+  along +y, columns along +z.  A steering direction is a 3-vector in that
+  frame; it need not be unit norm.
 * Steering phases are referenced to element (0, 0), which sits at the
   array origin.
 """
@@ -19,37 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Angle:
-    """Elevation/azimuth pair in radians."""
-
-    theta: float
-    phi: float
-
-
-def direction_from_angle(angle: Angle) -> np.ndarray:
-    """Unit direction vector for an (elevation, azimuth) pair.
-
-    Returns ``[cos(theta)cos(phi), cos(theta)sin(phi), sin(theta)]``.
-    """
-    ct = math.cos(angle.theta)
-    return np.array(
-        [ct * math.cos(angle.phi), ct * math.sin(angle.phi), math.sin(angle.theta)]
-    )
-
-
-def angle_from_direction(direction: np.ndarray) -> Angle:
-    """Inverse of :func:`direction_from_angle` (input need not be unit norm)."""
-    d = np.asarray(direction, dtype=float)
-    n = np.linalg.norm(d)
-    if n == 0.0:
-        raise ValueError("zero direction vector has no angle")
-    d = d / n
-    theta = math.asin(min(1.0, max(-1.0, d[2])))
-    phi = math.atan2(d[1], d[0])
-    return Angle(theta, phi)
 
 
 @dataclass
@@ -110,20 +78,20 @@ class ArrayGeometry:
         return math.hypot((n_y - 1) * d_y, (n_z - 1) * d_z)
 
 
-def steering_vector(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.ndarray:
-    """Array steering vector ``exp(j*kappa*d(angle)^T u_n)`` for all elements.
+def steering_vector(geom: ArrayGeometry, direction: np.ndarray, wavelength: float) -> np.ndarray:
+    """Array steering vector ``exp(j*kappa*d^T u_n)`` for all elements.
 
-    Phases are referenced to element (0, 0); every entry has unit modulus.
+    ``d`` is ``direction`` scaled to unit norm; a zero or non-finite
+    direction raises ``ValueError``.  Phases are referenced to element
+    (0, 0); every entry has unit modulus.
     """
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    _check_positive("wavelength", wavelength)
+    d = np.asarray(direction, dtype=float)
+    n = np.linalg.norm(d)
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError(f"direction must be finite and nonzero, got {direction!r}")
     kappa = 2.0 * math.pi / wavelength
-    return np.exp(1j * kappa * (geom.local_coords @ direction_from_angle(angle)))
-
-
-def pairwise_distance(a, b) -> float:
-    """Euclidean distance between two points in meters."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    return np.exp(1j * kappa * (geom.local_coords @ (d / n)))
 
 
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,8 +107,11 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fraunhofer_distance(aperture: float, wavelength: float) -> float:
     """Far-field boundary ``2*D^2/lambda`` for an aperture of size ``D``."""
-    if aperture <= 0:
-        raise ValueError("aperture must be positive")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    _check_positive("aperture", aperture)
+    _check_positive("wavelength", wavelength)
     return 2.0 * aperture * aperture / wavelength
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")

@@ -30,7 +30,7 @@ from .channels import (
     sample_iid_rayleigh,
 )
 from .correlation import sample_matrix_normal_factor, sinc_correlation
-from .geometry import ArrayGeometry, fraunhofer_distance, pairwise_distance
+from .geometry import ArrayGeometry, fraunhofer_distance
 from .precoding import InfeasibleError, min_power_precoder
 from .ris import build_codebook, build_tile_partition, configure_tiles
 from .scenario import ScenarioConfig, tile_grid_for, with_q
@@ -162,7 +162,7 @@ def draw_link(
     or Q, and only the stream the model uses is derived.
     """
     link = config.links[role]
-    distance = pairwise_distance(tx_geom.center, rx_geom.center)
+    distance = float(np.linalg.norm(rx_geom.center - tx_geom.center))
     h_p = pathloss(link, distance)
     wl = config.wavelength
     stream = seeding.STREAM_CLUSTERS if model in _GEOMETRIC_MODELS else seeding.STREAM_FADING

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channels import sample_iid_rayleigh
 from .correlation import sinc_correlation
-from .geometry import Angle, ArrayGeometry
+from .geometry import ArrayGeometry
 from .precoding import _DIVERGENCE_FACTOR, InfeasibleError, PrecodingSolution, achieved_sinr
 from .ris import Codebook, build_codebook, build_tile_partition
 
@@ -162,7 +162,7 @@ def duality_gap_and_slack(solution: PrecodingSolution, gamma_thr: float) -> tupl
     return gap, slack
 
 
-def kron_steering(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.ndarray:
+def kron_steering(geom: ArrayGeometry, direction: np.ndarray, wavelength: float) -> np.ndarray:
     """UPA steering vector built as the Kronecker product of ULA factors.
 
     With y-major element flattening this is entrywise identical to
@@ -172,12 +172,11 @@ def kron_steering(geom: ArrayGeometry, angle: Angle, wavelength: float) -> np.nd
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     kappa = 2.0 * math.pi / wavelength
+    _, u_y, u_z = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
     n_y, n_z = geom.counts
     d_y, d_z = geom.spacing
-    a_y = np.exp(
-        1j * kappa * d_y * math.cos(angle.theta) * math.sin(angle.phi) * np.arange(n_y)
-    )
-    a_z = np.exp(1j * kappa * d_z * math.sin(angle.theta) * np.arange(n_z))
+    a_y = np.exp(1j * kappa * d_y * u_y * np.arange(n_y))
+    a_z = np.exp(1j * kappa * d_z * u_z * np.arange(n_z))
     return np.kron(a_y, a_z)
 
 

@@ -3,56 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from rissim.geometry import (
-    Angle,
-    ArrayGeometry,
-    angle_from_direction,
-    direction_from_angle,
-    fraunhofer_distance,
-    pairwise_distance,
-    steering_vector,
-)
+from rissim.channels import los_matrix
+from rissim.correlation import sinc_correlation
+from rissim.geometry import ArrayGeometry, distance_matrix, fraunhofer_distance, steering_vector
 from rissim.oracles import kron_steering
 
 LAM = 0.06
 
 
-def random_angles(rng, n):
-    return [
-        Angle(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-np.pi, np.pi))
-        for _ in range(n)
-    ]
+def random_directions(rng, n):
+    """``n`` directions of random length, uniform on the sphere once normalized."""
+    return rng.standard_normal((n, 3))
 
 
 class TestDirection:
-    @pytest.mark.parametrize(
-        "theta,phi,expected",
-        [
-            (0.0, 0.0, [1.0, 0.0, 0.0]),
-            (math.pi / 2, 0.0, [0.0, 0.0, 1.0]),
-            (0.0, math.pi / 2, [0.0, 1.0, 0.0]),
-        ],
-    )
-    def test_axis_cases(self, theta, phi, expected):
-        np.testing.assert_allclose(
-            direction_from_angle(Angle(theta, phi)), expected, atol=1e-15
-        )
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(0)
-        for angle in random_angles(rng, 200):
-            assert abs(np.linalg.norm(direction_from_angle(angle)) - 1.0) < 1e-12
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        for angle in random_angles(rng, 50):
-            d = direction_from_angle(angle)
-            back = angle_from_direction(d)
-            np.testing.assert_allclose(direction_from_angle(back), d, atol=1e-12)
-
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            angle_from_direction([0.0, 0.0, 0.0])
+        geom = ArrayGeometry.upa(2, 2, 0.03)
+        for direction in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="direction"):
+                steering_vector(geom, direction, LAM)
+
+    def test_planar_los_between_coincident_antennas_rejected(self):
+        s = ArrayGeometry.single((1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="direction"):
+            los_matrix(s, s, 1.0, LAM)
 
 
 class TestArrayGeometry:
@@ -87,82 +61,108 @@ class TestSteering:
     def test_broadside_all_ones(self):
         geom = ArrayGeometry.upa(3, 4, LAM / 2)
         np.testing.assert_allclose(
-            steering_vector(geom, Angle(0.0, 0.0), LAM), np.ones(12), atol=1e-12
+            steering_vector(geom, [1.0, 0.0, 0.0], LAM), np.ones(12), atol=1e-12
         )
 
     def test_two_element_ula_zenith(self):
-        # half-wavelength spacing along z, looking at theta = pi/2
+        # half-wavelength spacing along z, looking along +z
         geom = ArrayGeometry(counts=(1, 2), spacing=(0.0, LAM / 2))
-        a = steering_vector(geom, Angle(math.pi / 2, 0.0), LAM)
+        a = steering_vector(geom, [0.0, 0.0, 1.0], LAM)
         np.testing.assert_allclose(a, [1.0, -1.0], atol=1e-12)
 
     def test_upa_matches_independent_ula_factors(self):
         # recompute the two axis factors from their scalar formulas
         geom = ArrayGeometry.upa(2, 2, LAM / 2)
         theta, phi = math.pi / 6, math.pi / 4
+        direction = [
+            math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), math.sin(theta)
+        ]
         kappa = 2 * math.pi / LAM
         a_y = np.exp(1j * kappa * (LAM / 2) * math.cos(theta) * math.sin(phi) * np.arange(2))
         a_z = np.exp(1j * kappa * (LAM / 2) * math.sin(theta) * np.arange(2))
         np.testing.assert_allclose(
-            steering_vector(geom, Angle(theta, phi), LAM), np.kron(a_y, a_z), atol=1e-12
+            steering_vector(geom, direction, LAM), np.kron(a_y, a_z), atol=1e-12
+        )
+
+    def test_direction_length_is_ignored(self):
+        geom = ArrayGeometry.upa(3, 3, LAM / 2)
+        u = np.array([0.6, -0.48, 0.64])
+        np.testing.assert_allclose(
+            steering_vector(geom, 250.0 * u, LAM), steering_vector(geom, u, LAM), atol=1e-12
         )
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(2)
         geom = ArrayGeometry.upa(4, 4, 0.4 * LAM)
-        for angle in random_angles(rng, 100):
-            a = steering_vector(geom, angle, LAM)
+        for direction in random_directions(rng, 100):
+            a = steering_vector(geom, direction, LAM)
             np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
 
     def test_conjugate_is_mirror_direction(self):
         rng = np.random.default_rng(3)
         geom = ArrayGeometry.upa(3, 5, 0.3 * LAM)
-        for angle in random_angles(rng, 50):
-            mirror = Angle(-angle.theta, angle.phi + math.pi)
+        for direction in random_directions(rng, 50):
             np.testing.assert_allclose(
-                np.conj(steering_vector(geom, angle, LAM)),
-                steering_vector(geom, mirror, LAM),
+                np.conj(steering_vector(geom, direction, LAM)),
+                steering_vector(geom, -direction, LAM),
                 atol=1e-12,
             )
 
     def test_wavelength_validation(self):
         geom = ArrayGeometry.upa(2, 2, 0.03)
         with pytest.raises(ValueError):
-            steering_vector(geom, Angle(0, 0), 0.0)
+            steering_vector(geom, [1.0, 0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_lengths_rejected(bad):
+    geom = ArrayGeometry.upa(2, 2, 0.03)
+    with pytest.raises(ValueError, match="wavelength"):
+        steering_vector(geom, [1.0, 0.0, 0.0], bad)
+    with pytest.raises(ValueError, match="wavelength"):
+        sinc_correlation(geom, bad)
+    with pytest.raises(ValueError, match="wavelength"):
+        fraunhofer_distance(0.06, bad)
+    with pytest.raises(ValueError, match="aperture"):
+        fraunhofer_distance(bad, LAM)
 
 
 class TestKronSteering:
     def test_single_element(self):
         geom = ArrayGeometry.upa(1, 1, 0.03)
-        np.testing.assert_allclose(kron_steering(geom, Angle(0.3, -0.7), LAM), [1.0])
+        np.testing.assert_allclose(kron_steering(geom, [0.2, -0.5, 0.8], LAM), [1.0])
 
     def test_broadside(self):
         geom = ArrayGeometry.upa(2, 5, 0.03)
-        np.testing.assert_allclose(kron_steering(geom, Angle(0, 0), LAM), np.ones(10))
+        np.testing.assert_allclose(kron_steering(geom, [1.0, 0.0, 0.0], LAM), np.ones(10))
 
     def test_matches_steering_vector(self):
         rng = np.random.default_rng(4)
         geom = ArrayGeometry.upa(4, 4, LAM / 2)
-        for angle in random_angles(rng, 100):
+        for direction in random_directions(rng, 100):
             np.testing.assert_allclose(
-                kron_steering(geom, angle, LAM),
-                steering_vector(geom, angle, LAM),
+                kron_steering(geom, direction, LAM),
+                steering_vector(geom, direction, LAM),
                 atol=1e-12,
             )
 
 
 class TestDistances:
     def test_zero(self):
-        assert pairwise_distance([0, 0, 0], [0, 0, 0]) == 0.0
+        assert distance_matrix(np.zeros((1, 3)), np.zeros((1, 3)))[0, 0] == 0.0
 
     def test_three_four_five(self):
-        assert pairwise_distance([0, 0, 0], [3, 4, 0]) == pytest.approx(5.0)
+        origin = np.zeros((1, 3))
+        d = distance_matrix(origin, np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]))
+        np.testing.assert_allclose(d, [[5.0, 2.0]], rtol=1e-15)
 
     def test_scenario_centers(self):
-        # sqrt(900 + 2500 + 25) by hand
-        d = pairwise_distance([30, 0, 10], [0, 50, 5])
+        # sqrt(900 + 2500 + 25) by hand, and bit for bit what np.linalg.norm gives
+        a, b = np.array([[30.0, 0.0, 10.0]]), np.array([[0.0, 50.0, 5.0]])
+        d = distance_matrix(a, b)[0, 0]
         assert d == pytest.approx(math.sqrt(3425.0), abs=1e-12)
         assert d == pytest.approx(58.5235, abs=1e-4)
+        assert d == np.linalg.norm(a[0] - b[0])
 
 
 class TestFraunhofer:
