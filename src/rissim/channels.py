@@ -12,7 +12,7 @@ This module holds the pieces: the per-link power budget ``h_p``, the iid
 draw, the planar and spherical line-of-sight matrices, and the scattering
 clusters with their planar and spherical evaluations.  Each piece
 normalizes so that ``E||H||_F^2 = h_p * N_rx * N_tx`` and is a pure
-function of its RNG.  :func:`rissim.harness.draw_link` composes them into
+function of its RNG.  :func:`rissim.harness.draw_links` composes them into
 one link per model; it is the only place that does.
 """
 

@@ -102,29 +102,49 @@ def matrix_sqrt_factor(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_matrix_normal_factor(
-    rng: np.random.Generator,
-    f_rx: np.ndarray,
-    f_tx: np.ndarray,
-    sigma_c: float,
-) -> np.ndarray:
-    """Correlated draw ``f_rx @ H_iid @ f_tx.T`` with iid CN(0, sigma_c^2) core.
+def sample_matrix_normal_factor(draws) -> list[np.ndarray]:
+    """Correlated draws ``f_rx @ H_iid @ f_tx.T``, one per ``(rng, f_rx, f_tx, sigma_c)``.
 
+    Each core ``H_iid`` is iid CN(0, sigma_c^2) from its own ``rng``.
     ``f_rx`` and ``f_tx`` are the :func:`matrix_sqrt_factor` of ``R_rx`` and
-    ``R_tx``; row-major vectorization of the result has covariance
-    ``sigma_c^2 * kron(R_rx, R_tx)``.
+    ``R_tx``, or ``None`` for a single antenna, whose factor ``[[1.0]]`` is
+    not applied; row-major vectorization of a draw has covariance
+    ``sigma_c^2 * kron(R_rx, R_tx)``.  Returns the draws in order.
 
-    Both factors are real, so the smaller one is applied to the complex core
-    first, and the larger one multiplies the ``float64`` view of that
-    intermediate (real and imaginary parts interleaved in its columns): one
-    real matrix product whose output is viewed back as ``complex128``.  No
-    complex copy of the large factor is made.
+    Both factors are real, so each draw's smaller factor is applied to its
+    complex core first, and the larger one multiplies the ``float64`` view
+    of that intermediate (real and imaginary parts interleaved in its
+    columns), viewed back as ``complex128``.  No complex copy of a large
+    factor is made.  The draws whose larger factor is the largest factor of
+    the call (in a trial, the surface's) share one product with it: their
+    views are concatenated column by column, so that factor is read once.
     """
-    n_rx, n_tx = f_rx.shape[0], f_tx.shape[0]
-    h_iid = sample_iid_rayleigh(rng, n_rx, n_tx, sigma_c * sigma_c)
-    if n_rx >= n_tx:
-        small = h_iid @ f_tx.T
-        return (f_rx @ small.view(np.float64)).view(np.complex128)
-    # f_rx @ H @ f_tx.T == (f_tx @ (f_rx @ H).T).T
-    small = np.ascontiguousarray((f_rx @ h_iid).T)
-    return (f_tx @ small.view(np.float64)).view(np.complex128).T
+    staged = []  # (larger factor, intermediate, result transposed) per draw
+    for rng, f_rx, f_tx, sigma_c in draws:
+        n_rx = 1 if f_rx is None else f_rx.shape[0]
+        n_tx = 1 if f_tx is None else f_tx.shape[0]
+        h_iid = sample_iid_rayleigh(rng, n_rx, n_tx, sigma_c * sigma_c)
+        if n_rx >= n_tx:
+            small = h_iid if f_tx is None else h_iid @ f_tx.T
+            staged.append((f_rx, small, False))
+        else:
+            # f_rx @ H @ f_tx.T == (f_tx @ (f_rx @ H).T).T
+            small = h_iid if f_rx is None else f_rx @ h_iid
+            staged.append((f_tx, np.ascontiguousarray(small.T), True))
+
+    shared = max((big for big, _, _ in staged if big is not None), key=len, default=None)
+    batch = [i for i, (big, _, _) in enumerate(staged) if big is not None and big is shared]
+    parts = {}
+    if batch:
+        product = shared @ np.hstack([staged[i][1].view(np.float64) for i in batch])
+        bounds = np.cumsum([2 * staged[i][1].shape[1] for i in batch])[:-1]
+        parts = dict(zip(batch, np.split(product, bounds, axis=1)))
+    out = []
+    for i, (big, small, flip) in enumerate(staged):
+        if big is None:  # two single antennas
+            out.append(small)
+            continue
+        part = parts[i] if i in parts else big @ small.view(np.float64)
+        block = part.view(np.complex128)
+        out.append(block.T if flip else block)
+    return out

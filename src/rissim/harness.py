@@ -55,6 +55,8 @@ class TrialResult:
     total_power_watts: float  # nan when infeasible
     seed: int
     wall_time: float
+    iterations: int = 0  # precoder iterations; 0 when infeasible
+    infeasible_kind: str | None = None  # InfeasibleError.kind, None when feasible
 
 
 @dataclass
@@ -110,12 +112,16 @@ class SimContext:
         self._factors: dict = {}
         self._flagged: set = set()
 
-    def correlation_factor(self, geom: ArrayGeometry) -> np.ndarray:
+    def correlation_factor(self, geom: ArrayGeometry) -> np.ndarray | None:
         """Cached square-root factor of a geometry's sinc correlation.
 
-        Correlations depend only on element separations, so single-antenna
-        UEs at different positions share one trivial entry.
+        Correlations depend only on element separations, so the cache is
+        keyed by element counts and spacing.  A single antenna's factor is
+        ``[[1.0]]``; it is never built, and ``None`` stands for it (see
+        :func:`rissim.correlation.sample_matrix_normal_factor`).
         """
+        if geom.size == 1:
+            return None
         key = (geom.counts, geom.spacing)
         if key not in self._factors:
             r = sinc_correlation(geom, self.config.wavelength)
@@ -140,72 +146,77 @@ class SimContext:
                 )
 
 
-def draw_link(
+def draw_links(
     model: ChannelModel,
-    role: LinkRole,
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
+    links: list[tuple[LinkRole, ArrayGeometry, ArrayGeometry, int]],
     config: ScenarioConfig,
     ctx: SimContext,
     trial: int,
-    ue_index: int,
-) -> np.ndarray:
-    """One link's channel matrix, shape ``(N_rx, N_tx)``, under ``model``.
+) -> list[np.ndarray]:
+    """Channel matrices, each ``(N_rx, N_tx)``, of ``links`` under ``model``.
 
-    This is where each model is composed from the primitives in
-    :mod:`rissim.channels`: iid Rayleigh is the fading draw alone; the other
-    models mix their nLOS draw (iid, correlated, or a cluster sum) with the
-    planar or spherical LOS matrix by the link's K-factor,
+    Each link is ``(role, tx_geom, rx_geom, ue_index)``.  This is where each
+    model is composed from the primitives in :mod:`rissim.channels`: iid
+    Rayleigh is the fading draw alone; the other models mix their nLOS draw
+    (iid, correlated, or a cluster sum) with the planar or spherical LOS
+    matrix by the link's K-factor,
     ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.  The geometric models
-    draw from the cluster stream, the others from the fading stream; each is
-    seeded from (master seed, trial, link, UE) alone, never from the model
-    or Q, and only the stream the model uses is derived.
+    draw from the cluster stream, the others from the fading stream; each
+    link is seeded from (master seed, trial, link, UE) alone, never from the
+    model, Q or the other links, and only the stream the model uses is
+    derived.  The correlated draws of all links go to one
+    :func:`sample_matrix_normal_factor` call, so links that share the
+    surface factor share one product with it.
     """
-    link = config.links[role]
-    distance = float(np.linalg.norm(rx_geom.center - tx_geom.center))
-    h_p = pathloss(link, distance)
     wl = config.wavelength
     stream = seeding.STREAM_CLUSTERS if model in _GEOMETRIC_MODELS else seeding.STREAM_FADING
-    rng = seeding.derive_rng(
-        config.master_seed, trial, stream, seeding.LINK_IDS[role.value], ue_index
-    )
+    budgets, nlos = [], []
+    for role, tx_geom, rx_geom, ue_index in links:
+        link = config.links[role]
+        distance = float(np.linalg.norm(rx_geom.center - tx_geom.center))
+        h_p = pathloss(link, distance)
+        budgets.append(h_p)
+        rng = seeding.derive_rng(
+            config.master_seed, trial, stream, seeding.LINK_IDS[role.value], ue_index
+        )
+        if model in _PLANAR_MODELS:
+            ctx.flag_near_field(model, role, tx_geom, rx_geom, distance)
+
+        if model in (ChannelModel.IID_RAYLEIGH, ChannelModel.IID_RICIAN):
+            nlos.append(sample_iid_rayleigh(rng, rx_geom.size, tx_geom.size, h_p))
+        elif model == ChannelModel.CORRELATED_RAYLEIGH:
+            f_rx, f_tx = ctx.correlation_factor(rx_geom), ctx.correlation_factor(tx_geom)
+            nlos.append((rng, f_rx, f_tx, math.sqrt(h_p)))  # drawn below, all at once
+        elif model in _GEOMETRIC_MODELS:
+            clusters = draw_clusters(
+                rng,
+                link.cluster_volume,
+                config.n_clusters,
+                config.n_subpaths,
+                h_p,
+                avoid_sets=(tx_geom.element_positions, rx_geom.element_positions),
+            )
+            from_clusters = (
+                lowrank_from_clusters
+                if model == ChannelModel.LOWRANK_GEOMETRIC
+                else nearfield_from_clusters
+            )
+            nlos.append(from_clusters(clusters, tx_geom, rx_geom, wl))
+        else:
+            raise ValueError(f"unknown channel model {model!r}")
 
     if model == ChannelModel.IID_RAYLEIGH:
         # Pure scatter everywhere; the K-factor is deliberately ignored.
-        return sample_iid_rayleigh(rng, rx_geom.size, tx_geom.size, h_p)
-
-    if model in _PLANAR_MODELS:
-        ctx.flag_near_field(model, role, tx_geom, rx_geom, distance)
-
-    if model in _GEOMETRIC_MODELS:
-        clusters = draw_clusters(
-            rng,
-            link.cluster_volume,
-            config.n_clusters,
-            config.n_subpaths,
-            h_p,
-            avoid_sets=(tx_geom.element_positions, rx_geom.element_positions),
-        )
-        if model == ChannelModel.LOWRANK_GEOMETRIC:
-            nlos = lowrank_from_clusters(clusters, tx_geom, rx_geom, wl)
-        else:
-            nlos = nearfield_from_clusters(clusters, tx_geom, rx_geom, wl)
-    elif model == ChannelModel.IID_RICIAN:
-        nlos = sample_iid_rayleigh(rng, rx_geom.size, tx_geom.size, h_p)
-    elif model == ChannelModel.CORRELATED_RAYLEIGH:
-        nlos = sample_matrix_normal_factor(
-            rng,
-            ctx.correlation_factor(rx_geom),
-            ctx.correlation_factor(tx_geom),
-            math.sqrt(h_p),
-        )
-    else:
-        raise ValueError(f"unknown channel model {model!r}")
-
+        return nlos
+    if model == ChannelModel.CORRELATED_RAYLEIGH:
+        nlos = sample_matrix_normal_factor(nlos)
     los_fn = nearfield_los if model == ChannelModel.NEARFIELD_GEOMETRIC else los_matrix
-    los = los_fn(tx_geom, rx_geom, h_p, wl)
-    k = link.k_factor
-    return math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * nlos
+    out = []
+    for (role, tx_geom, rx_geom, _), h_p, scatter in zip(links, budgets, nlos):
+        k = config.links[role].k_factor
+        los = los_fn(tx_geom, rx_geom, h_p, wl)
+        out.append(math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * scatter)
+    return out
 
 
 def ue_positions(config: ScenarioConfig, trial: int) -> np.ndarray:
@@ -243,25 +254,18 @@ def run_trial(
     t0 = time.perf_counter()
 
     positions = ue_positions(config, trial_index)
-    n_t = ctx.bs_geom.size
     k = config.ue_count
-    direct = np.empty((n_t, k), dtype=complex)
-    h_r = np.empty((ctx.ris_geom.size, k), dtype=complex)
-    h_t = draw_link(
-        model, LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, config, ctx, trial_index, 0
-    )
-    for j in range(k):
-        ue_geom = ArrayGeometry.single(positions[j])
-        d_row = draw_link(
-            model, LinkRole.DIRECT, ctx.bs_geom, ue_geom, config, ctx, trial_index, j
-        )
-        r_row = draw_link(
-            model, LinkRole.RIS_TO_RX, ctx.ris_geom, ue_geom, config, ctx, trial_index, j
-        )
-        direct[:, j] = np.conj(d_row[0])  # h_{d,k} with h^H the received row
-        h_r[:, j] = np.conj(r_row[0])
+    ues = [ArrayGeometry.single(p) for p in positions]
+    links = [(LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, 0)]
+    links += [(LinkRole.DIRECT, ctx.bs_geom, ue, j) for j, ue in enumerate(ues)]
+    links += [(LinkRole.RIS_TO_RX, ctx.ris_geom, ue, j) for j, ue in enumerate(ues)]
+    h_t, *rows = draw_links(model, links, config, ctx, trial_index)
+    # h_{d,k} and h_{r,k} are columns, with h^H the received row
+    direct = np.ascontiguousarray(np.vstack(rows[:k]).T.conj())
+    h_r = np.ascontiguousarray(np.vstack(rows[k:]).T.conj())
 
     _, effective = configure_tiles(direct, h_t, h_r, ctx.tiles, ctx.codebook)
+    iterations, kind = 0, None
     try:
         solution = min_power_precoder(
             effective,
@@ -270,9 +274,9 @@ def run_trial(
             max_iters=config.precoder_max_iters,
             tol=config.precoder_tol,
         )
-        feasible, power = True, solution.total_power
-    except InfeasibleError:
-        feasible, power = False, math.nan
+        feasible, power, iterations = True, solution.total_power, solution.iterations
+    except InfeasibleError as exc:
+        feasible, power, kind = False, math.nan, exc.kind
 
     return TrialResult(
         model=model.value,
@@ -283,6 +287,8 @@ def run_trial(
         total_power_watts=power,
         seed=config.master_seed,
         wall_time=time.perf_counter() - t0,
+        iterations=iterations,
+        infeasible_kind=kind,
     )
 
 

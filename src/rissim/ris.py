@@ -9,8 +9,9 @@ size per tile and independent of the total element count otherwise.
 Each codebook entry is a DFT phase gradient ``g`` plus one of eight global
 offsets ``theta_b``, so its reflected contribution to ``H`` is
 ``e^{-j theta_b} D_g``: the offset only scales the gradient's contribution.
-A tile's ``G`` gradient contributions come from one matrix product, and each
-candidate is scored through its ``K x K`` Gramian
+``D_g`` and ``D_g^H D_g`` do not depend on the effective channel, so they
+are computed for every tile before the search, one matrix product per tile,
+and each candidate is scored through its ``K x K`` Gramian
 
     H_gb^H H_gb = H^H H + e^{-j theta_b} H^H D_g + e^{j theta_b} D_g^H H + D_g^H D_g,
 
@@ -206,18 +207,21 @@ def configure_tiles(
     offset_weights = np.stack(
         [np.ones(n_off), np.cos(codebook.offsets), np.sin(codebook.offsets)], axis=1
     )  # (B, 3)
+    # Every tile's D_g and D_g^H D_g depend only on the channels, not on H:
+    # all UEs' gradient contributions come from one product per tile,
+    # (G, q) @ (q, K*N_t), and row k of d_all[t, g] is column k of D_g.
+    weighted = h_r[tiles][:, :, :, None] * h_t_conj[tiles][:, :, None, :]  # (T, q, K, N_t)
+    d_all = grad_phasors @ weighted.reshape(*tiles.shape, n_ue * n_t)
+    d_all = d_all.reshape(len(tiles), n_grad, n_ue, n_t)
+    dhd_all = np.conj(d_all) @ d_all.swapaxes(2, 3)  # (T, G, K, K)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
     pairs = np.triu_indices(n_ue, 1)
     h_eff = direct.astype(complex)  # (N_t, K)
     chosen = np.empty(len(tiles), dtype=np.intp)
-    for t, ids in enumerate(tiles):
-        # All UEs' gradient contributions in one product, (G, q) @ (q, K*N_t):
-        # row k of d_rows[g] is column k of D_g.
-        weighted = h_r[ids][:, :, None] * h_t_conj[ids][:, None, :]  # (q, K, N_t)
-        d_rows = (grad_phasors @ weighted.reshape(len(ids), -1)).reshape(n_grad, n_ue, n_t)
+    for t, (d_rows, dhd) in enumerate(zip(d_all, dhd_all)):
         p_t = (d_rows.reshape(n_grad * n_ue, n_t) @ np.conj(h_eff)).reshape(n_grad, n_ue, n_ue)
         p, p_h = p_t.swapaxes(1, 2), np.conj(p_t)  # P_g = H^H D_g and P_g^H
-        terms[0] = np.conj(h_eff).T @ h_eff + np.conj(d_rows) @ d_rows.swapaxes(1, 2)
+        terms[0] = np.conj(h_eff).T @ h_eff + dhd
         terms[1] = p + p_h
         terms[2] = -1j * (p - p_h)
         grams = (offset_weights @ terms.view(float).reshape(3, -1)).view(complex)

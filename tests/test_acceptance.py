@@ -102,7 +102,9 @@ def test_criterion_3_generation_route_equivalence():
     f_tx = matrix_sqrt_factor(sinc_correlation(tx, LAM))
     draws = 10**5
     rng = np.random.default_rng(77)
-    a = np.array([sample_matrix_normal_factor(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
+    a = np.array(
+        [sample_matrix_normal_factor([(rng, f_rx, f_tx, 1.0)])[0] for _ in range(draws)]
+    )
     b = np.array([sample_matrix_normal_vec(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
     va, vb = a.reshape(draws, -1), b.reshape(draws, -1)
 

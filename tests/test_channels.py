@@ -19,7 +19,7 @@ from rissim.channels import (
     sample_iid_rayleigh,
 )
 from rissim.geometry import ArrayGeometry, fraunhofer_distance
-from rissim.harness import SimContext, draw_link
+from rissim.harness import SimContext, draw_links
 from rissim.scenario import default_config, load_config
 
 LAM = 0.06
@@ -153,7 +153,7 @@ def link_setup(h_p=1.0, k_factor=0.0, n_clusters=5, n_subpaths=20, volume=VOLUME
 def draw(model, tx, rx, setup, trial=0):
     """The ``ROLE`` link between ``tx`` and ``rx`` as the sweep draws it."""
     config, ctx = setup
-    return draw_link(model, ROLE, tx, rx, config, ctx, trial, 0)
+    return draw_links(model, [(ROLE, tx, rx, 0)], config, ctx, trial)[0]
 
 
 class TestRician:

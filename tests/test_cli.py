@@ -156,6 +156,7 @@ class TestCliCheck:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 5 and "FAIL" not in out
+        assert "all 16 tile selections (K=1 to 4)" in out
 
     @pytest.mark.parametrize(
         "flags",

@@ -19,6 +19,7 @@ from rissim.oracles import (
     sample_matrix_normal_vec,
     sqrt_factor_errors,
 )
+from rissim.seeding import LINK_IDS, STREAM_FADING, derive_rng
 
 LAM = 0.06
 
@@ -166,7 +167,9 @@ class TestMatrixNormalRoutes:
         f_rx, f_tx = np.eye(3), np.eye(2)
         rng = np.random.default_rng(0)
         draws = 20000
-        h = np.array([sample_matrix_normal_factor(rng, f_rx, f_tx, 2.0) for _ in range(draws)])
+        h = np.array(
+            [sample_matrix_normal_factor([(rng, f_rx, f_tx, 2.0)])[0] for _ in range(draws)]
+        )
         # second moment of each entry ~ sigma_c^2, cross-correlation ~ 0
         np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), 4.0, rtol=0.05)
         cross = np.mean(h[:, 0, 0] * np.conj(h[:, 1, 1]))
@@ -176,7 +179,7 @@ class TestMatrixNormalRoutes:
         f_rx, f_tx = small_factors
         rng = np.random.default_rng(1)
         np.testing.assert_array_equal(
-            sample_matrix_normal_factor(rng, f_rx, f_tx, 0.0), np.zeros((3, 2))
+            sample_matrix_normal_factor([(rng, f_rx, f_tx, 0.0)])[0], np.zeros((3, 2))
         )
 
     @pytest.mark.parametrize(
@@ -192,7 +195,7 @@ class TestMatrixNormalRoutes:
         f_rx = matrix_sqrt_factor(sinc_correlation(rx, LAM))
         f_tx = matrix_sqrt_factor(sinc_correlation(tx, LAM))
         rng_draw, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-        h = sample_matrix_normal_factor(rng_draw, f_rx, f_tx, 1.3)
+        h = sample_matrix_normal_factor([(rng_draw, f_rx, f_tx, 1.3)])[0]
         dense = f_rx @ sample_iid_rayleigh(rng_ref, rx.size, tx.size, 1.3**2) @ f_tx.T
         assert h.shape == dense.shape and h.dtype == np.complex128
         assert np.linalg.norm(h - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -205,7 +208,7 @@ class TestMatrixNormalRoutes:
         rng = np.random.default_rng(2)
         sigma = 1.3
         cov = empirical_vec_cov(
-            lambda g: sample_matrix_normal_factor(g, f_rx, f_tx, sigma), rng, 10**5
+            lambda g: sample_matrix_normal_factor([(g, f_rx, f_tx, sigma)])[0], rng, 10**5
         )
         target = sigma**2 * np.kron(r_rx, r_tx)
         assert np.max(np.abs(cov - target)) < 0.05 * sigma**2
@@ -233,7 +236,9 @@ class TestMatrixNormalRoutes:
         f_rx, f_tx = small_factors
         rng = np.random.default_rng(5)
         draws = 20000
-        a = np.array([sample_matrix_normal_factor(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
+        a = np.array(
+            [sample_matrix_normal_factor([(rng, f_rx, f_tx, 1.0)])[0] for _ in range(draws)]
+        )
         b = np.array([sample_matrix_normal_vec(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
         va, vb = a.reshape(draws, -1), b.reshape(draws, -1)
         mean_gap = np.abs(va.mean(0) - vb.mean(0)).max()
@@ -241,6 +246,64 @@ class TestMatrixNormalRoutes:
         cov_a = (va[:, :, None] * np.conj(va[:, None, :])).mean(0)
         cov_b = (vb[:, :, None] * np.conj(vb[:, None, :])).mean(0)
         assert np.abs(cov_a - cov_b).max() < 10.0 / math.sqrt(draws)
+
+
+def trial_draws(f_ris, f_bs, n_ue):
+    """A trial's correlated draws in sweep order, each on its own stream.
+
+    BS-to-surface first, then every UE's direct link, then every UE's
+    surface-to-UE link; a UE's own factor is ``None``.
+    """
+    def rng(link, ue):
+        return derive_rng(2022, 3, STREAM_FADING, LINK_IDS[link], ue)
+
+    draws = [(rng("bs_ris", 0), f_ris, f_bs, 1e-3)]
+    draws += [(rng("bs_ue", j), None, f_bs, 2e-4 * (j + 1)) for j in range(n_ue)]
+    draws += [(rng("ris_ue", j), None, f_ris, 3e-3 * (j + 1)) for j in range(n_ue)]
+    return draws
+
+
+def surface_and_bs_factors(ris_counts):
+    ris = ArrayGeometry.upa(*ris_counts, LAM / 2)
+    bs = ArrayGeometry.upa(4, 4, LAM / 2)
+    return tuple(matrix_sqrt_factor(sinc_correlation(g, LAM)) for g in (ris, bs))
+
+
+class TestOnePassDraw:
+    """All of a trial's links in one call against one call per link."""
+
+    @pytest.fixture(scope="class", params=[(32, 32), (31, 33)], ids=["even", "odd"])
+    def factors(self, request):
+        return surface_and_bs_factors(request.param)
+
+    @pytest.mark.parametrize("n_ue", [1, 4])
+    def test_batched_draw_equals_one_call_per_link(self, factors, n_ue):
+        batched = sample_matrix_normal_factor(trial_draws(*factors, n_ue))
+        single = [sample_matrix_normal_factor([d])[0] for d in trial_draws(*factors, n_ue)]
+        q = factors[0].shape[0]
+        shapes = [(q, 16)] + [(1, 16)] * n_ue + [(1, q)] * n_ue
+        assert [h.shape for h in batched] == shapes
+        for a, b in zip(batched, single):
+            np.testing.assert_array_equal(a, b)
+
+    def test_small_surface_within_rounding(self):
+        # Below about Q = 1024 the BLAS may pick its kernel by the width of
+        # the product, so the shared product can differ from the one-link
+        # products in the last bit.
+        factors = surface_and_bs_factors((8, 8))
+        batched = sample_matrix_normal_factor(trial_draws(*factors, 4))
+        single = [sample_matrix_normal_factor([d])[0] for d in trial_draws(*factors, 4)]
+        for a, b in zip(batched, single):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
+
+    def test_single_antenna_factor_not_applied(self):
+        f_ris = surface_and_bs_factors((4, 4))[0]
+        rng_a, rng_b = derive_rng(1, 2), derive_rng(1, 2)
+        skipped = sample_matrix_normal_factor([(rng_a, None, f_ris, 0.7)])[0]
+        applied = sample_matrix_normal_factor([(rng_b, np.ones((1, 1)), f_ris, 0.7)])[0]
+        np.testing.assert_array_equal(skipped, applied)
+        assert sample_matrix_normal_factor([(derive_rng(1), None, None, 0.5)])[0].shape == (1, 1)
+        assert sample_matrix_normal_factor([]) == []
 
 
 class TestHalfspaceAngles:

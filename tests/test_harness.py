@@ -88,6 +88,8 @@ class TestRunTrial:
         r = run_trial(cfg, 0, model=ChannelModel.IID_RAYLEIGH)
         assert not r.feasible
         assert math.isnan(r.total_power_watts)
+        assert r.infeasible_kind == "zero_channel"
+        assert r.iterations == 0
 
     def test_result_fields(self):
         cfg = small_config()
@@ -95,6 +97,7 @@ class TestRunTrial:
         assert (r.q, r.n_ue, r.trial, r.seed) == (8, 2, 1, cfg.master_seed)
         assert r.feasible and r.total_power_watts > 0
         assert r.wall_time > 0
+        assert r.iterations >= 1 and r.infeasible_kind is None
 
 
 class TestPairedRandomness:
@@ -272,8 +275,9 @@ class TestContextPerModelAndQ:
         model = ChannelModel.CORRELATED_RAYLEIGH
         cfg = small_config(models=[model], sweep_q=[8, 16], sweep_n_ue=[1, 2, 4], trials=3)
         shared = run_sweep(cfg)
-        # RIS (8, 16), BS (4) and single-antenna UE (1) factors, once per (model, Q)
-        assert sorted(built) == [1, 1, 4, 4, 8, 16]
+        # RIS (8, 16) and BS (4) factors, once per (model, Q); a single
+        # antenna's factor is [[1.0]] and is never built
+        assert sorted(built) == [4, 4, 8, 16]
 
         fresh = [
             run_cell(replace(with_q(cfg, q), ue_count=n_ue, models=[model]), model)
