@@ -99,12 +99,17 @@ def _check_codebook(seed: int) -> tuple[bool, str]:
 
 
 def _check_factor_fold(seed: int) -> tuple[bool, str]:
-    # deterministic; an even and an odd element count
+    # deterministic; even axes, odd axes, and a length-1 axis
     lam = 0.06
     worst_ref = worst_rec = 0.0
-    for geom in (ArrayGeometry.upa(16, 16, lam / 2.0), ArrayGeometry.upa(5, 7, 0.4 * lam)):
+    for geom in (
+        ArrayGeometry.upa(16, 16, lam / 2.0),
+        ArrayGeometry.upa(5, 7, 0.4 * lam),
+        ArrayGeometry.upa(1, 6, lam / 2.0),
+    ):
         r = sinc_correlation(geom, lam)
-        ref, rec = oracles.sqrt_factor_errors(r, matrix_sqrt_factor(r))
+        factor = (geom.counts, matrix_sqrt_factor(r, geom.counts))
+        ref, rec = oracles.sqrt_factor_errors(r, factor)
         worst_ref, worst_rec = max(worst_ref, ref), max(worst_rec, rec)
     ok = worst_ref <= 1e-8 and worst_rec <= 1e-13
     return ok, f"|F - F_dense| {worst_ref:.1e} (tol 1e-8), |F F^T - R| {worst_rec:.1e} (tol 1e-13)"

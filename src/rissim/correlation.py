@@ -3,10 +3,20 @@
 Builds the sinc correlation matrices of a given array geometry, factors
 them, and samples correlated Rayleigh channel matrices as the two-sided
 factor product ``Rbar_rx @ H_iid @ Rbar_tx.T``.
+
+The sinc matrix ``R`` of an ``N_y x N_z`` UPA does not change when the y
+index is flipped, nor when the z index is.  Per axis, the orthogonal
+``P_a = [[I, I], [J, -J]] / sqrt(2)`` (``J`` the exchange matrix; for odd
+length the middle line joins the even half) folds it into an even and an
+odd half (Cantoni and Butler, 1976), so ``P = P_y kron P_z`` turns ``R``
+into four diagonal blocks of about ``Q/4`` each, one per (y, z) parity.
+The factor ``Rbar = P diag(F_b) P^T`` is kept as the four block roots
+``F_b`` and never assembled as a dense ``Q x Q`` matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,7 +44,7 @@ def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
     On the grid the separation depends only on the index offsets
     ``(|di_y|, |di_z|)``, so the sinc is evaluated once per offset, in an
     ``N_y x N_z`` table, and ``R`` is read out of it.  The result is
-    symmetric and centrosymmetric (``R == R[::-1, ::-1]``) bit for bit.
+    symmetric and unchanged by flipping the y or the z index, bit for bit.
     """
     if not (math.isfinite(wavelength) and wavelength > 0):
         raise ValueError(f"wavelength must be finite and > 0, got {wavelength!r}")
@@ -61,90 +71,149 @@ def _symmetric_root(block: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def matrix_sqrt_factor(r: np.ndarray) -> np.ndarray:
-    """Symmetric factor ``Rbar`` with ``Rbar @ Rbar.T == r``.
+def _fold(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd halves ``P_a^T t P_a`` of ``t`` (n, A, n, B) along its axes 0 and 2.
 
-    ``r`` must be centrosymmetric (``r == r[::-1, ::-1]``, as every
-    :func:`sinc_correlation` is); otherwise ``ValueError``.  With
-    ``h = N // 2``, ``A = r[:h, :h]`` and ``B = r[:h, -h:]``, the orthogonal
-    ``P = [[I, I], [J, -J]] / sqrt(2)`` (``J`` the exchange matrix) folds
-    ``r`` into ``diag(A + BJ, A - BJ)`` (Cantoni and Butler, 1976); for odd
-    ``N`` the middle row and column join the even block, scaled by
-    ``sqrt(2)``.  Each block gets the ``eigh`` root, with eigenvalues in
+    ``t`` must not change when both of those axes are flipped.  With
+    ``h = n // 2`` the halves are ``t[:h, :h] +- t[:h, ::-1][:h]``; for odd
+    ``n`` the middle line joins the even half, scaled by ``sqrt(2)``.
+    """
+    h, odd = divmod(n, 2)
+    a, b = t[:h, :, :h], t[:h, :, ::-1][:, :, :h]
+    even = np.empty((h + odd, t.shape[1], h + odd, t.shape[3]))
+    np.add(a, b, out=even[:h, :, :h])
+    if odd:
+        even[:h, :, h] = math.sqrt(2.0) * t[:h, :, h]
+        even[h, :, :h] = math.sqrt(2.0) * t[h, :, :h]
+        even[h, :, h] = t[h, :, h]
+    return even, a - b
+
+
+def matrix_sqrt_factor(r: np.ndarray, counts: tuple[int, int]) -> np.ndarray:
+    """Block roots ``F_b``, stacked ``(4, m, m)``, of an ``N_y x N_z`` UPA's correlation.
+
+    ``r`` is the (N, N) y-major correlation of a grid with ``counts =
+    (N_y, N_z)``; it must not change when the y index is flipped, nor when
+    the z index is (as every :func:`sinc_correlation` does), otherwise
+    ``ValueError``.  Folding y and then z (see the module docstring) gives
+    four blocks, ordered (even y, even z), (even, odd), (odd, even), (odd,
+    odd).  Each block gets the ``eigh`` root, with eigenvalues in
     ``(-1e-6, 0)`` clamped to zero and anything lower raising
     :class:`NotPositiveSemidefiniteError` (so rank-deficient correlations of
-    large half-wavelength arrays still factor), and
-    ``Rbar = P diag(F_e, F_o) P^T``.
+    large half-wavelength arrays still factor).  A block's rows and columns
+    index an ``m_y x m_z`` grid, ``m_a = ceil(N_a / 2)``, so ``m = m_y m_z``;
+    the lines an odd half lacks are zero.  The symmetric root of ``r`` is
+    ``P diag(F_b) P^T``, which :func:`sample_matrix_normal_factor` applies
+    without assembling it.
     """
-    if not np.array_equal(r, r[::-1, ::-1]):
-        raise ValueError("correlation matrix is not centrosymmetric")
-    n = r.shape[0]
-    h, odd = divmod(n, 2)
-    a, b_j = r[:h, :h], r[:h, n - h :][:, ::-1]
-    even = np.empty((h + odd, h + odd))
-    np.add(a, b_j, out=even[:h, :h])
-    if odd:
-        even[:h, h] = even[h, :h] = math.sqrt(2.0) * r[:h, h]
-        even[h, h] = r[h, h]
-    f_even = _symmetric_root(even)
-    f_odd = _symmetric_root(a - b_j) if h else np.empty((0, 0))
-    out = np.empty((n, n))
-    top = n - h  # first index of the bottom half
-    s = 0.5 * (f_even[:h, :h] + f_odd)
-    d = 0.5 * (f_even[:h, :h] - f_odd)
-    out[:h, :h], out[top:, top:] = s, s[::-1, ::-1]
-    out[:h, top:], out[top:, :h] = d[:, ::-1], d[::-1, :]
-    if odd:
-        mid = f_even[:h, h] / math.sqrt(2.0)
-        out[:h, h] = out[h, :h] = mid
-        out[top:, h] = out[h, top:] = mid[::-1]
-        out[h, h] = f_even[h, h]
-    return out
+    n_y, n_z = counts
+    n = n_y * n_z
+    if r.shape != (n, n):
+        raise ValueError(f"correlation matrix of shape {r.shape} does not match counts {counts}")
+    r4 = r.reshape(n_y, n_z, n_y, n_z)
+    for axis, flipped in (("y", r4[::-1, :, ::-1]), ("z", r4[:, ::-1, :, ::-1])):
+        if not np.array_equal(r4, flipped):
+            raise ValueError(f"correlation matrix changes under the {axis} flip")
+    m_y, m_z = (n_y + 1) // 2, (n_z + 1) // 2
+    blocks = np.zeros((4, m_y * m_z, m_y * m_z))
+    grid = blocks.reshape(2, 2, m_y, m_z, m_y, m_z)
+    for p_y, half in enumerate(_fold(r4, n_y)):
+        for p_z, block in enumerate(_fold(half.transpose(1, 0, 3, 2), n_z)):
+            v_z, v_y = block.shape[:2]
+            if block.size:
+                v = v_y * v_z
+                root = _symmetric_root(block.transpose(1, 0, 3, 2).reshape(v, v))
+                grid[p_y, p_z, :v_y, :v_z, :v_y, :v_z] = root.reshape(v_y, v_z, v_y, v_z)
+    return blocks
+
+
+@functools.cache
+def _fold_matrix(n: int) -> np.ndarray:
+    """(2m, n) matrix ``P_a^T`` of one axis of length ``n``, ``m = ceil(n/2)``.
+
+    Rows ``:m`` are the even half, rows ``m:`` the odd half, whose last row
+    is zero for odd ``n``.  Read-only, shared by every caller.
+    """
+    h, m = n // 2, (n + 1) // 2
+    g = np.zeros((2 * m, n))
+    k = np.arange(h)
+    g[k, k] = g[k, n - 1 - k] = g[m + k, k] = math.sqrt(0.5)
+    g[m + k, n - 1 - k] = -math.sqrt(0.5)
+    if n % 2:
+        g[h, h] = 1.0
+    g.flags.writeable = False
+    return g
+
+
+def _apply_factor(factor, x: np.ndarray) -> np.ndarray:
+    """``P diag(F_b) P^T x`` for a ``(counts, blocks)`` factor and real (N, c) ``x``."""
+    (n_y, n_z), blocks = factor
+    g_y, g_z = _fold_matrix(n_y), _fold_matrix(n_z)
+    m_y, m_z = g_y.shape[0] // 2, g_z.shape[0] // 2
+    c = x.shape[1]
+    t = g_z @ (g_y @ x.reshape(n_y, n_z * c)).reshape(2 * m_y, n_z, c)
+    t = t.reshape(2, m_y, 2, m_z, c).transpose(0, 2, 1, 3, 4).reshape(4, m_y * m_z, c)
+    t = (blocks @ t).reshape(2, 2, m_y, m_z, c).transpose(0, 2, 1, 3, 4)
+    t = g_z.T @ t.reshape(2 * m_y, 2 * m_z, c)
+    return (g_y.T @ t.reshape(2 * m_y, n_z * c)).reshape(n_y * n_z, c)
+
+
+def _size(factor) -> int:
+    """Element count of a ``(counts, blocks)`` factor; 1 for ``None``."""
+    return 1 if factor is None else math.prod(factor[0])
+
+
+def _apply_stage(factors: list, ops: list[np.ndarray]) -> None:
+    """``ops[i] = F_i @ ops[i]`` for every factor ``F_i`` that is not ``None``.
+
+    The operands of one factor concatenate their ``float64`` views (real
+    and imaginary parts interleaved in the columns), so each distinct
+    factor is applied once.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(factors):
+        if f is not None:
+            groups.setdefault(id(f[1]), []).append(i)
+    for idx in groups.values():
+        views = [np.ascontiguousarray(ops[i]).view(np.float64) for i in idx]
+        product = _apply_factor(factors[idx[0]], np.hstack(views))
+        end = 0
+        for i, v in zip(idx, views):
+            start, end = end, end + v.shape[1]
+            ops[i] = product[:, start:end].view(np.complex128)
 
 
 def sample_matrix_normal_factor(draws) -> list[np.ndarray]:
     """Correlated draws ``f_rx @ H_iid @ f_tx.T``, one per ``(rng, f_rx, f_tx, sigma_c)``.
 
     Each core ``H_iid`` is iid CN(0, sigma_c^2) from its own ``rng``.
-    ``f_rx`` and ``f_tx`` are the :func:`matrix_sqrt_factor` of ``R_rx`` and
-    ``R_tx``, or ``None`` for a single antenna, whose factor ``[[1.0]]`` is
-    not applied; row-major vectorization of a draw has covariance
-    ``sigma_c^2 * kron(R_rx, R_tx)``.  Returns the draws in order.
+    ``f_rx`` and ``f_tx`` are ``(counts, blocks)``: an array's element
+    counts and the :func:`matrix_sqrt_factor` of its correlation, standing
+    for the symmetric root ``P diag(F_b) P^T``; or ``None`` for a single
+    antenna, whose factor ``[[1.0]]`` is not applied.  Row-major
+    vectorization of a draw has covariance ``sigma_c^2 * kron(R_rx,
+    R_tx)``.  Returns the draws in order.
 
-    Both factors are real, so each draw's smaller factor is applied to its
-    complex core first, and the larger one multiplies the ``float64`` view
-    of that intermediate (real and imaginary parts interleaved in its
-    columns), viewed back as ``complex128``.  No complex copy of a large
-    factor is made.  The draws whose larger factor is the largest factor of
-    the call (in a trial, the surface's) share one product with it: their
-    views are concatenated column by column, so that factor is read once.
+    Each draw applies its factors in two stages, transposing the
+    intermediate between them, so a stage always applies its factor to
+    rows.  The call's largest factor goes in the second stage and every
+    other factor in the first, and within a stage the draws that share a
+    factor go through one product with it: a trial applies the BS factor
+    once (to the BS->surface core and the direct links) and the surface
+    factor once (to that intermediate and the surface->UE links).
     """
-    staged = []  # (larger factor, intermediate, result transposed) per draw
+    largest = max((f for d in draws for f in d[1:3] if f is not None), key=_size, default=None)
+    ops, flips, stages = [], [], ([], [])
     for rng, f_rx, f_tx, sigma_c in draws:
-        n_rx = 1 if f_rx is None else f_rx.shape[0]
-        n_tx = 1 if f_tx is None else f_tx.shape[0]
-        h_iid = sample_iid_rayleigh(rng, n_rx, n_tx, sigma_c * sigma_c)
-        if n_rx >= n_tx:
-            small = h_iid if f_tx is None else h_iid @ f_tx.T
-            staged.append((f_rx, small, False))
-        else:
-            # f_rx @ H @ f_tx.T == (f_tx @ (f_rx @ H).T).T
-            small = h_iid if f_rx is None else f_rx @ h_iid
-            staged.append((f_tx, np.ascontiguousarray(small.T), True))
-
-    shared = max((big for big, _, _ in staged if big is not None), key=len, default=None)
-    batch = [i for i, (big, _, _) in enumerate(staged) if big is not None and big is shared]
-    parts = {}
-    if batch:
-        product = shared @ np.hstack([staged[i][1].view(np.float64) for i in batch])
-        bounds = np.cumsum([2 * staged[i][1].shape[1] for i in batch])[:-1]
-        parts = dict(zip(batch, np.split(product, bounds, axis=1)))
-    out = []
-    for i, (big, small, flip) in enumerate(staged):
-        if big is None:  # two single antennas
-            out.append(small)
-            continue
-        part = parts[i] if i in parts else big @ small.view(np.float64)
-        block = part.view(np.complex128)
-        out.append(block.T if flip else block)
-    return out
+        h_iid = sample_iid_rayleigh(rng, _size(f_rx), _size(f_tx), sigma_c * sigma_c)
+        # f_tx goes first unless it is the largest factor or f_rx is
+        flip = (f_tx is not None and f_tx is not largest) or f_rx is largest
+        # f_rx @ H @ f_tx.T == (f_rx @ (f_tx @ H.T).T) == (f_tx @ (f_rx @ H).T).T
+        ops.append(h_iid.T if flip else h_iid)
+        flips.append(flip)
+        stages[0].append(f_tx if flip else f_rx)
+        stages[1].append(f_rx if flip else f_tx)
+    for factors in stages:
+        _apply_stage(factors, ops)
+        ops = [op.T for op in ops]
+    return [op.T if flip else op for op, flip in zip(ops, flips)]

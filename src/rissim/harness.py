@@ -57,6 +57,8 @@ class TrialResult:
     wall_time: float
     iterations: int = 0  # precoder iterations; 0 when infeasible
     infeasible_kind: str | None = None  # InfeasibleError.kind, None when feasible
+    duality_gap: float = math.nan  # |P - P_dual| / P of the precoder; nan when infeasible
+    min_sv: float = math.nan  # min singular value of the configured channel; nan when infeasible
 
 
 @dataclass
@@ -112,12 +114,14 @@ class SimContext:
         self._factors: dict = {}
         self._flagged: set = set()
 
-    def correlation_factor(self, geom: ArrayGeometry) -> np.ndarray | None:
-        """Cached square-root factor of a geometry's sinc correlation.
+    def correlation_factor(self, geom: ArrayGeometry) -> tuple | None:
+        """Cached ``(counts, blocks)`` square-root factor of a geometry's sinc correlation.
 
-        Correlations depend only on element separations, so the cache is
-        keyed by element counts and spacing.  A single antenna's factor is
-        ``[[1.0]]``; it is never built, and ``None`` stands for it (see
+        ``blocks`` are the four folded block roots of
+        :func:`rissim.correlation.matrix_sqrt_factor`.  Correlations depend
+        only on element separations, so the cache is keyed by element counts
+        and spacing.  A single antenna's factor is ``[[1.0]]``; it is never
+        built, and ``None`` stands for it (see
         :func:`rissim.correlation.sample_matrix_normal_factor`).
         """
         if geom.size == 1:
@@ -125,7 +129,7 @@ class SimContext:
         key = (geom.counts, geom.spacing)
         if key not in self._factors:
             r = sinc_correlation(geom, self.config.wavelength)
-            self._factors[key] = correlation.matrix_sqrt_factor(r)
+            self._factors[key] = (geom.counts, correlation.matrix_sqrt_factor(r, geom.counts))
         return self._factors[key]
 
     def flag_near_field(self, model: ChannelModel, role: LinkRole, tx, rx, distance):
@@ -165,8 +169,8 @@ def draw_links(
     link is seeded from (master seed, trial, link, UE) alone, never from the
     model, Q or the other links, and only the stream the model uses is
     derived.  The correlated draws of all links go to one
-    :func:`sample_matrix_normal_factor` call, so links that share the
-    surface factor share one product with it.
+    :func:`sample_matrix_normal_factor` call, so links that share a
+    factor share one product with it.
     """
     wl = config.wavelength
     stream = seeding.STREAM_CLUSTERS if model in _GEOMETRIC_MODELS else seeding.STREAM_FADING
@@ -265,7 +269,7 @@ def run_trial(
     h_r = np.ascontiguousarray(np.vstack(rows[k:]).T.conj())
 
     _, effective = configure_tiles(direct, h_t, h_r, ctx.tiles, ctx.codebook)
-    iterations, kind = 0, None
+    iterations, kind, gap, min_sv = 0, None, math.nan, math.nan
     try:
         solution = min_power_precoder(
             effective,
@@ -275,6 +279,8 @@ def run_trial(
             tol=config.precoder_tol,
         )
         feasible, power, iterations = True, solution.total_power, solution.iterations
+        gap = abs(power - solution.dual_total_power) / power
+        min_sv = float(np.linalg.svd(effective, compute_uv=False).min())
     except InfeasibleError as exc:
         feasible, power, kind = False, math.nan, exc.kind
 
@@ -289,6 +295,8 @@ def run_trial(
         wall_time=time.perf_counter() - t0,
         iterations=iterations,
         infeasible_kind=kind,
+        duality_gap=gap,
+        min_sv=min_sv,
     )
 
 

@@ -16,8 +16,9 @@ theory says it must be:
 * :func:`sample_matrix_normal_vec` draws the correlated channel through the
   Kronecker covariance instead of the two-sided factor product;
 * :func:`kron_steering` builds the UPA steering vector from its ULA factors;
-* :func:`sqrt_factor_errors` measures a correlation factor against the root
-  from one eigendecomposition of the whole matrix, without the fold.
+* :func:`sqrt_factor_errors` measures a correlation factor, expanded to a
+  dense root (:func:`expand_factor`), against the root from one
+  eigendecomposition of the whole matrix, without the fold (:func:`eigh_root`).
 
 :func:`complex_randn` and :func:`tile_instance` draw the random inputs that
 ``rissim check`` and the tests give these references.
@@ -30,7 +31,7 @@ import math
 import numpy as np
 
 from .channels import sample_iid_rayleigh
-from .correlation import sinc_correlation
+from .correlation import _apply_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import _DIVERGENCE_FACTOR, InfeasibleError, PrecodingSolution, achieved_sinr
 from .ris import Codebook, build_codebook, build_tile_partition
@@ -180,32 +181,47 @@ def kron_steering(geom: ArrayGeometry, direction: np.ndarray, wavelength: float)
     return np.kron(a_y, a_z)
 
 
-def sqrt_factor_errors(r: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """Largest entries of ``|f - V sqrt(L) V^T|`` and ``|f f^T - r|``.
+def expand_factor(factor) -> np.ndarray:
+    """The (N, N) root ``P diag(F_b) P^T`` that a ``(counts, blocks)`` factor stands for.
 
-    ``V sqrt(L) V^T`` is the symmetric root of ``r`` from one ``eigh`` of
-    the whole matrix, negative eigenvalues clamped to zero: the root that
-    :func:`rissim.correlation.matrix_sqrt_factor` computes from the two
-    half-size blocks of its fold.
+    Built by applying the factor to the identity, the way
+    :func:`rissim.correlation.sample_matrix_normal_factor` applies it to a
+    core; ``None`` (a single antenna) is ``[[1.0]]``.
     """
+    if factor is None:
+        return np.ones((1, 1))
+    return _apply_factor(factor, np.eye(math.prod(factor[0])))
+
+
+def eigh_root(r: np.ndarray) -> np.ndarray:
+    """Symmetric root ``V sqrt(L) V^T`` of ``r`` from one ``eigh`` of the whole
+    matrix, negative eigenvalues clamped to zero, without the fold."""
     vals, vecs = np.linalg.eigh(r)
-    dense = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return float(np.abs(f - dense).max()), float(np.abs(f @ f.T - r).max())
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def sample_matrix_normal_vec(
-    rng: np.random.Generator,
-    f_rx: np.ndarray,
-    f_tx: np.ndarray,
-    sigma_c: float,
-) -> np.ndarray:
+def sqrt_factor_errors(r: np.ndarray, factor) -> tuple[float, float]:
+    """Largest entries of ``|F - eigh_root(r)|`` and ``|F F^T - r|``.
+
+    ``F`` is the ``(counts, blocks)`` factor of ``r`` expanded on the
+    identity (:func:`expand_factor`): the root that
+    :func:`rissim.correlation.matrix_sqrt_factor` computes from the four
+    blocks of its fold.
+    """
+    f = expand_factor(factor)
+    return float(np.abs(f - eigh_root(r)).max()), float(np.abs(f @ f.T - r).max())
+
+
+def sample_matrix_normal_vec(rng: np.random.Generator, f_rx, f_tx, sigma_c: float) -> np.ndarray:
     """Correlated draw through the stacked Kronecker-covariance Gaussian.
 
-    ``f_rx`` and ``f_tx`` are the square-root factors of ``R_rx`` and
-    ``R_tx``.  Draws ``vec(H) ~ CN(0, sigma_c^2 * kron(R_rx, R_tx))``
-    directly and reshapes (row-major); distributionally identical to
-    :func:`rissim.correlation.sample_matrix_normal_factor`.
+    ``f_rx`` and ``f_tx`` are the factors that
+    :func:`rissim.correlation.sample_matrix_normal_factor` takes, expanded
+    here to dense roots (:func:`expand_factor`).  Draws
+    ``vec(H) ~ CN(0, sigma_c^2 * kron(R_rx, R_tx))`` directly and reshapes
+    (row-major); distributionally identical to the factor route.
     """
+    f_rx, f_tx = expand_factor(f_rx), expand_factor(f_tx)
     n_rx, n_tx = f_rx.shape[0], f_tx.shape[0]
     z = sample_iid_rayleigh(rng, n_rx, n_tx, sigma_c * sigma_c).ravel()
     return (np.kron(f_rx, f_tx) @ z).reshape(n_rx, n_tx)

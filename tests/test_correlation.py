@@ -15,6 +15,8 @@ from rissim.correlation import (
 from rissim.geometry import ArrayGeometry, distance_matrix
 from rissim.oracles import (
     _halfspace_direction_yz,
+    eigh_root,
+    expand_factor,
     path_sum_covariance_error,
     sample_matrix_normal_vec,
     sqrt_factor_errors,
@@ -103,51 +105,81 @@ class TestSincCorrelation:
         assert peak <= 4 * q * q * np.dtype(np.float64).itemsize
 
 
+def folded(geom):
+    """A geometry's ``(counts, blocks)`` factor, as the sweep caches it."""
+    return geom.counts, matrix_sqrt_factor(sinc_correlation(geom, LAM), geom.counts)
+
+
 class TestMatrixSqrtFactor:
     def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_factor(np.eye(3)), np.eye(3), atol=1e-12)
+        f = expand_factor(((3, 1), matrix_sqrt_factor(np.eye(3), (3, 1))))
+        np.testing.assert_allclose(f, np.eye(3), atol=1e-12)
 
     def test_reconstruction(self):
         r = np.array([[1.0, 0.5], [0.5, 1.0]])
-        f = matrix_sqrt_factor(r)
+        f = expand_factor(((2, 1), matrix_sqrt_factor(r, (2, 1))))
         np.testing.assert_allclose(f @ f.T, r, atol=1e-10)
 
     def test_rank_deficient_duplicate_positions(self):
         # zero spacing along one axis duplicates element positions
         geom = ArrayGeometry(counts=(2, 2), spacing=(0.0, 0.3 * LAM))
         r = sinc_correlation(geom, LAM)
-        f = matrix_sqrt_factor(r)
+        f = expand_factor(folded(geom))
         np.testing.assert_allclose(f @ f.T, r, atol=1e-8)
 
     @pytest.mark.parametrize(
-        "r",
-        [*(sinc_correlation(g, LAM) for g in GEOMETRIES.values()), np.eye(3)],
+        "r, counts",
+        [
+            *((sinc_correlation(g, LAM), g.counts) for g in GEOMETRIES.values()),
+            (np.eye(3), (3, 1)),
+        ],
         ids=[*GEOMETRIES.keys(), "eye-3"],
     )
-    def test_fold_matches_dense_root(self, r):
-        f = matrix_sqrt_factor(r)
-        assert f.shape == r.shape
-        ref_err, rec_err = sqrt_factor_errors(r, f)
+    def test_fold_matches_dense_root(self, r, counts):
+        factor = (counts, matrix_sqrt_factor(r, counts))
+        assert expand_factor(factor).shape == r.shape
+        ref_err, rec_err = sqrt_factor_errors(r, factor)
         # the root of a zero eigenvalue rounds to about sqrt(1e-16)
         assert ref_err <= 1e-8
         assert rec_err <= 1e-13
 
     @pytest.mark.parametrize(
-        "r",
-        [
-            np.array([[1.0, 0.5], [0.5, 2.0]]),
-            np.diag([1.0, 2.0, 3.0]),
-            sinc_correlation(GEOMETRIES["upa-3x5"], LAM)[:-1, :-1],
-        ],
-        ids=["2x2", "diag-3", "cropped"],
+        "counts",
+        [(1, 1), (2, 2), (3, 1), (1, 6), (5, 7), (6, 4), (31, 33)],
+        ids=lambda c: f"{c[0]}x{c[1]}",
     )
-    def test_not_centrosymmetric_rejected(self, r):
-        with pytest.raises(ValueError, match="centrosymmetric"):
-            matrix_sqrt_factor(r)
+    def test_four_padded_blocks(self, counts):
+        geom = ArrayGeometry.upa(*counts, 0.4 * LAM)
+        blocks = matrix_sqrt_factor(sinc_correlation(geom, LAM), counts)
+        (m_y, h_y), (m_z, h_z) = (((n + 1) // 2, n // 2) for n in counts)
+        assert type(blocks) is np.ndarray and blocks.shape == (4, m_y * m_z, m_y * m_z)
+        # the odd half of an odd axis lacks its last line, which stays zero
+        grid = blocks.reshape(2, 2, m_y, m_z, m_y, m_z)
+        assert not grid[1, :, h_y:].any() and not grid[1, :, :, :, h_y:].any()
+        assert not grid[:, 1, :, h_z:].any() and not grid[:, 1, :, :, :, h_z:].any()
+
+    @pytest.mark.parametrize(
+        "r, counts",
+        [
+            (np.array([[1.0, 0.5], [0.5, 2.0]]), (2, 1)),
+            (np.diag([1.0, 2.0, 3.0]), (1, 3)),
+            (sinc_correlation(GEOMETRIES["upa-3x5"], LAM)[:-1, :-1], (2, 7)),
+            # unchanged by flipping both axes at once, but not by each one
+            (np.eye(4) + 0.2 * np.eye(4)[::-1] - 0.1 * np.diag([0, 1, 1, 0])[::-1], (2, 2)),
+        ],
+        ids=["2x2", "diag-3", "cropped", "joint-flip-only"],
+    )
+    def test_not_centrosymmetric_rejected(self, r, counts):
+        with pytest.raises(ValueError, match="changes under the [yz] flip"):
+            matrix_sqrt_factor(r, counts)
+
+    def test_counts_must_match(self):
+        with pytest.raises(ValueError, match="does not match counts"):
+            matrix_sqrt_factor(np.eye(6), (2, 2))
 
     def test_not_psd_rejected(self):
         with pytest.raises(NotPositiveSemidefiniteError):
-            matrix_sqrt_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            matrix_sqrt_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), (2, 1))
 
 
 @pytest.fixture(scope="module")
@@ -159,12 +191,16 @@ def small_correlations():
 
 @pytest.fixture(scope="module")
 def small_factors(small_correlations):
-    return tuple(matrix_sqrt_factor(r) for r in small_correlations)
+    return tuple(
+        (counts, matrix_sqrt_factor(r, counts))
+        for r, counts in zip(small_correlations, [(3, 1), (2, 1)])
+    )
 
 
 class TestMatrixNormalRoutes:
     def test_identity_reduces_to_iid(self):
-        f_rx, f_tx = np.eye(3), np.eye(2)
+        f_rx = ((3, 1), matrix_sqrt_factor(np.eye(3), (3, 1)))
+        f_tx = ((2, 1), matrix_sqrt_factor(np.eye(2), (2, 1)))
         rng = np.random.default_rng(0)
         draws = 20000
         h = np.array(
@@ -192,11 +228,11 @@ class TestMatrixNormalRoutes:
         ],
     )
     def test_factor_route_matches_dense_product(self, rx, tx):
-        f_rx = matrix_sqrt_factor(sinc_correlation(rx, LAM))
-        f_tx = matrix_sqrt_factor(sinc_correlation(tx, LAM))
+        f_rx, f_tx = (None if g.size == 1 else folded(g) for g in (rx, tx))
         rng_draw, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
         h = sample_matrix_normal_factor([(rng_draw, f_rx, f_tx, 1.3)])[0]
-        dense = f_rx @ sample_iid_rayleigh(rng_ref, rx.size, tx.size, 1.3**2) @ f_tx.T
+        core = sample_iid_rayleigh(rng_ref, rx.size, tx.size, 1.3**2)
+        dense = expand_factor(f_rx) @ core @ expand_factor(f_tx).T
         assert h.shape == dense.shape and h.dtype == np.complex128
         assert np.linalg.norm(h - dense) <= 1e-12 * np.linalg.norm(dense)
         # same random stream consumed
@@ -224,10 +260,11 @@ class TestMatrixNormalRoutes:
         assert np.max(np.abs(cov - target)) < 0.05
 
     def test_vec_route_scalar_case(self):
-        f1 = np.eye(1)
         rng = np.random.default_rng(4)
         draws = 10**5
-        vals = np.array([sample_matrix_normal_vec(rng, f1, f1, 0.7)[0, 0] for _ in range(draws)])
+        vals = np.array(
+            [sample_matrix_normal_vec(rng, None, None, 0.7)[0, 0] for _ in range(draws)]
+        )
         assert vals.shape == (draws,)
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(0.49, rel=0.02)
 
@@ -263,10 +300,12 @@ def trial_draws(f_ris, f_bs, n_ue):
     return draws
 
 
-def surface_and_bs_factors(ris_counts):
-    ris = ArrayGeometry.upa(*ris_counts, LAM / 2)
-    bs = ArrayGeometry.upa(4, 4, LAM / 2)
-    return tuple(matrix_sqrt_factor(sinc_correlation(g, LAM)) for g in (ris, bs))
+def surface_and_bs(ris_counts, bs_counts=(4, 4)):
+    return ArrayGeometry.upa(*ris_counts, LAM / 2), ArrayGeometry.upa(*bs_counts, LAM / 2)
+
+
+def surface_and_bs_factors(ris_counts, bs_counts=(4, 4)):
+    return tuple(folded(g) for g in surface_and_bs(ris_counts, bs_counts))
 
 
 class TestOnePassDraw:
@@ -280,16 +319,21 @@ class TestOnePassDraw:
     def test_batched_draw_equals_one_call_per_link(self, factors, n_ue):
         batched = sample_matrix_normal_factor(trial_draws(*factors, n_ue))
         single = [sample_matrix_normal_factor([d])[0] for d in trial_draws(*factors, n_ue)]
-        q = factors[0].shape[0]
+        q = math.prod(factors[0][0])
         shapes = [(q, 16)] + [(1, 16)] * n_ue + [(1, q)] * n_ue
         assert [h.shape for h in batched] == shapes
-        for a, b in zip(batched, single):
+        for a, b in zip(batched[: 1 + n_ue], single):
             np.testing.assert_array_equal(a, b)
+        # A surface->UE link alone gives the fold's products 2 columns, where
+        # the trial gives them 2 N_t + 2K, and OpenBLAS picks its kernel by
+        # that width: measured (1 thread) up to 1.2e-15 of the largest entry.
+        for a, b in zip(batched[1 + n_ue :], single[1 + n_ue :]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
 
     def test_small_surface_within_rounding(self):
-        # Below about Q = 1024 the BLAS may pick its kernel by the width of
-        # the product, so the shared product can differ from the one-link
-        # products in the last bit.
+        # The BLAS may pick its kernel by the width of the product, so the
+        # shared product can differ from the one-link products in the last
+        # bit.
         factors = surface_and_bs_factors((8, 8))
         batched = sample_matrix_normal_factor(trial_draws(*factors, 4))
         single = [sample_matrix_normal_factor([d])[0] for d in trial_draws(*factors, 4)]
@@ -300,10 +344,35 @@ class TestOnePassDraw:
         f_ris = surface_and_bs_factors((4, 4))[0]
         rng_a, rng_b = derive_rng(1, 2), derive_rng(1, 2)
         skipped = sample_matrix_normal_factor([(rng_a, None, f_ris, 0.7)])[0]
-        applied = sample_matrix_normal_factor([(rng_b, np.ones((1, 1)), f_ris, 0.7)])[0]
+        one = ((1, 1), matrix_sqrt_factor(np.ones((1, 1)), (1, 1)))
+        applied = sample_matrix_normal_factor([(rng_b, one, f_ris, 0.7)])[0]
         np.testing.assert_array_equal(skipped, applied)
         assert sample_matrix_normal_factor([(derive_rng(1), None, None, 0.5)])[0].shape == (1, 1)
         assert sample_matrix_normal_factor([]) == []
+
+
+class TestFoldAgainstDenseRoot:
+    """Every link of a K=4 trial through the fold against the same streams
+    through the roots from one ``eigh`` of each whole correlation matrix."""
+
+    @pytest.mark.parametrize("bs_counts", [(4, 4), (3, 1)])
+    @pytest.mark.parametrize("ris_counts", [(32, 32), (31, 33)])
+    def test_links_match_dense_root_draws(self, ris_counts, bs_counts):
+        geoms = surface_and_bs(ris_counts, bs_counts)
+        factors = tuple(folded(g) for g in geoms)
+        dense = {id(f): eigh_root(sinc_correlation(g, LAM)) for f, g in zip(factors, geoms)}
+        dense[id(None)] = np.ones((1, 1))
+        drawn = sample_matrix_normal_factor(trial_draws(*factors, 4))
+        for h, (rng, f_rx, f_tx, sigma) in zip(drawn, trial_draws(*factors, 4)):
+            f_rx, f_tx = dense[id(f_rx)], dense[id(f_tx)]
+            ref = f_rx @ sample_iid_rayleigh(rng, len(f_rx), len(f_tx), sigma**2) @ f_tx.T
+            assert h.shape == ref.shape
+            # The two roots differ along the numerically null eigenvectors
+            # of a half-wavelength surface, where each clamps rounding-level
+            # eigenvalues: by at most 2.1e-10 at these sizes.  Measured on
+            # these draws (OpenBLAS, 1 thread): at most 9.3e-10 of the
+            # largest entry; the bound leaves a factor of ten.
+            assert np.abs(h - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 class TestHalfspaceAngles:

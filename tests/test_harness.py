@@ -8,6 +8,7 @@ import pytest
 from rissim import correlation, harness, seeding, units
 from rissim.channels import ChannelModel, LinkRole
 from rissim.geometry import fraunhofer_distance
+from rissim.ris import configure_tiles
 from rissim.harness import (
     SimContext,
     aggregate,
@@ -90,6 +91,23 @@ class TestRunTrial:
         assert math.isnan(r.total_power_watts)
         assert r.infeasible_kind == "zero_channel"
         assert r.iterations == 0
+        assert math.isnan(r.duality_gap) and math.isnan(r.min_sv)
+
+    def test_precoder_quality_recorded(self, monkeypatch):
+        configured = []
+
+        def capture(*args):
+            chosen, effective = configure_tiles(*args)
+            configured.append(effective)
+            return chosen, effective
+
+        monkeypatch.setattr(harness, "configure_tiles", capture)
+        r = run_trial(small_config(), 1, model=ChannelModel.CORRELATED_RAYLEIGH)
+        assert r.feasible
+        assert 0.0 <= r.duality_gap < 1e-6
+        # the Gram-form score of the tile search is the same quantity
+        gram = np.conj(configured[0]).T @ configured[0]
+        assert r.min_sv == pytest.approx(math.sqrt(np.linalg.eigvalsh(gram)[0]), rel=1e-10)
 
     def test_result_fields(self):
         cfg = small_config()
@@ -267,9 +285,9 @@ class TestContextPerModelAndQ:
         built = []
         factor = correlation.matrix_sqrt_factor
 
-        def counting_factor(r):
+        def counting_factor(r, counts):
             built.append(r.shape[0])
-            return factor(r)
+            return factor(r, counts)
 
         monkeypatch.setattr(correlation, "matrix_sqrt_factor", counting_factor)
         model = ChannelModel.CORRELATED_RAYLEIGH
