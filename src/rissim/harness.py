@@ -5,7 +5,9 @@ surface-to-UE) under the selected channel model, configures the surface
 tile by tile, and solves the minimum-power precoder.  Sweeps pair the
 per-trial randomness across models and surface sizes: UE positions and
 cluster draws depend only on (master seed, trial index, link, UE), which
-isolates the channel-model delta from Monte Carlo noise.
+isolates the channel-model delta from Monte Carlo noise.  The UE-count
+cells of one (model, Q) share each trial's draw: a trial draws the links
+of ``max(n_ue)`` UEs once, and every cell takes its first ``n_ue`` columns.
 """
 
 from __future__ import annotations
@@ -93,11 +95,13 @@ class SimContext:
     """Caches shared by every trial of one (model, Q) in a sweep.
 
     Nothing here depends on the UE count: the array geometries, tile
-    table, codebook, noise power and correlation factors are the same
-    for every ``n_ue`` cell of that (model, Q), so :func:`run_sweep` builds
-    one context and runs each of those cells on it.  The context lives only
-    as long as its (model, Q), so at most one surface size's factors are
-    held at a time.
+    table, codebook, noise power, correlation factors and BS-to-surface LOS
+    matrix are the same for every ``n_ue`` cell of that (model, Q), so
+    :func:`run_sweep` builds one context and runs each of those cells on
+    it.  The context also holds the latest trial's channels
+    (:attr:`draw_key`, :attr:`draw`), drawn for the largest UE count, which
+    the cells of that trial slice.  The context lives only as long as its
+    (model, Q), so at most one surface size's factors are held at a time.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -113,6 +117,9 @@ class SimContext:
         self.noise_power = noise_power(config)
         self._factors: dict = {}
         self._flagged: set = set()
+        self._los: dict = {}
+        self.draw_key: tuple | None = None
+        self.draw: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def correlation_factor(self, geom: ArrayGeometry) -> tuple | None:
         """Cached ``(counts, blocks)`` square-root factor of a geometry's sinc correlation.
@@ -131,6 +138,19 @@ class SimContext:
             r = sinc_correlation(geom, self.config.wavelength)
             self._factors[key] = (geom.counts, correlation.matrix_sqrt_factor(r, geom.counts))
         return self._factors[key]
+
+    def los(self, los_fn, tx: ArrayGeometry, rx: ArrayGeometry, h_p: float) -> np.ndarray:
+        """``los_fn(tx, rx, h_p, wavelength)``, computed once per ``los_fn`` for BS to surface.
+
+        Both arrays of that link are fixed for the context, so its LOS
+        matrix is the same in every trial; other links are computed each call.
+        """
+        wl = self.config.wavelength
+        if tx is not self.bs_geom or rx is not self.ris_geom:
+            return los_fn(tx, rx, h_p, wl)
+        if los_fn not in self._los:
+            self._los[los_fn] = los_fn(tx, rx, h_p, wl)
+        return self._los[los_fn]
 
     def flag_near_field(self, model: ChannelModel, role: LinkRole, tx, rx, distance):
         """Warn once per (model, link) when a far-field model is evaluated inside the near field."""
@@ -218,21 +238,21 @@ def draw_links(
     out = []
     for (role, tx_geom, rx_geom, _), h_p, scatter in zip(links, budgets, nlos):
         k = config.links[role].k_factor
-        los = los_fn(tx_geom, rx_geom, h_p, wl)
+        los = ctx.los(los_fn, tx_geom, rx_geom, h_p)
         out.append(math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * scatter)
     return out
 
 
-def ue_positions(config: ScenarioConfig, trial: int) -> np.ndarray:
-    """UE positions for a trial: uniform in the square area, fixed height.
+def ue_positions(config: ScenarioConfig, trial: int, count: int) -> np.ndarray:
+    """Positions of a trial's first ``count`` UEs: uniform in the square area, fixed height.
 
     UE ``j`` gets its own seed path, so its position is identical across
     models and across sweep cells with different UE counts.
     """
     cx, cy, cz = config.ue_center
     half = config.ue_side / 2.0
-    out = np.empty((config.ue_count, 3))
-    for j in range(config.ue_count):
+    out = np.empty((count, 3))
+    for j in range(count):
         rng = seeding.derive_rng(config.master_seed, trial, seeding.STREAM_UE_POSITION, j)
         out[j] = (
             cx + rng.uniform(-half, half),
@@ -248,7 +268,14 @@ def run_trial(
     model: ChannelModel | None = None,
     ctx: SimContext | None = None,
 ) -> TrialResult:
-    """One Monte Carlo trial; deterministic given (config, trial_index, model)."""
+    """One Monte Carlo trial; deterministic given (config, trial_index, model).
+
+    The trial's links are drawn for ``max(ue_count, *sweep_n_ue)`` UEs and
+    the first ``ue_count`` are used, so every UE-count cell of a sweep sees
+    the same channel bits, whether it runs in the sweep or on its own.  The
+    draw is kept on ``ctx``; a later cell's call for the same (model,
+    trial, master seed) reuses it instead of drawing again.
+    """
     if model is None:
         if len(config.models) != 1:
             raise ValueError("config selects several models; pass one explicitly")
@@ -257,18 +284,22 @@ def run_trial(
         ctx = SimContext(config)
     t0 = time.perf_counter()
 
-    positions = ue_positions(config, trial_index)
+    k_draw = max([config.ue_count, *config.sweep_n_ue])
+    key = (model, trial_index, config.master_seed, k_draw)
+    if ctx.draw_key != key:
+        ues = [ArrayGeometry.single(p) for p in ue_positions(config, trial_index, k_draw)]
+        links = [(LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, 0)]
+        links += [(LinkRole.DIRECT, ctx.bs_geom, ue, j) for j, ue in enumerate(ues)]
+        links += [(LinkRole.RIS_TO_RX, ctx.ris_geom, ue, j) for j, ue in enumerate(ues)]
+        h_t, *rows = draw_links(model, links, config, ctx, trial_index)
+        # h_{d,k} and h_{r,k} are columns, with h^H the received row
+        direct = np.vstack(rows[:k_draw]).T.conj()
+        h_r = np.vstack(rows[k_draw:]).T.conj()
+        ctx.draw_key, ctx.draw = key, (h_t, direct, h_r)
+    h_t, direct, h_r = ctx.draw
     k = config.ue_count
-    ues = [ArrayGeometry.single(p) for p in positions]
-    links = [(LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, 0)]
-    links += [(LinkRole.DIRECT, ctx.bs_geom, ue, j) for j, ue in enumerate(ues)]
-    links += [(LinkRole.RIS_TO_RX, ctx.ris_geom, ue, j) for j, ue in enumerate(ues)]
-    h_t, *rows = draw_links(model, links, config, ctx, trial_index)
-    # h_{d,k} and h_{r,k} are columns, with h^H the received row
-    direct = np.ascontiguousarray(np.vstack(rows[:k]).T.conj())
-    h_r = np.ascontiguousarray(np.vstack(rows[k:]).T.conj())
 
-    _, effective = configure_tiles(direct, h_t, h_r, ctx.tiles, ctx.codebook)
+    _, effective = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
     iterations, kind, gap, min_sv = 0, None, math.nan, math.nan
     try:
         solution = min_power_precoder(
@@ -367,6 +398,10 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Cartesian sweep over (model, Q, N_UE) with paired per-trial seeds.
 
     The whole sweep is checked (:func:`_check_sweep`) before its first trial.
+    Each (model, Q) runs trial-major: trial ``i`` of every UE-count cell, in
+    ``sweep_n_ue`` order, before trial ``i + 1``, so the cells share the
+    trial's draw (:func:`run_trial`).  Rows come out cell by cell, as if
+    each cell had run on its own.
     """
     _check_sweep(config)
     aggregates: list[AggregateRow] = []
@@ -376,15 +411,20 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
             sized = with_q(config, q)
             cells = [replace(sized, ue_count=n_ue, models=[model]) for n_ue in config.sweep_n_ue]
             ctx = SimContext(cells[0])
-            for cell in cells:
-                t0 = time.perf_counter()
-                results = run_cell(cell, model, ctx)
+            results: list[list[TrialResult]] = [[] for _ in cells]
+            seconds = [0.0] * len(cells)
+            for i in range(sized.trials):
+                for c, cell in enumerate(cells):
+                    t0 = time.perf_counter()
+                    results[c].append(run_trial(cell, i, model=model, ctx=ctx))
+                    seconds[c] += time.perf_counter() - t0
+            for cell, rows, elapsed in zip(cells, results, seconds):
                 logger.info(
                     "cell model=%s q=%d n_ue=%d: %d trials in %.1f s",
-                    model.value, q, cell.ue_count, len(results), time.perf_counter() - t0,
+                    model.value, q, cell.ue_count, len(rows), elapsed,
                 )
-                raw.extend(results)
-                aggregates.append(aggregate(results))
+                raw.extend(rows)
+                aggregates.append(aggregate(rows))
     return SweepResult(aggregates=aggregates, raw=raw)
 
 

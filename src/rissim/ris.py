@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,11 @@ class Codebook:
         """(M, tile_size) phases of every entry, values in ``[0, 2*pi)``."""
         grid = self.gradients[:, None, :] + self.offsets[None, :, None]
         return np.mod(grid, 2.0 * math.pi).reshape(len(self), -1)
+
+    @cached_property
+    def phasors(self) -> np.ndarray:
+        """(G, tile_size) gradient phasors ``exp(-j * gradients)``, computed once."""
+        return np.exp(-1j * self.gradients)
 
 
 def build_codebook(tile_shape) -> Codebook:
@@ -199,7 +205,6 @@ def configure_tiles(
         raise ValueError("channel dimensions do not match the tile partition")
 
     n_grad, n_off = codebook.gradients.shape[0], codebook.offsets.shape[0]
-    grad_phasors = np.exp(-1j * codebook.gradients)  # (G, q)
     h_t_conj = np.conj(h_t)
     # The Gramian of entry (g, b) is S_g + cos(theta_b) U_g + sin(theta_b) V_g
     # with S_g = H^H H + D_g^H D_g, U_g = P_g + P_g^H, V_g = -j (P_g - P_g^H)
@@ -211,7 +216,7 @@ def configure_tiles(
     # all UEs' gradient contributions come from one product per tile,
     # (G, q) @ (q, K*N_t), and row k of d_all[t, g] is column k of D_g.
     weighted = h_r[tiles][:, :, :, None] * h_t_conj[tiles][:, :, None, :]  # (T, q, K, N_t)
-    d_all = grad_phasors @ weighted.reshape(*tiles.shape, n_ue * n_t)
+    d_all = codebook.phasors @ weighted.reshape(*tiles.shape, n_ue * n_t)
     d_all = d_all.reshape(len(tiles), n_grad, n_ue, n_t)
     dhd_all = np.conj(d_all) @ d_all.swapaxes(2, 3)  # (T, G, K, K)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)

@@ -120,16 +120,15 @@ class TestRunTrial:
 
 class TestPairedRandomness:
     def test_ue_positions_shared_across_counts(self):
-        cfg1 = small_config(ue_count=1)
-        cfg4 = small_config(ue_count=4)
-        p1 = ue_positions(cfg1, 5)
-        p4 = ue_positions(cfg4, 5)
+        cfg = small_config()
+        p1 = ue_positions(cfg, 5, 1)
+        p4 = ue_positions(cfg, 5, 4)
         np.testing.assert_array_equal(p1[0], p4[0])
 
     def test_ue_positions_in_area(self):
-        cfg = small_config(ue_count=8)
+        cfg = small_config()
         for trial in range(10):
-            pos = ue_positions(cfg, trial)
+            pos = ue_positions(cfg, trial, 8)
             assert np.all(np.abs(pos[:, 0] - 10.0) <= 4.0)
             assert np.all(np.abs(pos[:, 1] - 50.0) <= 4.0)
             np.testing.assert_array_equal(pos[:, 2], 1.0)
@@ -175,7 +174,7 @@ class TestNearFieldWarning:
         ctx = SimContext(with_q(cfg, 1024))
         boundary = fraunhofer_distance(ctx.ris_geom.aperture, cfg.wavelength)
         assert boundary == pytest.approx(57.6, abs=0.05)
-        assert np.linalg.norm(ue_positions(cfg, 0)[0] - ctx.ris_geom.center) > boundary
+        assert np.linalg.norm(ue_positions(cfg, 0, 1)[0] - ctx.ris_geom.center) > boundary
         with caplog.at_level(logging.WARNING, logger="rissim.harness"):
             run_sweep(cfg)
         messages = [r.getMessage() for r in caplog.records]
@@ -306,6 +305,77 @@ class TestContextPerModelAndQ:
         assert raw_csv(shared.raw) == raw_csv([r for c in fresh for r in c])
 
 
+class TestSharedTrialDraw:
+    MODELS = [ChannelModel.CORRELATED_RAYLEIGH, ChannelModel.NEARFIELD_GEOMETRIC]
+
+    def sweep_config(self, sweep_n_ue=(1, 2, 4)):
+        return small_config(models=self.MODELS, sweep_q=[8, 16], sweep_n_ue=list(sweep_n_ue),
+                            trials=3)
+
+    def test_links_drawn_once_per_trial_and_model_and_q(self, monkeypatch):
+        drawn = []
+        draw = harness.draw_links
+
+        def counting_draw(model, links, config, ctx, trial):
+            drawn.append((model, config.q_total, trial, len(links)))
+            return draw(model, links, config, ctx, trial)
+
+        monkeypatch.setattr(harness, "draw_links", counting_draw)
+        cfg = self.sweep_config()
+        res = run_sweep(cfg)
+        assert len(res.raw) == 2 * 2 * 3 * 3
+        # one draw of the BS-to-surface link and 2 x 4 UE links per trial
+        assert drawn == [
+            (model, q, trial, 9) for model in self.MODELS for q in (8, 16) for trial in range(3)
+        ]
+
+    def test_smaller_cells_take_leading_columns_of_the_largest(self, monkeypatch):
+        calls = []
+
+        def capture(direct, h_t, h_r, tiles, codebook):
+            calls.append((direct.shape[1], direct.copy(), h_t.copy(), h_r.copy()))
+            return configure_tiles(direct, h_t, h_r, tiles, codebook)
+
+        monkeypatch.setattr(harness, "configure_tiles", capture)
+        # default sizes: Q=64, N_t=16, where the width of the surface-factor
+        # product moves the last bit of a correlated draw
+        cfg = replace(default_config(), models=[ChannelModel.CORRELATED_RAYLEIGH],
+                      sweep_n_ue=[1, 2, 4], trials=3)
+        run_sweep(cfg)
+        assert [c[0] for c in calls] == [1, 2, 4] * 3
+        for trial in range(3):
+            *smaller, (_, direct, h_t, h_r) = calls[3 * trial:3 * trial + 3]
+            for k, d, t, r in smaller:
+                np.testing.assert_array_equal(d, direct[:, :k])
+                np.testing.assert_array_equal(t, h_t)
+                np.testing.assert_array_equal(r, h_r[:, :k])
+
+    def test_cell_order_does_not_change_rows(self):
+        ascending = run_sweep(self.sweep_config((1, 2, 4)))
+        shuffled = run_sweep(self.sweep_config((4, 1, 2)))
+
+        def by_cell(res):
+            return sorted(
+                (replace(r, wall_time=0.0) for r in res.raw),
+                key=lambda r: (r.model, r.q, r.n_ue, r.trial),
+            )
+
+        assert by_cell(shuffled) == by_cell(ascending)
+        key = lambda a: (a.model, a.q, a.n_ue)
+        assert sorted(shuffled.aggregates, key=key) == sorted(ascending.aggregates, key=key)
+        assert [a.n_ue for a in shuffled.aggregates[:3]] == [4, 1, 2]
+
+    def test_draw_key_holds_the_latest_trial_only(self):
+        cfg = replace(small_config(sweep_n_ue=[1, 4]), ue_count=1)
+        ctx = SimContext(cfg)
+        model = ChannelModel.IID_RAYLEIGH
+        run_trial(cfg, 0, model=model, ctx=ctx)
+        run_trial(cfg, 1, model=model, ctx=ctx)
+        assert ctx.draw_key == (model, 1, cfg.master_seed, 4)
+        h_t, direct, h_r = ctx.draw
+        assert direct.shape == (4, 4) and h_r.shape == (8, 4)
+
+
 class TestSimContext:
     def test_correlation_cache_shared(self):
         cfg = small_config()
@@ -313,6 +383,21 @@ class TestSimContext:
         a = ctx.correlation_factor(ctx.ris_geom)
         b = ctx.correlation_factor(ctx.ris_geom)
         assert a is b
+
+    @pytest.mark.parametrize(
+        "model, los_name",
+        [(ChannelModel.IID_RICIAN, "los_matrix"), (ChannelModel.NEARFIELD_GEOMETRIC, "nearfield_los")],
+        ids=["planar", "nearfield"],
+    )
+    def test_bs_to_surface_los_computed_once(self, monkeypatch, model, los_name):
+        cfg = small_config()
+        calls = []
+        los_fn = getattr(harness, los_name)
+        monkeypatch.setattr(harness, los_name, lambda tx, *a: calls.append(tx.size) or los_fn(tx, *a))
+        run_cell(cfg, model)
+        # the 4-antenna BS to the surface once; each UE's two links every trial
+        assert calls.count(4) == 1 + 2 * cfg.trials
+        assert calls.count(cfg.q_total) == 2 * cfg.trials
 
     def test_geometry_matches_config(self):
         cfg = small_config()
