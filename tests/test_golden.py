@@ -1,22 +1,27 @@
 """Byte-level regression lock on the sweep output.
 
 ``tests/golden/sweep.ini`` runs every channel model at Q = 64 and 128 with
-K = 1, 2 and 4 UEs for 3 trials.  The aggregate and per-trial CSV that
-``rissim run --raw`` writes for it must match the committed files byte for
-byte, so a refactor that changes any draw, any tile choice or any precoder
-result shows here.
+K = 1, 2 and 4 UEs for 3 trials.  ``tests/golden/odd_axes.ini`` runs the
+correlated model on a 3x1 BS and 5x7 tiles (Q = 35 and 140) with K = 1 and
+3, so the correlation fold sees odd and length-1 axes.  The aggregate and
+per-trial CSV that ``rissim run --raw`` writes for each must match the
+committed files byte for byte, so a refactor that changes any draw, any
+tile choice or any precoder result shows here.
 """
 
 from pathlib import Path
+
+import pytest
 
 from rissim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_sweep_csv_bytes_match_golden(tmp_path):
-    out = tmp_path / "sweep.csv"
-    rc = main(["run", "--config", str(GOLDEN / "sweep.ini"), "--out", str(out), "--raw"])
+@pytest.mark.parametrize("name", ["sweep", "odd_axes"])
+def test_sweep_csv_bytes_match_golden(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    rc = main(["run", "--config", str(GOLDEN / f"{name}.ini"), "--out", str(out), "--raw"])
     assert rc == 0
-    assert out.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
-    assert out.with_suffix(".raw.csv").read_bytes() == (GOLDEN / "sweep.raw.csv").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert out.with_suffix(".raw.csv").read_bytes() == (GOLDEN / f"{name}.raw.csv").read_bytes()
