@@ -107,9 +107,8 @@ def _check_factor_fold(seed: int) -> tuple[bool, str]:
         ArrayGeometry.upa(5, 7, 0.4 * lam),
         ArrayGeometry.upa(1, 6, lam / 2.0),
     ):
-        r = sinc_correlation(geom, lam)
-        factor = (geom.counts, matrix_sqrt_factor(r, geom.counts))
-        ref, rec = oracles.sqrt_factor_errors(r, factor)
+        factor = (geom.counts, matrix_sqrt_factor(geom, lam))
+        ref, rec = oracles.sqrt_factor_errors(sinc_correlation(geom, lam), factor)
         worst_ref, worst_rec = max(worst_ref, ref), max(worst_rec, rec)
     ok = worst_ref <= 1e-8 and worst_rec <= 1e-13
     return ok, f"|F - F_dense| {worst_ref:.1e} (tol 1e-8), |F F^T - R| {worst_rec:.1e} (tol 1e-13)"

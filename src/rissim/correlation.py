@@ -1,17 +1,18 @@
 """Spatial correlation under isotropic half-space scattering.
 
-Builds the sinc correlation matrices of a given array geometry, factors
-them, and samples correlated Rayleigh channel matrices as the two-sided
-factor product ``Rbar_rx @ H_iid @ Rbar_tx.T``.
+Factors the sinc correlation of an array geometry and samples correlated
+Rayleigh channel matrices as the two-sided factor product
+``Rbar_rx @ H_iid @ Rbar_tx.T``.
 
-The sinc matrix ``R`` of an ``N_y x N_z`` UPA does not change when the y
-index is flipped, nor when the z index is.  Per axis, the orthogonal
-``P_a = [[I, I], [J, -J]] / sqrt(2)`` (``J`` the exchange matrix; for odd
-length the middle line joins the even half) folds it into an even and an
-odd half (Cantoni and Butler, 1976), so ``P = P_y kron P_z`` turns ``R``
-into four diagonal blocks of about ``Q/4`` each, one per (y, z) parity.
-The factor ``Rbar = P diag(F_b) P^T`` is kept as the four block roots
-``F_b`` and never assembled as a dense ``Q x Q`` matrix.
+The sinc correlation ``R`` of an ``N_y x N_z`` UPA depends only on index
+offsets, so it is one ``N_y x N_z`` table of sinc values, and it does not
+change when the y index is flipped, nor when the z index is.  Per axis, the
+orthogonal ``P_a = [[I, I], [J, -J]] / sqrt(2)`` (``J`` the exchange matrix;
+for odd length the middle line joins the even half) folds it into an even
+and an odd half (Cantoni and Butler, 1976), so ``P = P_y kron P_z`` turns
+``R`` into four diagonal blocks of about ``Q/4``, one per (y, z) parity,
+gathered straight from the table.  The factor ``Rbar = P diag(F_b) P^T`` is
+kept as the four block roots ``F_b``; neither ``R`` nor ``Rbar`` is built.
 """
 
 from __future__ import annotations
@@ -33,6 +34,18 @@ class NotPositiveSemidefiniteError(ValueError):
     """Raised when a correlation matrix has a meaningfully negative eigenvalue."""
 
 
+def _sinc_table(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
+    """(N_y, N_z) sinc values by index offset, ``sinc(kappa * ||(a d_y, b d_z)||)``."""
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength!r}")
+    kappa = 2.0 * math.pi / wavelength
+    d_y, d_z = geom.spacing
+    i_y, i_z = np.arange(geom.counts[0]), np.arange(geom.counts[1])
+    dist = np.sqrt((i_y * d_y)[:, None] ** 2 + (i_z * d_z)[None, :] ** 2)
+    # np.sinc is the normalized sin(pi x)/(pi x); rescale to plain sin(x)/x.
+    return np.sinc(kappa * dist / np.pi)
+
+
 def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
     """(N, N) correlation matrix ``R[m, n] = sinc(kappa * ||u_m - u_n||)``.
 
@@ -46,16 +59,8 @@ def sinc_correlation(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
     ``N_y x N_z`` table, and ``R`` is read out of it.  The result is
     symmetric and unchanged by flipping the y or the z index, bit for bit.
     """
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ValueError(f"wavelength must be finite and > 0, got {wavelength!r}")
-    kappa = 2.0 * math.pi / wavelength
-    i_y, i_z = np.arange(geom.counts[0]), np.arange(geom.counts[1])
-    d_y, d_z = geom.spacing
-    dist = np.sqrt((i_y * d_y)[:, None] ** 2 + (i_z * d_z)[None, :] ** 2)
-    # np.sinc is the normalized sin(pi x)/(pi x); rescale to plain sin(x)/x.
-    table = np.sinc(kappa * dist / np.pi)
-    a_y = np.abs(np.subtract.outer(i_y, i_y))
-    a_z = np.abs(np.subtract.outer(i_z, i_z))
+    table = _sinc_table(geom, wavelength)
+    a_y, a_z = (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) for n in geom.counts)
     # (n_y, n_z, n_y, n_z) is the y-major (N, N) layout
     return table[a_y[:, None, :, None], a_z[None, :, None, :]].reshape(geom.size, geom.size)
 
@@ -72,57 +77,48 @@ def _symmetric_root(block: np.ndarray) -> np.ndarray:
 
 
 def _fold(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd halves ``P_a^T t P_a`` of ``t`` (n, A, n, B) along its axes 0 and 2.
+    """Even and odd halves ``P_a^T R_a P_a``, (m, m, ...) and (h, h, ...), of one axis.
 
-    ``t`` must not change when both of those axes are flipped.  With
-    ``h = n // 2`` the halves are ``t[:h, :h] +- t[:h, ::-1][:h]``; for odd
-    ``n`` the middle line joins the even half, scaled by ``sqrt(2)``.
+    ``R_a[i, j] = t[|i - j|]`` for ``t`` (n, ...) indexed by offset.  With
+    ``h = n // 2`` the halves are ``t[|a-c|] +- t[n-1-a-c]`` for ``a, c < h``;
+    for odd ``n`` the middle line joins the even half as ``sqrt(2) t[h-a]``,
+    with centre ``t[0]``.
     """
     h, odd = divmod(n, 2)
-    a, b = t[:h, :, :h], t[:h, :, ::-1][:, :, :h]
-    even = np.empty((h + odd, t.shape[1], h + odd, t.shape[3]))
-    np.add(a, b, out=even[:h, :, :h])
+    i = np.arange(h)
+    near, far = t[np.abs(i[:, None] - i)], t[n - 1 - i[:, None] - i]
+    even = np.empty((h + odd, h + odd, *t.shape[1:]))
+    np.add(near, far, out=even[:h, :h])
     if odd:
-        even[:h, :, h] = math.sqrt(2.0) * t[:h, :, h]
-        even[h, :, :h] = math.sqrt(2.0) * t[h, :, :h]
-        even[h, :, h] = t[h, :, h]
-    return even, a - b
+        even[:h, h] = even[h, :h] = math.sqrt(2.0) * t[h - i]
+        even[h, h] = t[0]
+    return even, near - far
 
 
-def matrix_sqrt_factor(r: np.ndarray, counts: tuple[int, int]) -> np.ndarray:
-    """Block roots ``F_b``, stacked ``(4, m, m)``, of an ``N_y x N_z`` UPA's correlation.
+def matrix_sqrt_factor(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
+    """Block roots ``F_b``, stacked ``(4, m, m)``, of a geometry's sinc correlation.
 
-    ``r`` is the (N, N) y-major correlation of a grid with ``counts =
-    (N_y, N_z)``; it must not change when the y index is flipped, nor when
-    the z index is (as every :func:`sinc_correlation` does), otherwise
-    ``ValueError``.  Folding y and then z (see the module docstring) gives
-    four blocks, ordered (even y, even z), (even, odd), (odd, even), (odd,
-    odd).  Each block gets the ``eigh`` root, with eigenvalues in
-    ``(-1e-6, 0)`` clamped to zero and anything lower raising
+    Folds the sinc table along y and then along z (see the module
+    docstring) into four blocks, ordered (even y, even z), (even, odd),
+    (odd, even), (odd, odd), and gives each the ``eigh`` root, with
+    eigenvalues in ``(-1e-6, 0)`` clamped to zero and anything lower raising
     :class:`NotPositiveSemidefiniteError` (so rank-deficient correlations of
     large half-wavelength arrays still factor).  A block's rows and columns
     index an ``m_y x m_z`` grid, ``m_a = ceil(N_a / 2)``, so ``m = m_y m_z``;
-    the lines an odd half lacks are zero.  The symmetric root of ``r`` is
-    ``P diag(F_b) P^T``, which :func:`sample_matrix_normal_factor` applies
-    without assembling it.
+    the lines an odd half lacks are zero.  The symmetric root of the
+    correlation is ``P diag(F_b) P^T``, which
+    :func:`sample_matrix_normal_factor` applies without assembling it.
     """
-    n_y, n_z = counts
-    n = n_y * n_z
-    if r.shape != (n, n):
-        raise ValueError(f"correlation matrix of shape {r.shape} does not match counts {counts}")
-    r4 = r.reshape(n_y, n_z, n_y, n_z)
-    for axis, flipped in (("y", r4[::-1, :, ::-1]), ("z", r4[:, ::-1, :, ::-1])):
-        if not np.array_equal(r4, flipped):
-            raise ValueError(f"correlation matrix changes under the {axis} flip")
+    n_y, n_z = geom.counts
     m_y, m_z = (n_y + 1) // 2, (n_z + 1) // 2
     blocks = np.zeros((4, m_y * m_z, m_y * m_z))
     grid = blocks.reshape(2, 2, m_y, m_z, m_y, m_z)
-    for p_y, half in enumerate(_fold(r4, n_y)):
-        for p_z, block in enumerate(_fold(half.transpose(1, 0, 3, 2), n_z)):
-            v_z, v_y = block.shape[:2]
+    for p_y, half in enumerate(_fold(_sinc_table(geom, wavelength), n_y)):
+        # half[a, c, k] is the y half's (a, c) entry at z offset k
+        for p_z, block in enumerate(_fold(np.moveaxis(half, 2, 0), n_z)):
+            v_z, _, v_y, _ = block.shape
             if block.size:
-                v = v_y * v_z
-                root = _symmetric_root(block.transpose(1, 0, 3, 2).reshape(v, v))
+                root = _symmetric_root(block.transpose(2, 0, 3, 1).reshape(v_y * v_z, -1))
                 grid[p_y, p_z, :v_y, :v_z, :v_y, :v_z] = root.reshape(v_y, v_z, v_y, v_z)
     return blocks
 

@@ -41,6 +41,8 @@ class ArrayGeometry:
             raise ValueError(f"element counts must be positive, got {self.counts}")
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
         d_y, d_z = self.spacing
+        if not all(map(math.isfinite, (d_y, d_z, *self.origin.tolist()))):
+            raise ValueError(f"spacing {self.spacing} and origin {self.origin} must be finite")
         iy = np.repeat(np.arange(n_y), n_z)  # y-major flattening
         iz = np.tile(np.arange(n_z), n_y)
         self.local_coords = np.column_stack(

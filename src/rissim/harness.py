@@ -31,7 +31,8 @@ from .channels import (
     pathloss,
     sample_iid_rayleigh,
 )
-from .correlation import sample_matrix_normal_factor, sinc_correlation
+# sinc_correlation is not called here; perfbench's tracer wraps this binding by name.
+from .correlation import sample_matrix_normal_factor, sinc_correlation  # noqa: F401
 from .geometry import ArrayGeometry, fraunhofer_distance
 from .precoding import InfeasibleError, min_power_precoder
 from .ris import build_codebook, build_tile_partition, configure_tiles
@@ -124,19 +125,21 @@ class SimContext:
     def correlation_factor(self, geom: ArrayGeometry) -> tuple | None:
         """Cached ``(counts, blocks)`` square-root factor of a geometry's sinc correlation.
 
-        ``blocks`` are the four folded block roots of
-        :func:`rissim.correlation.matrix_sqrt_factor`.  Correlations depend
-        only on element separations, so the cache is keyed by element counts
-        and spacing.  A single antenna's factor is ``[[1.0]]``; it is never
-        built, and ``None`` stands for it (see
+        ``blocks`` are the four block roots that
+        :func:`rissim.correlation.matrix_sqrt_factor` folds from the
+        geometry's sinc table at the config's wavelength, without building
+        the dense correlation.  Correlations depend only on element
+        separations, so the cache is keyed by element counts and spacing.  A
+        single antenna's factor is ``[[1.0]]``; it is never built, and
+        ``None`` stands for it (see
         :func:`rissim.correlation.sample_matrix_normal_factor`).
         """
         if geom.size == 1:
             return None
         key = (geom.counts, geom.spacing)
         if key not in self._factors:
-            r = sinc_correlation(geom, self.config.wavelength)
-            self._factors[key] = (geom.counts, correlation.matrix_sqrt_factor(r, geom.counts))
+            factor = correlation.matrix_sqrt_factor(geom, self.config.wavelength)
+            self._factors[key] = (geom.counts, factor)
         return self._factors[key]
 
     def los(self, los_fn, tx: ArrayGeometry, rx: ArrayGeometry, h_p: float) -> np.ndarray:

@@ -8,6 +8,7 @@ from scipy import stats
 from rissim.channels import sample_iid_rayleigh
 from rissim.correlation import (
     NotPositiveSemidefiniteError,
+    _symmetric_root,
     matrix_sqrt_factor,
     sample_matrix_normal_factor,
     sinc_correlation,
@@ -107,18 +108,17 @@ class TestSincCorrelation:
 
 def folded(geom):
     """A geometry's ``(counts, blocks)`` factor, as the sweep caches it."""
-    return geom.counts, matrix_sqrt_factor(sinc_correlation(geom, LAM), geom.counts)
+    return geom.counts, matrix_sqrt_factor(geom, LAM)
+
+
+# a half-wavelength ULA decorrelates every pair of elements: R is the identity to rounding
+HALF_WAVE_ULA_3 = ArrayGeometry.upa(3, 1, LAM / 2)
 
 
 class TestMatrixSqrtFactor:
     def test_identity(self):
-        f = expand_factor(((3, 1), matrix_sqrt_factor(np.eye(3), (3, 1))))
+        f = expand_factor(folded(HALF_WAVE_ULA_3))
         np.testing.assert_allclose(f, np.eye(3), atol=1e-12)
-
-    def test_reconstruction(self):
-        r = np.array([[1.0, 0.5], [0.5, 1.0]])
-        f = expand_factor(((2, 1), matrix_sqrt_factor(r, (2, 1))))
-        np.testing.assert_allclose(f @ f.T, r, atol=1e-10)
 
     def test_rank_deficient_duplicate_positions(self):
         # zero spacing along one axis duplicates element positions
@@ -128,15 +128,11 @@ class TestMatrixSqrtFactor:
         np.testing.assert_allclose(f @ f.T, r, atol=1e-8)
 
     @pytest.mark.parametrize(
-        "r, counts",
-        [
-            *((sinc_correlation(g, LAM), g.counts) for g in GEOMETRIES.values()),
-            (np.eye(3), (3, 1)),
-        ],
-        ids=[*GEOMETRIES.keys(), "eye-3"],
+        "geom", [*GEOMETRIES.values(), HALF_WAVE_ULA_3], ids=[*GEOMETRIES.keys(), "eye-3"]
     )
-    def test_fold_matches_dense_root(self, r, counts):
-        factor = (counts, matrix_sqrt_factor(r, counts))
+    def test_fold_matches_dense_root(self, geom):
+        r = sinc_correlation(geom, LAM)
+        factor = folded(geom)
         assert expand_factor(factor).shape == r.shape
         ref_err, rec_err = sqrt_factor_errors(r, factor)
         # the root of a zero eigenvalue rounds to about sqrt(1e-16)
@@ -150,7 +146,7 @@ class TestMatrixSqrtFactor:
     )
     def test_four_padded_blocks(self, counts):
         geom = ArrayGeometry.upa(*counts, 0.4 * LAM)
-        blocks = matrix_sqrt_factor(sinc_correlation(geom, LAM), counts)
+        blocks = matrix_sqrt_factor(geom, LAM)
         (m_y, h_y), (m_z, h_z) = (((n + 1) // 2, n // 2) for n in counts)
         assert type(blocks) is np.ndarray and blocks.shape == (4, m_y * m_z, m_y * m_z)
         # the odd half of an odd axis lacks its last line, which stays zero
@@ -158,49 +154,39 @@ class TestMatrixSqrtFactor:
         assert not grid[1, :, h_y:].any() and not grid[1, :, :, :, h_y:].any()
         assert not grid[:, 1, :, h_z:].any() and not grid[:, 1, :, :, :, h_z:].any()
 
-    @pytest.mark.parametrize(
-        "r, counts",
-        [
-            (np.array([[1.0, 0.5], [0.5, 2.0]]), (2, 1)),
-            (np.diag([1.0, 2.0, 3.0]), (1, 3)),
-            (sinc_correlation(GEOMETRIES["upa-3x5"], LAM)[:-1, :-1], (2, 7)),
-            # unchanged by flipping both axes at once, but not by each one
-            (np.eye(4) + 0.2 * np.eye(4)[::-1] - 0.1 * np.diag([0, 1, 1, 0])[::-1], (2, 2)),
-        ],
-        ids=["2x2", "diag-3", "cropped", "joint-flip-only"],
-    )
-    def test_not_centrosymmetric_rejected(self, r, counts):
-        with pytest.raises(ValueError, match="changes under the [yz] flip"):
-            matrix_sqrt_factor(r, counts)
-
-    def test_counts_must_match(self):
-        with pytest.raises(ValueError, match="does not match counts"):
-            matrix_sqrt_factor(np.eye(6), (2, 2))
-
     def test_not_psd_rejected(self):
         with pytest.raises(NotPositiveSemidefiniteError):
-            matrix_sqrt_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), (2, 1))
+            _symmetric_root(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_peak_memory(self):
+        # under one (Q, Q) float64 array: the dense correlation is never built
+        geom = ArrayGeometry.upa(32, 32, LAM / 2)
+        q = geom.size
+        tracemalloc.start()
+        try:
+            matrix_sqrt_factor(geom, LAM)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < q * q * np.dtype(np.float64).itemsize
+
+
+SMALL_GEOMS = (ArrayGeometry.upa(3, 1, 0.3 * LAM), ArrayGeometry.upa(2, 1, 0.25 * LAM))
 
 
 @pytest.fixture(scope="module")
 def small_correlations():
-    rx = ArrayGeometry.upa(3, 1, 0.3 * LAM)
-    tx = ArrayGeometry.upa(2, 1, 0.25 * LAM)
-    return sinc_correlation(rx, LAM), sinc_correlation(tx, LAM)
+    return tuple(sinc_correlation(g, LAM) for g in SMALL_GEOMS)
 
 
 @pytest.fixture(scope="module")
-def small_factors(small_correlations):
-    return tuple(
-        (counts, matrix_sqrt_factor(r, counts))
-        for r, counts in zip(small_correlations, [(3, 1), (2, 1)])
-    )
+def small_factors():
+    return tuple(folded(g) for g in SMALL_GEOMS)
 
 
 class TestMatrixNormalRoutes:
     def test_identity_reduces_to_iid(self):
-        f_rx = ((3, 1), matrix_sqrt_factor(np.eye(3), (3, 1)))
-        f_tx = ((2, 1), matrix_sqrt_factor(np.eye(2), (2, 1)))
+        f_rx, f_tx = folded(HALF_WAVE_ULA_3), folded(ArrayGeometry.upa(2, 1, LAM / 2))
         rng = np.random.default_rng(0)
         draws = 20000
         h = np.array(
@@ -344,7 +330,7 @@ class TestOnePassDraw:
         f_ris = surface_and_bs_factors((4, 4))[0]
         rng_a, rng_b = derive_rng(1, 2), derive_rng(1, 2)
         skipped = sample_matrix_normal_factor([(rng_a, None, f_ris, 0.7)])[0]
-        one = ((1, 1), matrix_sqrt_factor(np.ones((1, 1)), (1, 1)))
+        one = folded(ArrayGeometry.single((0.0, 0.0, 0.0)))
         applied = sample_matrix_normal_factor([(rng_b, one, f_ris, 0.7)])[0]
         np.testing.assert_array_equal(skipped, applied)
         assert sample_matrix_normal_factor([(derive_rng(1), None, None, 0.5)])[0].shape == (1, 1)

@@ -56,6 +56,17 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(counts=(0, 2), spacing=(0.1, 0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spacing_or_origin_rejected(self, bad):
+        for spacing, origin in (((bad, 0.1), (0, 0, 0)), ((0.1, bad), (0, 0, 0)), ((0.1, 0.1), (0, bad, 0))):
+            with pytest.raises(ValueError, match="must be finite"):
+                ArrayGeometry(counts=(2, 2), spacing=spacing, origin=origin)
+        with pytest.raises(ValueError, match="must be finite"):
+            ArrayGeometry.single((bad, 0.0, 0.0))
+        # zero spacing and a single antenna stay valid
+        assert ArrayGeometry(counts=(2, 2), spacing=(0.0, 0.0)).aperture == 0.0
+        assert ArrayGeometry.single((1.0, 2.0, 3.0)).size == 1
+
 
 class TestSteering:
     def test_broadside_all_ones(self):

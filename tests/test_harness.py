@@ -284,9 +284,9 @@ class TestContextPerModelAndQ:
         built = []
         factor = correlation.matrix_sqrt_factor
 
-        def counting_factor(r, counts):
-            built.append(r.shape[0])
-            return factor(r, counts)
+        def counting_factor(geom, wavelength):
+            built.append(geom.size)
+            return factor(geom, wavelength)
 
         monkeypatch.setattr(correlation, "matrix_sqrt_factor", counting_factor)
         model = ChannelModel.CORRELATED_RAYLEIGH
