@@ -20,7 +20,7 @@ from rissim.channels import (
 )
 from rissim.geometry import ArrayGeometry, fraunhofer_distance
 from rissim.harness import SimContext, draw_links
-from rissim.scenario import default_config, load_config
+from rissim.scenario import default_config, load_config, with_q
 
 LAM = 0.06
 ROLE = LinkRole.TX_TO_RIS
@@ -224,6 +224,35 @@ class TestClusters:
         )
         assert gains.mean() == pytest.approx(0.0, abs=3 * math.sqrt(3.0 / gains.size))
         assert np.mean(gains**2) == pytest.approx(3.0, rel=0.05)
+
+    @pytest.mark.parametrize("shape", [(5, 20), (3, 7), (1, 1)], ids=["5x20", "3x7", "1x1"])
+    @pytest.mark.parametrize("role", list(LinkRole), ids=lambda role: role.value)
+    def test_matches_plain_stream_reads(self, role, shape):
+        # the shipped arrays, with the surface at Q=1024
+        ctx = SimContext(with_q(default_config(), 1024))
+        volume = ctx.config.links[role].cluster_volume
+        for seed in range(10):
+            cs = draw_clusters(
+                np.random.default_rng(seed), volume, *shape, 2.0,
+                avoid_sets=(ctx.bs_geom.element_positions, ctx.ris_geom.element_positions),
+            )
+            positions, phases, gains = plain_cluster_draw(
+                np.random.default_rng(seed), volume, *shape, 2.0
+            )
+            assert np.array_equal(cs.positions, positions)
+            assert np.array_equal(cs.phases, phases)
+            assert np.array_equal(cs.gains, gains)
+
+
+def plain_cluster_draw(rng, volume, n_clusters, n_subpaths, h_p):
+    """Reference cluster draw: centroids, gains, then per cluster its positions and phases."""
+    centroids = volume.sample(rng, n_clusters)
+    gains = math.sqrt(h_p) * rng.standard_normal(n_clusters)
+    positions, phases = [], []
+    for centroid in centroids:
+        positions.append(centroid + rng.uniform(-1.0, 1.0, size=(n_subpaths, 3)))
+        phases.append(rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths))
+    return np.array(positions), np.array(phases), gains
 
 
 def per_subpath_draw(rng, volume, n_clusters, n_subpaths, h_p, avoid):
