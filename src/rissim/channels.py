@@ -28,8 +28,10 @@ import numpy as np
 from . import units
 from .geometry import ArrayGeometry, distance_matrix, steering_vector
 
-# Minimum allowed separation between a scatterer and any antenna element;
-# draws closer than this are rejected and resampled.
+# A sub-path closer than this to an array center (low-rank) or to an
+# antenna element (near-field) makes the link raise ValueError.  Nothing is
+# resampled: a sub-path lands that close to a given point with probability
+# at most (4/3)*pi*(1e-9)**3 / 8, about 5e-28.
 _MIN_SCATTER_CLEARANCE = 1e-9
 
 # dB values must stay below this for their linear gain to be a finite float;
@@ -183,9 +185,9 @@ class ClusterSet:
     """Cluster draw for one link, carrying the power budget it was drawn for.
 
     ``positions`` (L, R, 3) and ``phases`` (L, R) hold the R sub-paths of
-    each of the L clusters, ``gains`` (L,) one real gain per cluster.  Every
-    sub-path clears the points its draw avoided; :func:`draw_clusters` says
-    how the per-array box screen makes that cheap and why it is exact.
+    each of the L clusters, ``gains`` (L,) one real gain per cluster.  The
+    sub-paths are not screened against the arrays; the channel functions
+    raise on one that sits on an array center or element.
     """
 
     positions: np.ndarray
@@ -199,62 +201,25 @@ class ClusterSet:
 SUBPATH_CUBE_SIDE = 2.0
 
 
-def _too_close(pos: np.ndarray, sets: list, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mask (R,) of the sub-paths ``pos`` (R, 3) within the clearance ``c`` of a point in ``sets``.
-
-    ``lo`` and ``hi`` (S, 1, 3) are the sets' box corners.  ``lo - p > c`` is
-    computed rather than ``p < lo - c``: rounding is monotone and ``c`` is a
-    float, so a computed difference above ``c`` is an exact one above it.
-    """
-    c = _MIN_SCATTER_CLEARANCE
-    near = np.maximum(lo - pos, pos - hi).max(axis=-1) <= c  # (S, R)
-    close = np.zeros(len(pos), dtype=bool)
-    for points, candidates in zip(sets, near):
-        if candidates.any():
-            close[candidates] |= distance_matrix(pos[candidates], points).min(axis=1) < c
-    return close
-
-
 def draw_clusters(
-    rng: np.random.Generator,
-    volume: Box,
-    n_clusters: int,
-    n_subpaths: int,
-    h_p: float,
-    avoid_sets: tuple[np.ndarray, ...] = (),
+    rng: np.random.Generator, volume: Box, n_clusters: int, n_subpaths: int, h_p: float
 ) -> ClusterSet:
     """Draw cluster centroids, per-cluster gains, and sub-path positions/phases.
 
     Centroids are uniform in ``volume``; sub-paths are uniform in the 2 m cube
     around their centroid; gains are zero-mean Gaussian with variance ``h_p``;
-    phases are iid uniform on [0, 2*pi).
-    Sub-paths within the clearance distance of a point of ``avoid_sets``
-    (each an (N, 3) array, e.g. one array's elements) are resampled, in
-    index order, until they clear; random numbers are drawn only then.
-
-    A cluster's sub-paths are screened at once against each set's bounding
-    box widened by the clearance, and only those inside a box get the exact
-    distance test.  The screen is exact: ``|p_i - a_i| <= ||p - a||``, so a
-    sub-path more than the clearance outside a box on one axis clears every
-    point in it.  One box per array keeps the survivors few.
+    phases are iid uniform on [0, 2*pi).  The stream is read in that order,
+    positions then phases cluster by cluster, and nothing is redrawn.
     """
     if n_clusters < 1 or n_subpaths < 1:
         raise ValueError("need at least one cluster and one sub-path")
     centroids = volume.sample(rng, n_clusters)
     gains = math.sqrt(h_p) * rng.standard_normal(n_clusters)
-    sets = [pts for pts in avoid_sets if len(pts)]
-    lo, hi = (np.array([f(pts, axis=0) for pts in sets]).reshape(-1, 1, 3) for f in (np.min, np.max))
     half = SUBPATH_CUBE_SIDE / 2.0
     positions = np.empty((n_clusters, n_subpaths, 3))
     phases = np.empty((n_clusters, n_subpaths))
     for l, centroid in enumerate(centroids):
-        pos = positions[l]
-        pos[:] = centroid + rng.uniform(-half, half, size=(n_subpaths, 3))
-        offenders = _too_close(pos, sets, lo, hi)
-        for r in np.flatnonzero(offenders):
-            while offenders[r]:
-                pos[r] = centroid + rng.uniform(-half, half, size=3)
-                offenders[r] = _too_close(pos[r : r + 1], sets, lo, hi)[0]
+        positions[l] = centroid + rng.uniform(-half, half, size=(n_subpaths, 3))
         phases[l] = rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths)
     return ClusterSet(positions=positions, phases=phases, gains=gains, h_p=h_p)
 

@@ -56,6 +56,9 @@ def _cmd_run(args) -> int:
             raise ValueError(f"--out {args.out!r} is a directory")
         if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
             raise ValueError(f"--out directory {str(out.parent)!r} does not exist or is not writable")
+        raw_path = out.with_suffix(".raw.csv")
+        if args.raw and raw_path.is_dir():
+            raise ValueError(f"--raw {str(raw_path)!r} is a directory")
     config = _resolve_config(args)
     result = harness.run_sweep(config)
     text = harness.aggregate_csv(result.aggregates)
@@ -65,7 +68,6 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(text)
     if args.raw:
-        raw_path = Path(args.out).with_suffix(".raw.csv")
         raw_path.write_text(harness.raw_csv(result.raw))
         logging.info("wrote %s", raw_path)
     return 0

@@ -216,12 +216,7 @@ def draw_links(
             nlos.append((rng, f_rx, f_tx, math.sqrt(h_p)))  # drawn below, all at once
         elif model in _GEOMETRIC_MODELS:
             clusters = draw_clusters(
-                rng,
-                link.cluster_volume,
-                config.n_clusters,
-                config.n_subpaths,
-                h_p,
-                avoid_sets=(tx_geom.element_positions, rx_geom.element_positions),
+                rng, link.cluster_volume, config.n_clusters, config.n_subpaths, h_p
             )
             from_clusters = (
                 lowrank_from_clusters

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rissim import channels, units
+from rissim import units
 from rissim.channels import (
     Box,
     ChannelModel,
@@ -20,7 +20,7 @@ from rissim.channels import (
 )
 from rissim.geometry import ArrayGeometry, fraunhofer_distance
 from rissim.harness import SimContext, draw_links
-from rissim.scenario import default_config, load_config, with_q
+from rissim.scenario import default_config, load_config
 
 LAM = 0.06
 ROLE = LinkRole.TX_TO_RIS
@@ -228,14 +228,9 @@ class TestClusters:
     @pytest.mark.parametrize("shape", [(5, 20), (3, 7), (1, 1)], ids=["5x20", "3x7", "1x1"])
     @pytest.mark.parametrize("role", list(LinkRole), ids=lambda role: role.value)
     def test_matches_plain_stream_reads(self, role, shape):
-        # the shipped arrays, with the surface at Q=1024
-        ctx = SimContext(with_q(default_config(), 1024))
-        volume = ctx.config.links[role].cluster_volume
+        volume = default_config().links[role].cluster_volume
         for seed in range(10):
-            cs = draw_clusters(
-                np.random.default_rng(seed), volume, *shape, 2.0,
-                avoid_sets=(ctx.bs_geom.element_positions, ctx.ris_geom.element_positions),
-            )
+            cs = draw_clusters(np.random.default_rng(seed), volume, *shape, 2.0)
             positions, phases, gains = plain_cluster_draw(
                 np.random.default_rng(seed), volume, *shape, 2.0
             )
@@ -253,66 +248,6 @@ def plain_cluster_draw(rng, volume, n_clusters, n_subpaths, h_p):
         positions.append(centroid + rng.uniform(-1.0, 1.0, size=(n_subpaths, 3)))
         phases.append(rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths))
     return np.array(positions), np.array(phases), gains
-
-
-def per_subpath_draw(rng, volume, n_clusters, n_subpaths, h_p, avoid):
-    """Reference cluster draw: one exact distance check per sub-path, in index order."""
-    centroids = volume.sample(rng, n_clusters)
-    gains = math.sqrt(h_p) * rng.standard_normal(n_clusters)
-    positions, phases = [], []
-    for centroid in centroids:
-        pos = centroid + rng.uniform(-1.0, 1.0, size=(n_subpaths, 3))
-        for r in range(n_subpaths):
-            while np.min(np.linalg.norm(avoid - pos[r], axis=1)) < channels._MIN_SCATTER_CLEARANCE:
-                pos[r] = centroid + rng.uniform(-1.0, 1.0, size=3)
-        positions.append(pos)
-        phases.append(rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths))
-    return np.array(positions), np.array(phases), gains
-
-
-class TestClearance:
-    """Resampling of sub-paths that land too close to an antenna element.
-
-    At the shipped 1e-9 m clearance no seeded draw rejects, so these tests
-    raise it to 0.5 m and put the arrays inside the cluster volume.
-    """
-
-    CLEARANCE = 0.5
-    TX = ArrayGeometry.upa_centered(4, 4, 0.3, (1.0, 0.0, 0.0))
-    RX = ArrayGeometry.upa_centered(2, 1, 0.3, (2.0, 1.0, 0.5))
-    NEAR_VOLUME = Box(lo=(0.0, -1.0, -1.0), hi=(3.0, 2.0, 1.0))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_per_subpath_loop(self, monkeypatch, seed):
-        monkeypatch.setattr(channels, "_MIN_SCATTER_CLEARANCE", self.CLEARANCE)
-        sets = (self.TX.element_positions, self.RX.element_positions)
-        cs = draw_clusters(np.random.default_rng(seed), self.NEAR_VOLUME, 5, 20, 2.0, avoid_sets=sets)
-        positions, phases, gains = per_subpath_draw(
-            np.random.default_rng(seed), self.NEAR_VOLUME, 5, 20, 2.0, np.concatenate(sets)
-        )
-        np.testing.assert_array_equal(cs.positions, positions)
-        np.testing.assert_array_equal(cs.phases, phases)
-        np.testing.assert_array_equal(cs.gains, gains)
-        unchecked = draw_clusters(np.random.default_rng(seed), self.NEAR_VOLUME, 5, 20, 2.0)
-        assert not np.array_equal(cs.positions, unchecked.positions)  # some were redrawn
-        for points in sets:
-            d = np.linalg.norm(cs.positions.reshape(-1, 1, 3) - points[None], axis=-1)
-            assert d.min() >= self.CLEARANCE
-
-    def test_box_is_widened_by_clearance(self, monkeypatch):
-        # a sub-path outside the TX array's bounding box on every axis, but
-        # 0.41 m from its corner element: only a widened box catches it
-        monkeypatch.setattr(channels, "_MIN_SCATTER_CLEARANCE", self.CLEARANCE)
-        sets = [self.TX.element_positions, self.RX.element_positions]
-        lo, hi = (np.array([f(pts, axis=0) for pts in sets])[:, None] for f in (np.min, np.max))
-        corner = self.TX.element_positions.min(axis=0)
-        inside = corner - np.array([0.3, 0.2, 0.2])
-        outside = corner - np.array([0.0, 0.0, 0.51])
-        assert np.linalg.norm(inside - self.TX.element_positions, axis=1).min() < self.CLEARANCE
-        assert np.all(np.linalg.norm(outside - self.TX.element_positions, axis=1) > self.CLEARANCE)
-        np.testing.assert_array_equal(
-            channels._too_close(np.array([inside, outside]), sets, lo, hi), [True, False]
-        )
 
 
 class TestLowRankGeometric:
@@ -339,6 +274,13 @@ class TestLowRankGeometric:
         s = np.linalg.svd(h, compute_uv=False)
         assert s.size == 16  # rank bounded by min(L*R, N_rx, N_tx)
         assert (s[:5] ** 2).sum() / (s**2).sum() > 0.95
+
+    def test_subpath_on_array_center_rejected(self):
+        tx, rx = far_apart_geoms()
+        cs = draw_clusters(np.random.default_rng(22), VOLUME, 5, 20, h_p=1.0)
+        cs.positions[1, 3] = rx.center
+        with pytest.raises(ValueError, match="array center"):
+            lowrank_from_clusters(cs, tx, rx, LAM)
 
     def test_power_normalization(self):
         tx, rx = far_apart_geoms()
@@ -367,6 +309,13 @@ class TestNearFieldGeometric:
         h_far = lowrank_from_clusters(cs, tx, rx, LAM)
         h_near = nearfield_from_clusters(cs, tx, rx, LAM)
         assert np.abs(np.angle(h_near / h_far)).max() < 1e-2
+
+    def test_subpath_on_element_rejected(self):
+        tx, rx = far_apart_geoms()
+        cs = draw_clusters(np.random.default_rng(23), VOLUME, 5, 20, h_p=1.0)
+        cs.positions[2, 7] = tx.element_positions[3]
+        with pytest.raises(ValueError, match="antenna element"):
+            nearfield_from_clusters(cs, tx, rx, LAM)
 
     def test_near_field_deviation_from_planar(self):
         # 32x32 half-wavelength surface at 5 GHz observed from 10 m

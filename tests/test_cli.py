@@ -236,8 +236,12 @@ class TestCliErrors:
         )
         assert trials == []
 
-    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "is-dir"])
-    def test_unusable_out_fails_before_first_trial(self, tmp_path, capsys, monkeypatch, out):
+    @pytest.mark.parametrize(
+        "out, raw",
+        [("missing/x.csv", False), (".", False), ("x.csv", True)],
+        ids=["missing-dir", "is-dir", "raw-is-dir"],
+    )
+    def test_unusable_out_fails_before_first_trial(self, tmp_path, capsys, monkeypatch, out, raw):
         trials = []
 
         def no_trial(*args, **kwargs):
@@ -245,9 +249,10 @@ class TestCliErrors:
             raise RuntimeError("a trial ran before --out was checked")
 
         monkeypatch.setattr(harness, "run_trial", no_trial)
-        out = str(tmp_path / out)
-        assert "--out" in self.error_line(capsys, ["run", "--trials", "2", "--out", out])
-        assert trials == []
+        (tmp_path / "x.raw.csv").mkdir()  # where --raw would write for x.csv
+        argv = ["run", "--trials", "2", "--out", str(tmp_path / out)] + ["--raw"] * raw
+        assert ("--raw" if raw else "--out") in self.error_line(capsys, argv)
+        assert trials == [] and not (tmp_path / "x.csv").exists()
 
 
 class TestSubprocessEntry:
