@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .geometry import ArrayGeometry, distance_matrix, steering_vector
+from .geometry import ArrayGeometry, distance_matrix, element_distances, steering_vector
 
 # A sub-path closer than this to an array center (low-rank) or to an
 # antenna element (near-field) makes the link raise ValueError.  Nothing is
@@ -215,12 +215,12 @@ def draw_clusters(
         raise ValueError("need at least one cluster and one sub-path")
     centroids = volume.sample(rng, n_clusters)
     gains = math.sqrt(h_p) * rng.standard_normal(n_clusters)
-    half = SUBPATH_CUBE_SIDE / 2.0
-    positions = np.empty((n_clusters, n_subpaths, 3))
-    phases = np.empty((n_clusters, n_subpaths))
-    for l, centroid in enumerate(centroids):
-        positions[l] = centroid + rng.uniform(-half, half, size=(n_subpaths, 3))
-        phases[l] = rng.uniform(0.0, 2.0 * math.pi, size=n_subpaths)
+    # Each cluster's 3R position and R phase doubles in one read, scaled as
+    # Generator.uniform scales them: low + (high - low) * u.
+    u = rng.random((n_clusters, 4 * n_subpaths))
+    offsets = u[:, : 3 * n_subpaths].reshape(n_clusters, n_subpaths, 3)
+    positions = centroids[:, None, :] + (-SUBPATH_CUBE_SIDE / 2.0 + SUBPATH_CUBE_SIDE * offsets)
+    phases = 2.0 * math.pi * u[:, 3 * n_subpaths :]
     return ClusterSet(positions=positions, phases=phases, gains=gains, h_p=h_p)
 
 
@@ -286,8 +286,8 @@ def nearfield_from_clusters(
     """
     kappa = 2.0 * math.pi / wavelength
     p = clusters.positions.reshape(-1, 3)  # (LR, 3)
-    d_tx = distance_matrix(tx_geom.element_positions, p)
-    d_rx = distance_matrix(rx_geom.element_positions, p)
+    d_tx = element_distances(tx_geom, p)
+    d_rx = element_distances(rx_geom, p)
     if min(d_tx.min(), d_rx.min()) < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an antenna element")
     amp = math.sqrt(clusters.h_p) * np.exp(1j * clusters.phases.reshape(-1))

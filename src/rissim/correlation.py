@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .channels import sample_iid_rayleigh
 from .geometry import ArrayGeometry
 
 # Eigenvalues in (_EIG_FLOOR, 0) are rounding and clamp to zero; anything
@@ -180,9 +179,11 @@ def _apply_stage(factors: list, ops: list[np.ndarray]) -> None:
 
 
 def sample_matrix_normal_factor(draws) -> list[np.ndarray]:
-    """Correlated draws ``f_rx @ H_iid @ f_tx.T``, one per ``(rng, f_rx, f_tx, sigma_c)``.
+    """Correlated draws ``f_rx @ H_iid @ f_tx.T``, one per ``(core, f_rx, f_tx, sigma_c)``.
 
-    Each core ``H_iid`` is iid CN(0, sigma_c^2) from its own ``rng``.
+    ``core`` is ``(N_rx, N_tx)`` complex with standard normal real and
+    imaginary parts, and ``H_iid = sqrt(sigma_c^2 / 2) * core`` is iid
+    CN(0, sigma_c^2); the core itself is not modified.
     ``f_rx`` and ``f_tx`` are ``(counts, blocks)``: an array's element
     counts and the :func:`matrix_sqrt_factor` of its correlation, standing
     for the symmetric root ``P diag(F_b) P^T``; or ``None`` for a single
@@ -200,8 +201,8 @@ def sample_matrix_normal_factor(draws) -> list[np.ndarray]:
     """
     largest = max((f for d in draws for f in d[1:3] if f is not None), key=_size, default=None)
     ops, flips, stages = [], [], ([], [])
-    for rng, f_rx, f_tx, sigma_c in draws:
-        h_iid = sample_iid_rayleigh(rng, _size(f_rx), _size(f_tx), sigma_c * sigma_c)
+    for core, f_rx, f_tx, sigma_c in draws:
+        h_iid = math.sqrt(sigma_c * sigma_c / 2.0) * core
         # f_tx goes first unless it is the largest factor or f_rx is
         flip = (f_tx is not None and f_tx is not largest) or f_rx is largest
         # f_rx @ H @ f_tx.T == (f_rx @ (f_tx @ H.T).T) == (f_tx @ (f_rx @ H).T).T

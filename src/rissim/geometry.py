@@ -107,6 +107,23 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def element_distances(geom: ArrayGeometry, points: np.ndarray) -> np.ndarray:
+    """Distances (N, P) from each element of ``geom`` to each row of ``points`` (P, 3).
+
+    The same values as ``distance_matrix(geom.element_positions, points)``,
+    bit for bit, from per-axis offsets: every element shares one x, a row
+    shares its y and a column its z, so ``dy*dy`` is computed per row and
+    ``dz*dz`` per column and only their sum is full size.
+    """
+    n_y, n_z = geom.counts
+    pos = geom.element_positions
+    dx = pos[0, 0] - points[:, 0]  # (P,)
+    dy = pos[::n_z, 1, None] - points[:, 1]  # (n_y, P), one row per y index
+    dz = pos[:n_z, 2, None] - points[:, 2]  # (n_z, P), one row per z index
+    d2 = (dx * dx + (dy * dy)[:, None]) + (dz * dz)[None]  # (n_y, n_z, P), y-major
+    return np.sqrt(d2, out=d2).reshape(n_y * n_z, -1)
+
+
 def fraunhofer_distance(aperture: float, wavelength: float) -> float:
     """Far-field boundary ``2*D^2/lambda`` for an aperture of size ``D``."""
     _check_positive("aperture", aperture)

@@ -3,11 +3,14 @@
 One trial places the UEs, draws the three links (direct, BS-to-surface,
 surface-to-UE) under the selected channel model, configures the surface
 tile by tile, and solves the minimum-power precoder.  Sweeps pair the
-per-trial randomness across models and surface sizes: UE positions and
-cluster draws depend only on (master seed, trial index, link, UE), which
-isolates the channel-model delta from Monte Carlo noise.  The UE-count
-cells of one (model, Q) share each trial's draw: a trial draws the links
-of ``max(n_ue)`` UEs once, and every cell takes its first ``n_ue`` columns.
+per-trial randomness across models and surface sizes: UE positions, fading
+cores and cluster draws depend only on (master seed, trial index, link,
+UE), which isolates the channel-model delta from Monte Carlo noise.  A
+sweep runs each surface size trial by trial, and within a trial model by
+model, so the trial's model-independent inputs are drawn once and every
+model reads them (:class:`SimContext`).  The UE-count cells of one model
+share its draw as well: a trial draws the links of ``max(n_ue)`` UEs once,
+and every cell takes its first ``n_ue`` columns.
 """
 
 from __future__ import annotations
@@ -93,16 +96,22 @@ def noise_power(config: ScenarioConfig) -> float:
 
 
 class SimContext:
-    """Caches shared by every trial of one (model, Q) in a sweep.
+    """Caches shared by every trial of one Q in a sweep, across models and UE counts.
 
-    Nothing here depends on the UE count: the array geometries, tile
-    table, codebook, noise power, correlation factors and BS-to-surface LOS
-    matrix are the same for every ``n_ue`` cell of that (model, Q), so
-    :func:`run_sweep` builds one context and runs each of those cells on
-    it.  The context also holds the latest trial's channels
-    (:attr:`draw_key`, :attr:`draw`), drawn for the largest UE count, which
-    the cells of that trial slice.  The context lives only as long as its
-    (model, Q), so at most one surface size's factors are held at a time.
+    Nothing here depends on the channel model or the UE count: the array
+    geometries, tile table, codebook, noise power, correlation factors and
+    BS-to-surface LOS matrices are the same for every (model, ``n_ue``) cell
+    of that Q, so :func:`run_sweep` builds one context per Q and runs each
+    of those cells on it.  The context lives only as long as its Q, so at
+    most one surface size's factors are held at a time.
+
+    It also holds one trial's inputs at a time:
+
+    * :meth:`trial_inputs`, what every model of the trial reads: the UE
+      geometries, each link's fading core and cluster draw, and each UE
+      link's LOS matrix, filled lazily by whichever model asks first;
+    * :attr:`draw_key`, :attr:`draw`, the latest model's channels, drawn for
+      the largest UE count, which the UE-count cells of that model slice.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -119,8 +128,25 @@ class SimContext:
         self._factors: dict = {}
         self._flagged: set = set()
         self._los: dict = {}
+        self._inputs_key: tuple | None = None
+        self._inputs: dict = {}
         self.draw_key: tuple | None = None
         self.draw: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def trial_inputs(self, config: ScenarioConfig, trial: int) -> dict:
+        """The model-independent inputs of ``trial``, as one dict that the models fill.
+
+        The dict is keyed by (master seed, trial, draw size) and replaced by
+        an empty one when that key changes, so only one trial's inputs are
+        held and a stale trial's are never read.  Its entries are
+        ``"ues"``, a link's fading core or clusters under its seed path
+        ``(stream, link id, ue_index)``, and a UE link's LOS matrix under
+        ``(los_fn, role, ue_index)``.
+        """
+        key = (config.master_seed, trial, _draw_size(config))
+        if key != self._inputs_key:
+            self._inputs_key, self._inputs = key, {}
+        return self._inputs
 
     def correlation_factor(self, geom: ArrayGeometry) -> tuple | None:
         """Cached ``(counts, blocks)`` square-root factor of a geometry's sinc correlation.
@@ -142,18 +168,20 @@ class SimContext:
             self._factors[key] = (geom.counts, factor)
         return self._factors[key]
 
-    def los(self, los_fn, tx: ArrayGeometry, rx: ArrayGeometry, h_p: float) -> np.ndarray:
+    def los(self, los_fn, tx: ArrayGeometry, rx: ArrayGeometry, h_p: float, inputs: dict, key):
         """``los_fn(tx, rx, h_p, wavelength)``, computed once per ``los_fn`` for BS to surface.
 
         Both arrays of that link are fixed for the context, so its LOS
-        matrix is the same in every trial; other links are computed each call.
+        matrix is the same in every trial; any other link's is computed once
+        per trial, under ``key`` in that trial's ``inputs``.
         """
-        wl = self.config.wavelength
-        if tx is not self.bs_geom or rx is not self.ris_geom:
-            return los_fn(tx, rx, h_p, wl)
-        if los_fn not in self._los:
-            self._los[los_fn] = los_fn(tx, rx, h_p, wl)
-        return self._los[los_fn]
+        cache = inputs
+        if tx is self.bs_geom and rx is self.ris_geom:
+            cache, key = self._los, los_fn
+        los = cache.get(key)
+        if los is None:
+            los = cache[key] = los_fn(tx, rx, h_p, self.config.wavelength)
+        return los
 
     def flag_near_field(self, model: ChannelModel, role: LinkRole, tx, rx, distance):
         """Warn once per (model, link) when a far-field model is evaluated inside the near field."""
@@ -188,42 +216,51 @@ def draw_links(
     (iid, correlated, or a cluster sum) with the planar or spherical LOS
     matrix by the link's K-factor,
     ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.  The geometric models
-    draw from the cluster stream, the others from the fading stream; each
+    read the link's clusters, the others its fading core: a unit complex
+    Gaussian that iid and Rician scale by ``sqrt(h_p/2)`` and the correlated
+    model passes to :func:`sample_matrix_normal_factor`, all links in one
+    call, so links that share a factor share one product with it.  Each
     link is seeded from (master seed, trial, link, UE) alone, never from the
     model, Q or the other links, and only the stream the model uses is
-    derived.  The correlated draws of all links go to one
-    :func:`sample_matrix_normal_factor` call, so links that share a
-    factor share one product with it.
+    derived.  Cores, clusters and UE-link LOS matrices are kept in the
+    trial's :meth:`SimContext.trial_inputs`, so the next model of the same
+    trial reads them instead of drawing again.
     """
     wl = config.wavelength
-    stream = seeding.STREAM_CLUSTERS if model in _GEOMETRIC_MODELS else seeding.STREAM_FADING
+    geometric = model in _GEOMETRIC_MODELS
+    stream = seeding.STREAM_CLUSTERS if geometric else seeding.STREAM_FADING
+    inputs = ctx.trial_inputs(config, trial)
     budgets, nlos = [], []
     for role, tx_geom, rx_geom, ue_index in links:
         link = config.links[role]
         distance = float(np.linalg.norm(rx_geom.center - tx_geom.center))
         h_p = pathloss(link, distance)
         budgets.append(h_p)
-        rng = seeding.derive_rng(
-            config.master_seed, trial, stream, seeding.LINK_IDS[role.value], ue_index
-        )
         if model in _PLANAR_MODELS:
             ctx.flag_near_field(model, role, tx_geom, rx_geom, distance)
 
+        path = (stream, seeding.LINK_IDS[role.value], ue_index)
+        drawn = inputs.get(path)
+        if drawn is None:
+            rng = seeding.derive_rng(config.master_seed, trial, *path)
+            if geometric:
+                drawn = draw_clusters(
+                    rng, link.cluster_volume, config.n_clusters, config.n_subpaths, h_p
+                )
+            else:
+                # h_p = 2 scales by 1: standard normal real and imaginary parts
+                drawn = sample_iid_rayleigh(rng, rx_geom.size, tx_geom.size, 2.0)
+            inputs[path] = drawn
+
         if model in (ChannelModel.IID_RAYLEIGH, ChannelModel.IID_RICIAN):
-            nlos.append(sample_iid_rayleigh(rng, rx_geom.size, tx_geom.size, h_p))
+            nlos.append(math.sqrt(h_p / 2.0) * drawn)
         elif model == ChannelModel.CORRELATED_RAYLEIGH:
             f_rx, f_tx = ctx.correlation_factor(rx_geom), ctx.correlation_factor(tx_geom)
-            nlos.append((rng, f_rx, f_tx, math.sqrt(h_p)))  # drawn below, all at once
-        elif model in _GEOMETRIC_MODELS:
-            clusters = draw_clusters(
-                rng, link.cluster_volume, config.n_clusters, config.n_subpaths, h_p
-            )
-            from_clusters = (
-                lowrank_from_clusters
-                if model == ChannelModel.LOWRANK_GEOMETRIC
-                else nearfield_from_clusters
-            )
-            nlos.append(from_clusters(clusters, tx_geom, rx_geom, wl))
+            nlos.append((drawn, f_rx, f_tx, math.sqrt(h_p)))  # drawn below, all at once
+        elif model == ChannelModel.LOWRANK_GEOMETRIC:
+            nlos.append(lowrank_from_clusters(drawn, tx_geom, rx_geom, wl))
+        elif model == ChannelModel.NEARFIELD_GEOMETRIC:
+            nlos.append(nearfield_from_clusters(drawn, tx_geom, rx_geom, wl))
         else:
             raise ValueError(f"unknown channel model {model!r}")
 
@@ -234,11 +271,16 @@ def draw_links(
         nlos = sample_matrix_normal_factor(nlos)
     los_fn = nearfield_los if model == ChannelModel.NEARFIELD_GEOMETRIC else los_matrix
     out = []
-    for (role, tx_geom, rx_geom, _), h_p, scatter in zip(links, budgets, nlos):
+    for (role, tx_geom, rx_geom, ue_index), h_p, scatter in zip(links, budgets, nlos):
         k = config.links[role].k_factor
-        los = ctx.los(los_fn, tx_geom, rx_geom, h_p)
+        los = ctx.los(los_fn, tx_geom, rx_geom, h_p, inputs, (los_fn, role, ue_index))
         out.append(math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * scatter)
     return out
+
+
+def _draw_size(config: ScenarioConfig) -> int:
+    """UEs a trial draws links for: the largest of ``ue_count`` and ``sweep_n_ue``."""
+    return max([config.ue_count, *config.sweep_n_ue])
 
 
 def ue_positions(config: ScenarioConfig, trial: int, count: int) -> np.ndarray:
@@ -272,7 +314,9 @@ def run_trial(
     the first ``ue_count`` are used, so every UE-count cell of a sweep sees
     the same channel bits, whether it runs in the sweep or on its own.  The
     draw is kept on ``ctx``; a later cell's call for the same (model,
-    trial, master seed) reuses it instead of drawing again.
+    trial, master seed) reuses it instead of drawing again.  The UE
+    positions and the links' random inputs are kept in the trial's
+    :meth:`SimContext.trial_inputs`, which a call for another model reads.
     """
     if model is None:
         if len(config.models) != 1:
@@ -282,10 +326,14 @@ def run_trial(
         ctx = SimContext(config)
     t0 = time.perf_counter()
 
-    k_draw = max([config.ue_count, *config.sweep_n_ue])
+    k_draw = _draw_size(config)
     key = (model, trial_index, config.master_seed, k_draw)
     if ctx.draw_key != key:
-        ues = [ArrayGeometry.single(p) for p in ue_positions(config, trial_index, k_draw)]
+        inputs = ctx.trial_inputs(config, trial_index)
+        if "ues" not in inputs:
+            positions = ue_positions(config, trial_index, k_draw)
+            inputs["ues"] = [ArrayGeometry.single(p) for p in positions]
+        ues = inputs["ues"]
         links = [(LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, 0)]
         links += [(LinkRole.DIRECT, ctx.bs_geom, ue, j) for j, ue in enumerate(ues)]
         links += [(LinkRole.RIS_TO_RX, ctx.ris_geom, ue, j) for j, ue in enumerate(ues)]
@@ -364,8 +412,8 @@ def run_cell(
 ) -> list[TrialResult]:
     """All trials of one (model, Q, N_UE) cell on one context.
 
-    ``ctx`` may come from another cell of the same (model, Q); without it a
-    fresh context is built for the cell.
+    ``ctx`` may come from another cell of the same Q, of any model; without
+    it a fresh context is built for the cell.
     """
     if ctx is None:
         ctx = SimContext(config)
@@ -396,33 +444,43 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     """Cartesian sweep over (model, Q, N_UE) with paired per-trial seeds.
 
     The whole sweep is checked (:func:`_check_sweep`) before its first trial.
-    Each (model, Q) runs trial-major: trial ``i`` of every UE-count cell, in
-    ``sweep_n_ue`` order, before trial ``i + 1``, so the cells share the
-    trial's draw (:func:`run_trial`).  Rows come out cell by cell, as if
-    each cell had run on its own.
+    Each Q runs on one :class:`SimContext`, trial-major: trial ``i`` of every
+    model, and of every UE-count cell of that model in ``sweep_n_ue`` order,
+    before trial ``i + 1``.  So the models share the trial's inputs and the
+    UE-count cells of a model share its draw (:func:`run_trial`).  Rows come
+    out cell by cell in (model, Q, N_UE) order, as if each cell had run on
+    its own.
     """
     _check_sweep(config)
-    aggregates: list[AggregateRow] = []
-    raw: list[TrialResult] = []
-    for model in config.models:
-        for q in config.sweep_q:
-            sized = with_q(config, q)
-            cells = [replace(sized, ue_count=n_ue, models=[model]) for n_ue in config.sweep_n_ue]
-            ctx = SimContext(cells[0])
-            results: list[list[TrialResult]] = [[] for _ in cells]
-            seconds = [0.0] * len(cells)
-            for i in range(sized.trials):
-                for c, cell in enumerate(cells):
-                    t0 = time.perf_counter()
-                    results[c].append(run_trial(cell, i, model=model, ctx=ctx))
-                    seconds[c] += time.perf_counter() - t0
-            for cell, rows, elapsed in zip(cells, results, seconds):
-                logger.info(
-                    "cell model=%s q=%d n_ue=%d: %d trials in %.1f s",
-                    model.value, q, cell.ue_count, len(rows), elapsed,
-                )
-                raw.extend(rows)
-                aggregates.append(aggregate(rows))
+    results: dict[tuple, list[TrialResult]] = {}
+    for q in config.sweep_q:
+        sized = with_q(config, q)
+        ctx = SimContext(sized)
+        cells = {
+            (model, q, n_ue): replace(sized, ue_count=n_ue, models=[model])
+            for model in config.models
+            for n_ue in config.sweep_n_ue
+        }
+        seconds = dict.fromkeys(cells, 0.0)
+        results.update((key, []) for key in cells)
+        for i in range(sized.trials):
+            for key, cell in cells.items():
+                t0 = time.perf_counter()
+                results[key].append(run_trial(cell, i, model=key[0], ctx=ctx))
+                seconds[key] += time.perf_counter() - t0
+        for (model, _, n_ue), elapsed in seconds.items():
+            logger.info(
+                "cell model=%s q=%d n_ue=%d: %d trials in %.1f s",
+                model.value, q, n_ue, sized.trials, elapsed,
+            )
+    ordered = [
+        results[model, q, n_ue]
+        for model in config.models
+        for q in config.sweep_q
+        for n_ue in config.sweep_n_ue
+    ]
+    aggregates = [aggregate(rows) for rows in ordered]
+    raw = [r for rows in ordered for r in rows]
     return SweepResult(aggregates=aggregates, raw=raw)
 
 

@@ -101,9 +101,8 @@ def test_criterion_3_generation_route_equivalence():
     f_rx, f_tx = ((g.counts, matrix_sqrt_factor(g, LAM)) for g in (rx, tx))
     draws = 10**5
     rng = np.random.default_rng(77)
-    a = np.array(
-        [sample_matrix_normal_factor([(rng, f_rx, f_tx, 1.0)])[0] for _ in range(draws)]
-    )
+    cores = (complex_randn(rng, (rx.size, tx.size)) for _ in range(draws))
+    a = np.array([sample_matrix_normal_factor([(z, f_rx, f_tx, 1.0)])[0] for z in cores])
     b = np.array([sample_matrix_normal_vec(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
     va, vb = a.reshape(draws, -1), b.reshape(draws, -1)
 

@@ -16,6 +16,7 @@ from rissim.correlation import (
 from rissim.geometry import ArrayGeometry, distance_matrix
 from rissim.oracles import (
     _halfspace_direction_yz,
+    complex_randn,
     eigh_root,
     expand_factor,
     path_sum_covariance_error,
@@ -111,6 +112,12 @@ def folded(geom):
     return geom.counts, matrix_sqrt_factor(geom, LAM)
 
 
+def core(rng, f_rx, f_tx):
+    """Unit complex Gaussian core between two factors (``None``: one antenna), from ``rng``."""
+    size = lambda f: 1 if f is None else math.prod(f[0])
+    return complex_randn(rng, (size(f_rx), size(f_tx)))
+
+
 # a half-wavelength ULA decorrelates every pair of elements: R is the identity to rounding
 HALF_WAVE_ULA_3 = ArrayGeometry.upa(3, 1, LAM / 2)
 
@@ -190,7 +197,10 @@ class TestMatrixNormalRoutes:
         rng = np.random.default_rng(0)
         draws = 20000
         h = np.array(
-            [sample_matrix_normal_factor([(rng, f_rx, f_tx, 2.0)])[0] for _ in range(draws)]
+            [
+                sample_matrix_normal_factor([(core(rng, f_rx, f_tx), f_rx, f_tx, 2.0)])[0]
+                for _ in range(draws)
+            ]
         )
         # second moment of each entry ~ sigma_c^2, cross-correlation ~ 0
         np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), 4.0, rtol=0.05)
@@ -201,7 +211,8 @@ class TestMatrixNormalRoutes:
         f_rx, f_tx = small_factors
         rng = np.random.default_rng(1)
         np.testing.assert_array_equal(
-            sample_matrix_normal_factor([(rng, f_rx, f_tx, 0.0)])[0], np.zeros((3, 2))
+            sample_matrix_normal_factor([(core(rng, f_rx, f_tx), f_rx, f_tx, 0.0)])[0],
+            np.zeros((3, 2)),
         )
 
     @pytest.mark.parametrize(
@@ -216,13 +227,16 @@ class TestMatrixNormalRoutes:
     def test_factor_route_matches_dense_product(self, rx, tx):
         f_rx, f_tx = (None if g.size == 1 else folded(g) for g in (rx, tx))
         rng_draw, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-        h = sample_matrix_normal_factor([(rng_draw, f_rx, f_tx, 1.3)])[0]
-        core = sample_iid_rayleigh(rng_ref, rx.size, tx.size, 1.3**2)
-        dense = expand_factor(f_rx) @ core @ expand_factor(f_tx).T
+        z = core(rng_draw, f_rx, f_tx)
+        kept = z.copy()
+        h = sample_matrix_normal_factor([(z, f_rx, f_tx, 1.3)])[0]
+        h_iid = sample_iid_rayleigh(rng_ref, rx.size, tx.size, 1.3**2)
+        dense = expand_factor(f_rx) @ h_iid @ expand_factor(f_tx).T
         assert h.shape == dense.shape and h.dtype == np.complex128
         assert np.linalg.norm(h - dense) <= 1e-12 * np.linalg.norm(dense)
-        # same random stream consumed
+        # the core is the iid draw's stream at unit scale, and is left as it was
         assert rng_draw.standard_normal() == rng_ref.standard_normal()
+        np.testing.assert_array_equal(z, kept)
 
     def test_factor_route_covariance(self, small_correlations, small_factors):
         r_rx, r_tx = small_correlations
@@ -230,7 +244,9 @@ class TestMatrixNormalRoutes:
         rng = np.random.default_rng(2)
         sigma = 1.3
         cov = empirical_vec_cov(
-            lambda g: sample_matrix_normal_factor([(g, f_rx, f_tx, sigma)])[0], rng, 10**5
+            lambda g: sample_matrix_normal_factor([(core(g, f_rx, f_tx), f_rx, f_tx, sigma)])[0],
+            rng,
+            10**5,
         )
         target = sigma**2 * np.kron(r_rx, r_tx)
         assert np.max(np.abs(cov - target)) < 0.05 * sigma**2
@@ -260,7 +276,10 @@ class TestMatrixNormalRoutes:
         rng = np.random.default_rng(5)
         draws = 20000
         a = np.array(
-            [sample_matrix_normal_factor([(rng, f_rx, f_tx, 1.0)])[0] for _ in range(draws)]
+            [
+                sample_matrix_normal_factor([(core(rng, f_rx, f_tx), f_rx, f_tx, 1.0)])[0]
+                for _ in range(draws)
+            ]
         )
         b = np.array([sample_matrix_normal_vec(rng, f_rx, f_tx, 1.0) for _ in range(draws)])
         va, vb = a.reshape(draws, -1), b.reshape(draws, -1)
@@ -272,17 +291,18 @@ class TestMatrixNormalRoutes:
 
 
 def trial_draws(f_ris, f_bs, n_ue):
-    """A trial's correlated draws in sweep order, each on its own stream.
+    """A trial's correlated draws in sweep order, each core from its own stream.
 
     BS-to-surface first, then every UE's direct link, then every UE's
     surface-to-UE link; a UE's own factor is ``None``.
     """
-    def rng(link, ue):
-        return derive_rng(2022, 3, STREAM_FADING, LINK_IDS[link], ue)
+    def draw(link, ue, f_rx, f_tx, sigma):
+        rng = derive_rng(2022, 3, STREAM_FADING, LINK_IDS[link], ue)
+        return core(rng, f_rx, f_tx), f_rx, f_tx, sigma
 
-    draws = [(rng("bs_ris", 0), f_ris, f_bs, 1e-3)]
-    draws += [(rng("bs_ue", j), None, f_bs, 2e-4 * (j + 1)) for j in range(n_ue)]
-    draws += [(rng("ris_ue", j), None, f_ris, 3e-3 * (j + 1)) for j in range(n_ue)]
+    draws = [draw("bs_ris", 0, f_ris, f_bs, 1e-3)]
+    draws += [draw("bs_ue", j, None, f_bs, 2e-4 * (j + 1)) for j in range(n_ue)]
+    draws += [draw("ris_ue", j, None, f_ris, 3e-3 * (j + 1)) for j in range(n_ue)]
     return draws
 
 
@@ -328,12 +348,13 @@ class TestOnePassDraw:
 
     def test_single_antenna_factor_not_applied(self):
         f_ris = surface_and_bs_factors((4, 4))[0]
-        rng_a, rng_b = derive_rng(1, 2), derive_rng(1, 2)
-        skipped = sample_matrix_normal_factor([(rng_a, None, f_ris, 0.7)])[0]
+        z = core(derive_rng(1, 2), None, f_ris)
+        skipped = sample_matrix_normal_factor([(z, None, f_ris, 0.7)])[0]
         one = folded(ArrayGeometry.single((0.0, 0.0, 0.0)))
-        applied = sample_matrix_normal_factor([(rng_b, one, f_ris, 0.7)])[0]
+        applied = sample_matrix_normal_factor([(z, one, f_ris, 0.7)])[0]
         np.testing.assert_array_equal(skipped, applied)
-        assert sample_matrix_normal_factor([(derive_rng(1), None, None, 0.5)])[0].shape == (1, 1)
+        scalar = core(derive_rng(1), None, None)
+        assert sample_matrix_normal_factor([(scalar, None, None, 0.5)])[0].shape == (1, 1)
         assert sample_matrix_normal_factor([]) == []
 
 
@@ -349,9 +370,9 @@ class TestFoldAgainstDenseRoot:
         dense = {id(f): eigh_root(sinc_correlation(g, LAM)) for f, g in zip(factors, geoms)}
         dense[id(None)] = np.ones((1, 1))
         drawn = sample_matrix_normal_factor(trial_draws(*factors, 4))
-        for h, (rng, f_rx, f_tx, sigma) in zip(drawn, trial_draws(*factors, 4)):
+        for h, (z, f_rx, f_tx, sigma) in zip(drawn, trial_draws(*factors, 4)):
             f_rx, f_tx = dense[id(f_rx)], dense[id(f_tx)]
-            ref = f_rx @ sample_iid_rayleigh(rng, len(f_rx), len(f_tx), sigma**2) @ f_tx.T
+            ref = f_rx @ (math.sqrt(sigma**2 / 2.0) * z) @ f_tx.T
             assert h.shape == ref.shape
             # The two roots differ along the numerically null eigenvectors
             # of a half-wavelength surface, where each clamps rounding-level

@@ -5,7 +5,13 @@ import pytest
 
 from rissim.channels import los_matrix
 from rissim.correlation import sinc_correlation
-from rissim.geometry import ArrayGeometry, distance_matrix, fraunhofer_distance, steering_vector
+from rissim.geometry import (
+    ArrayGeometry,
+    distance_matrix,
+    element_distances,
+    fraunhofer_distance,
+    steering_vector,
+)
 from rissim.oracles import kron_steering
 
 LAM = 0.06
@@ -174,6 +180,23 @@ class TestDistances:
         assert d == pytest.approx(math.sqrt(3425.0), abs=1e-12)
         assert d == pytest.approx(58.5235, abs=1e-4)
         assert d == np.linalg.norm(a[0] - b[0])
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            ArrayGeometry.upa_centered(8, 8, LAM / 2, (10.0, 50.0, 5.0)),
+            ArrayGeometry.upa(3, 5, 0.4 * LAM, (1.5, -2.0, 3.0)),  # odd axes
+            ArrayGeometry.upa(7, 1, LAM / 2, (0.0, 1.0, 2.0)),  # length-1 z axis
+            ArrayGeometry.single((3.0, 4.0, 1.0)),
+            ArrayGeometry(counts=(2, 3), spacing=(0.0, 0.0), origin=(1.0, 2.0, 3.0)),
+        ],
+        ids=["8x8", "3x5", "7x1", "single", "zero-spacing"],
+    )
+    def test_element_distances_match_distance_matrix(self, geom):
+        points = np.random.default_rng(geom.size).uniform(-20.0, 20.0, size=(100, 3))
+        points[0] = geom.element_positions[-1]  # an exact zero
+        d = element_distances(geom, points)
+        assert np.array_equal(d, distance_matrix(geom.element_positions, points))
 
 
 class TestFraunhofer:

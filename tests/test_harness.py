@@ -279,7 +279,7 @@ class TestSweep:
         assert len(text.strip().splitlines()) == 6  # header + 5 trials
 
 
-class TestContextPerModelAndQ:
+class TestContextPerQ:
     def test_factor_built_once_and_output_unchanged(self, monkeypatch):
         built = []
         factor = correlation.matrix_sqrt_factor
@@ -292,8 +292,8 @@ class TestContextPerModelAndQ:
         model = ChannelModel.CORRELATED_RAYLEIGH
         cfg = small_config(models=[model], sweep_q=[8, 16], sweep_n_ue=[1, 2, 4], trials=3)
         shared = run_sweep(cfg)
-        # RIS (8, 16) and BS (4) factors, once per (model, Q); a single
-        # antenna's factor is [[1.0]] and is never built
+        # RIS (8, 16) and BS (4) factors, once per Q; a single antenna's
+        # factor is [[1.0]] and is never built
         assert sorted(built) == [4, 4, 8, 16]
 
         fresh = [
@@ -313,21 +313,62 @@ class TestSharedTrialDraw:
                             trials=3)
 
     def test_links_drawn_once_per_trial_and_model_and_q(self, monkeypatch):
-        drawn = []
-        draw = harness.draw_links
+        drawn, derived, qs = [], [], []
+        draw, derive, trial_fn = harness.draw_links, seeding.derive_rng, harness.run_trial
+
+        def counting_trial(config, *args, **kwargs):
+            qs.append(config.q_total)
+            return trial_fn(config, *args, **kwargs)
 
         def counting_draw(model, links, config, ctx, trial):
-            drawn.append((model, config.q_total, trial, len(links)))
+            drawn.append((config.q_total, trial, model, len(links)))
             return draw(model, links, config, ctx, trial)
 
+        def counting_derive(*path):
+            derived.append((qs[-1], path))
+            return derive(*path)
+
+        monkeypatch.setattr(harness, "run_trial", counting_trial)
         monkeypatch.setattr(harness, "draw_links", counting_draw)
-        cfg = self.sweep_config()
+        monkeypatch.setattr(seeding, "derive_rng", counting_derive)
+        models = list(ChannelModel)
+        cfg = replace(self.sweep_config(), models=models)
         res = run_sweep(cfg)
-        assert len(res.raw) == 2 * 2 * 3 * 3
-        # one draw of the BS-to-surface link and 2 x 4 UE links per trial
+        assert len(res.raw) == 5 * 2 * 3 * 3
+        # Q, then trial, then model: one draw of the BS-to-surface link and
+        # 2 x 4 UE links per (Q, trial, model)
         assert drawn == [
-            (model, q, trial, 9) for model in self.MODELS for q in (8, 16) for trial in range(3)
+            (q, trial, model, 9) for q in (8, 16) for trial in range(3) for model in models
         ]
+        # Each (Q, trial, stream, link, UE) is derived once, by the first
+        # model that reads it: the UE positions and the fading cores by iid
+        # Rayleigh, the clusters by low-rank.
+        seed = cfg.master_seed
+        paths = [(seeding.STREAM_UE_POSITION, j) for j in range(4)]
+        for stream in (seeding.STREAM_FADING, seeding.STREAM_CLUSTERS):
+            paths.append((stream, seeding.LINK_IDS["bs_ris"], 0))
+            paths += [(stream, seeding.LINK_IDS[link], j) for link in ("bs_ue", "ris_ue")
+                      for j in range(4)]
+        expected = [(q, (seed, t, *p)) for q in (8, 16) for t in range(3) for p in paths]
+        assert sorted(derived) == sorted(expected)
+
+    def test_model_order_does_not_change_rows(self):
+        models = list(ChannelModel)
+        cfg = small_config(models=models, sweep_q=[4, 8], sweep_n_ue=[1, 2], trials=2)
+        together = run_sweep(cfg)
+        reversed_order = run_sweep(replace(cfg, models=models[::-1]))
+        assert [a.model for a in reversed_order.aggregates[::4]] == [m.value for m in models[::-1]]
+
+        def rows(res, model):
+            raw = [r for r in res.raw if r.model == model.value]
+            aggregates = [a for a in res.aggregates if a.model == model.value]
+            powers = [r.total_power_watts.hex() for r in raw]
+            return raw_csv(raw), aggregate_csv(aggregates), powers
+
+        for model in models:
+            alone = run_sweep(replace(cfg, models=[model]))
+            assert len(alone.raw) == 2 * 2 * 2
+            assert rows(together, model) == rows(alone, model) == rows(reversed_order, model)
 
     def test_smaller_cells_take_leading_columns_of_the_largest(self, monkeypatch):
         calls = []
