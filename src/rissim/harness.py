@@ -6,11 +6,11 @@ tile by tile, and solves the minimum-power precoder.  Sweeps pair the
 per-trial randomness across models and surface sizes: UE positions, fading
 cores and cluster draws depend only on (master seed, trial index, link,
 UE), which isolates the channel-model delta from Monte Carlo noise.  A
-sweep runs each surface size trial by trial, and within a trial model by
-model, so the trial's model-independent inputs are drawn once and every
-model reads them (:class:`SimContext`).  The UE-count cells of one model
-share its draw as well: a trial draws the links of ``max(n_ue)`` UEs once,
-and every cell takes its first ``n_ue`` columns.
+sweep runs each surface size on one :class:`SimContext`, trial by trial,
+and within a trial model by model.  The context's per-trial slot holds the
+trial's model-independent inputs, drawn once and read by every model, and
+each model's channels, drawn once for ``max(n_ue)`` UEs: every UE-count
+cell of that model takes the first ``n_ue`` columns.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class TrialResult:
     feasible: bool
     total_power_watts: float  # nan when infeasible
     seed: int
-    wall_time: float
+    wall_time: float  # a trial's shared draws are charged to whichever model asks first
     iterations: int = 0  # precoder iterations; 0 when infeasible
     infeasible_kind: str | None = None  # InfeasibleError.kind, None when feasible
     duality_gap: float = math.nan  # |P - P_dual| / P of the precoder; nan when infeasible
@@ -98,20 +98,22 @@ def noise_power(config: ScenarioConfig) -> float:
 class SimContext:
     """Caches shared by every trial of one Q in a sweep, across models and UE counts.
 
-    Nothing here depends on the channel model or the UE count: the array
-    geometries, tile table, codebook, noise power, correlation factors and
-    BS-to-surface LOS matrices are the same for every (model, ``n_ue``) cell
-    of that Q, so :func:`run_sweep` builds one context per Q and runs each
-    of those cells on it.  The context lives only as long as its Q, so at
-    most one surface size's factors are held at a time.
+    :func:`run_sweep` builds one context per Q and runs each (model,
+    ``n_ue``) cell of that Q on it.  The array geometries, tile table,
+    codebook and noise power are fixed for the context, and it keeps two
+    caches, one per lifetime:
 
-    It also holds one trial's inputs at a time:
-
-    * :meth:`trial_inputs`, what every model of the trial reads: the UE
-      geometries, each link's fading core and cluster draw, and each UE
-      link's LOS matrix, filled lazily by whichever model asks first;
-    * :attr:`draw_key`, :attr:`draw`, the latest model's channels, drawn for
-      the largest UE count, which the UE-count cells of that model slice.
+    * per Q, one dict that lives as long as the context: the correlation
+      factors (:meth:`correlation_factor`) and the BS-to-surface LOS matrix
+      of each LOS function.  Both depend only on the context's fixed
+      arrays, so at most one surface size's factors are held at a time;
+    * per trial, one slot (:meth:`trial_inputs`) that holds one trial at a
+      time.  Its entries are filled lazily by whichever model asks first:
+      ``"ues"``, the trial's UE geometries; a link's fading core or
+      clusters under its seed path ``(stream, link id, ue_index)``; a UE
+      link's LOS matrix under ``(los_fn, role, ue_index)``; and each
+      model's channels ``(h_t, direct, h_r)``, drawn for the largest UE
+      count, under the model.  The UE-count cells of that model slice them.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -125,28 +127,21 @@ class SimContext:
         self.tiles = build_tile_partition(config.ris_counts, config.tile_shape)
         self.codebook = build_codebook(config.tile_shape)
         self.noise_power = noise_power(config)
-        self._factors: dict = {}
+        self._per_q: dict = {}
+        self._trial: tuple[tuple | None, dict] = (None, {})
         self._flagged: set = set()
-        self._los: dict = {}
-        self._inputs_key: tuple | None = None
-        self._inputs: dict = {}
-        self.draw_key: tuple | None = None
-        self.draw: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def trial_inputs(self, config: ScenarioConfig, trial: int) -> dict:
-        """The model-independent inputs of ``trial``, as one dict that the models fill.
+        """The per-trial slot of ``trial``, as one dict that the models fill.
 
-        The dict is keyed by (master seed, trial, draw size) and replaced by
-        an empty one when that key changes, so only one trial's inputs are
-        held and a stale trial's are never read.  Its entries are
-        ``"ues"``, a link's fading core or clusters under its seed path
-        ``(stream, link id, ue_index)``, and a UE link's LOS matrix under
-        ``(los_fn, role, ue_index)``.
+        The slot is keyed by (master seed, trial, draw size) and replaced by
+        an empty one when that key changes, so only one trial is held and a
+        stale trial's entries are never read.
         """
         key = (config.master_seed, trial, _draw_size(config))
-        if key != self._inputs_key:
-            self._inputs_key, self._inputs = key, {}
-        return self._inputs
+        if key != self._trial[0]:
+            self._trial = (key, {})
+        return self._trial[1]
 
     def correlation_factor(self, geom: ArrayGeometry) -> tuple | None:
         """Cached ``(counts, blocks)`` square-root factor of a geometry's sinc correlation.
@@ -155,33 +150,18 @@ class SimContext:
         :func:`rissim.correlation.matrix_sqrt_factor` folds from the
         geometry's sinc table at the config's wavelength, without building
         the dense correlation.  Correlations depend only on element
-        separations, so the cache is keyed by element counts and spacing.  A
-        single antenna's factor is ``[[1.0]]``; it is never built, and
-        ``None`` stands for it (see
+        separations, so the factor is kept in the per-Q dict under element
+        counts and spacing.  A single antenna's factor is ``[[1.0]]``; it is
+        never built, and ``None`` stands for it (see
         :func:`rissim.correlation.sample_matrix_normal_factor`).
         """
         if geom.size == 1:
             return None
         key = (geom.counts, geom.spacing)
-        if key not in self._factors:
+        if key not in self._per_q:
             factor = correlation.matrix_sqrt_factor(geom, self.config.wavelength)
-            self._factors[key] = (geom.counts, factor)
-        return self._factors[key]
-
-    def los(self, los_fn, tx: ArrayGeometry, rx: ArrayGeometry, h_p: float, inputs: dict, key):
-        """``los_fn(tx, rx, h_p, wavelength)``, computed once per ``los_fn`` for BS to surface.
-
-        Both arrays of that link are fixed for the context, so its LOS
-        matrix is the same in every trial; any other link's is computed once
-        per trial, under ``key`` in that trial's ``inputs``.
-        """
-        cache = inputs
-        if tx is self.bs_geom and rx is self.ris_geom:
-            cache, key = self._los, los_fn
-        los = cache.get(key)
-        if los is None:
-            los = cache[key] = los_fn(tx, rx, h_p, self.config.wavelength)
-        return los
+            self._per_q[key] = (geom.counts, factor)
+        return self._per_q[key]
 
     def flag_near_field(self, model: ChannelModel, role: LinkRole, tx, rx, distance):
         """Warn once per (model, link) when a far-field model is evaluated inside the near field."""
@@ -207,6 +187,7 @@ def draw_links(
     config: ScenarioConfig,
     ctx: SimContext,
     trial: int,
+    inputs: dict,
 ) -> list[np.ndarray]:
     """Channel matrices, each ``(N_rx, N_tx)``, of ``links`` under ``model``.
 
@@ -222,14 +203,20 @@ def draw_links(
     call, so links that share a factor share one product with it.  Each
     link is seeded from (master seed, trial, link, UE) alone, never from the
     model, Q or the other links, and only the stream the model uses is
-    derived.  Cores, clusters and UE-link LOS matrices are kept in the
-    trial's :meth:`SimContext.trial_inputs`, so the next model of the same
-    trial reads them instead of drawing again.
+    derived.
+
+    ``inputs`` is the trial's slot: cores and clusters are read from it
+    under their seed path and UE-link LOS matrices under ``(los_fn, role,
+    ue_index)``, and what is missing is computed and stored there.  Those
+    keys do not name the arrays, so a slot holds the links of one set of
+    arrays: :func:`run_trial` passes ``ctx.trial_inputs(config, trial)``,
+    and a caller that draws links of its own passes a new ``{}``.  Only the
+    LOS of ``ctx``'s own BS-to-surface link, the very ``ctx.bs_geom`` and
+    ``ctx.ris_geom`` objects, is kept on ``ctx``, per Q.
     """
     wl = config.wavelength
     geometric = model in _GEOMETRIC_MODELS
     stream = seeding.STREAM_CLUSTERS if geometric else seeding.STREAM_FADING
-    inputs = ctx.trial_inputs(config, trial)
     budgets, nlos = [], []
     for role, tx_geom, rx_geom, ue_index in links:
         link = config.links[role]
@@ -272,8 +259,13 @@ def draw_links(
     los_fn = nearfield_los if model == ChannelModel.NEARFIELD_GEOMETRIC else los_matrix
     out = []
     for (role, tx_geom, rx_geom, ue_index), h_p, scatter in zip(links, budgets, nlos):
+        cache, key = inputs, (los_fn, role, ue_index)
+        if tx_geom is ctx.bs_geom and rx_geom is ctx.ris_geom:
+            cache, key = ctx._per_q, los_fn
+        los = cache.get(key)
+        if los is None:
+            los = cache[key] = los_fn(tx_geom, rx_geom, h_p, wl)
         k = config.links[role].k_factor
-        los = ctx.los(los_fn, tx_geom, rx_geom, h_p, inputs, (los_fn, role, ue_index))
         out.append(math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * scatter)
     return out
 
@@ -313,10 +305,10 @@ def run_trial(
     The trial's links are drawn for ``max(ue_count, *sweep_n_ue)`` UEs and
     the first ``ue_count`` are used, so every UE-count cell of a sweep sees
     the same channel bits, whether it runs in the sweep or on its own.  The
-    draw is kept on ``ctx``; a later cell's call for the same (model,
-    trial, master seed) reuses it instead of drawing again.  The UE
-    positions and the links' random inputs are kept in the trial's
-    :meth:`SimContext.trial_inputs`, which a call for another model reads.
+    UE positions, the links' random inputs and each model's channels are
+    kept in the trial's slot on ``ctx`` (:meth:`SimContext.trial_inputs`):
+    a later call for the same trial reads them instead of drawing again,
+    and a call for another model draws only its own channels.
     """
     if model is None:
         if len(config.models) != 1:
@@ -326,10 +318,9 @@ def run_trial(
         ctx = SimContext(config)
     t0 = time.perf_counter()
 
-    k_draw = _draw_size(config)
-    key = (model, trial_index, config.master_seed, k_draw)
-    if ctx.draw_key != key:
-        inputs = ctx.trial_inputs(config, trial_index)
+    inputs = ctx.trial_inputs(config, trial_index)
+    if model not in inputs:
+        k_draw = _draw_size(config)
         if "ues" not in inputs:
             positions = ue_positions(config, trial_index, k_draw)
             inputs["ues"] = [ArrayGeometry.single(p) for p in positions]
@@ -337,12 +328,12 @@ def run_trial(
         links = [(LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, 0)]
         links += [(LinkRole.DIRECT, ctx.bs_geom, ue, j) for j, ue in enumerate(ues)]
         links += [(LinkRole.RIS_TO_RX, ctx.ris_geom, ue, j) for j, ue in enumerate(ues)]
-        h_t, *rows = draw_links(model, links, config, ctx, trial_index)
+        h_t, *rows = draw_links(model, links, config, ctx, trial_index, inputs)
         # h_{d,k} and h_{r,k} are columns, with h^H the received row
         direct = np.vstack(rows[:k_draw]).T.conj()
         h_r = np.vstack(rows[k_draw:]).T.conj()
-        ctx.draw_key, ctx.draw = key, (h_t, direct, h_r)
-    h_t, direct, h_r = ctx.draw
+        inputs[model] = (h_t, direct, h_r)
+    h_t, direct, h_r = inputs[model]
     k = config.ue_count
 
     _, effective = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
@@ -461,17 +452,15 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
             for model in config.models
             for n_ue in config.sweep_n_ue
         }
-        seconds = dict.fromkeys(cells, 0.0)
         results.update((key, []) for key in cells)
         for i in range(sized.trials):
             for key, cell in cells.items():
-                t0 = time.perf_counter()
                 results[key].append(run_trial(cell, i, model=key[0], ctx=ctx))
-                seconds[key] += time.perf_counter() - t0
-        for (model, _, n_ue), elapsed in seconds.items():
+        for model, _, n_ue in cells:
             logger.info(
                 "cell model=%s q=%d n_ue=%d: %d trials in %.1f s",
-                model.value, q, n_ue, sized.trials, elapsed,
+                model.value, q, n_ue, sized.trials,
+                sum(r.wall_time for r in results[model, q, n_ue]),
             )
     ordered = [
         results[model, q, n_ue]

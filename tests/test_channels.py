@@ -153,14 +153,14 @@ def link_setup(h_p=1.0, k_factor=0.0, n_clusters=5, n_subpaths=20, volume=VOLUME
 def draw(model, tx, rx, setup, trial=0):
     """The ``ROLE`` link between ``tx`` and ``rx`` as the sweep draws it."""
     config, ctx = setup
-    return draw_links(model, [(ROLE, tx, rx, 0)], config, ctx, trial)[0]
+    return draw_links(model, [(ROLE, tx, rx, 0)], config, ctx, trial, {})[0]
 
 
 class TestRician:
     def setup_method(self):
         self.tx, self.rx = far_apart_geoms()
 
-    def los(self, setup):
+    def planar_los(self, setup):
         return los_matrix(self.tx, self.rx, 1.0, setup[0].wavelength)
 
     def test_k_zero_is_pure_nlos(self):
@@ -173,7 +173,7 @@ class TestRician:
     def test_k_infinite_is_los(self):
         setup = link_setup(k_factor=1e12)
         h = draw(ChannelModel.IID_RICIAN, self.tx, self.rx, setup)
-        los = self.los(setup)
+        los = self.planar_los(setup)
         assert np.abs(h - los).max() / np.abs(los).max() < 1e-5
 
     def test_k10_power_split(self):
@@ -183,7 +183,7 @@ class TestRician:
         total = 0.0
         for trial in range(draws):
             total += np.linalg.norm(draw(ChannelModel.IID_RICIAN, self.tx, self.rx, setup, trial)) ** 2
-        expected = (k / (1 + k)) * np.linalg.norm(self.los(setup)) ** 2 + (1 / (1 + k)) * 8.0
+        expected = (k / (1 + k)) * np.linalg.norm(self.planar_los(setup)) ** 2 + (1 / (1 + k)) * 8.0
         assert total / draws == pytest.approx(expected, rel=0.03)
 
     def test_recovers_nlos_exactly(self):
@@ -193,7 +193,7 @@ class TestRician:
         h = draw(ChannelModel.IID_RICIAN, self.tx, self.rx, setup)
         nlos = draw(ChannelModel.IID_RAYLEIGH, self.tx, self.rx, setup)
         np.testing.assert_allclose(
-            math.sqrt(1 + k) * h - math.sqrt(k) * self.los(setup), nlos, atol=1e-12
+            math.sqrt(1 + k) * h - math.sqrt(k) * self.planar_los(setup), nlos, atol=1e-12
         )
 
     def test_negative_k_rejected(self):

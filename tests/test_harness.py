@@ -7,12 +7,13 @@ import pytest
 
 from rissim import correlation, harness, seeding, units
 from rissim.channels import ChannelModel, LinkRole
-from rissim.geometry import fraunhofer_distance
+from rissim.geometry import ArrayGeometry, fraunhofer_distance
 from rissim.ris import configure_tiles
 from rissim.harness import (
     SimContext,
     aggregate,
     aggregate_csv,
+    draw_links,
     noise_power,
     raw_csv,
     run_cell,
@@ -320,9 +321,9 @@ class TestSharedTrialDraw:
             qs.append(config.q_total)
             return trial_fn(config, *args, **kwargs)
 
-        def counting_draw(model, links, config, ctx, trial):
+        def counting_draw(model, links, config, ctx, trial, inputs):
             drawn.append((config.q_total, trial, model, len(links)))
-            return draw(model, links, config, ctx, trial)
+            return draw(model, links, config, ctx, trial, inputs)
 
         def counting_derive(*path):
             derived.append((qs[-1], path))
@@ -406,15 +407,41 @@ class TestSharedTrialDraw:
         assert sorted(shuffled.aggregates, key=key) == sorted(ascending.aggregates, key=key)
         assert [a.n_ue for a in shuffled.aggregates[:3]] == [4, 1, 2]
 
-    def test_draw_key_holds_the_latest_trial_only(self):
+    def test_slot_holds_the_latest_trial_only(self):
         cfg = replace(small_config(sweep_n_ue=[1, 4]), ue_count=1)
         ctx = SimContext(cfg)
         model = ChannelModel.IID_RAYLEIGH
         run_trial(cfg, 0, model=model, ctx=ctx)
         run_trial(cfg, 1, model=model, ctx=ctx)
-        assert ctx.draw_key == (model, 1, cfg.master_seed, 4)
-        h_t, direct, h_r = ctx.draw
+        slot = ctx.trial_inputs(cfg, 1)
+        # drawn for max(n_ue) = 4 UEs although the cell uses one
+        assert len(slot["ues"]) == 4
+        h_t, direct, h_r = slot[model]
         assert direct.shape == (4, 4) and h_r.shape == (8, 4)
+        # nothing of trial 0 is left: its slot comes back empty
+        assert ctx.trial_inputs(cfg, 0) == {}
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (ChannelModel.IID_RICIAN, ChannelModel.NEARFIELD_GEOMETRIC),
+            (ChannelModel.LOWRANK_GEOMETRIC, ChannelModel.CORRELATED_RAYLEIGH),
+        ],
+        ids=["rician-nearfield", "lowrank-correlated"],
+    )
+    def test_interleaved_calls_match_fresh_contexts(self, a, b):
+        cfg = replace(small_config(sweep_n_ue=[1, 2]), ue_count=1)
+        wider = replace(cfg, sweep_n_ue=[1, 4])
+        calls = [
+            (cfg, a, 0), (cfg, b, 0), (cfg, a, 1), (cfg, a, 0),
+            (replace(cfg, master_seed=cfg.master_seed + 1), a, 0),
+            (wider, a, 0), (replace(wider, ue_count=4), a, 0),
+        ]
+        ctx = SimContext(cfg)
+        for config, model, trial in calls:
+            shared = run_trial(config, trial, model=model, ctx=ctx)
+            fresh = run_trial(config, trial, model=model, ctx=SimContext(config))
+            assert replace(shared, wall_time=0.0) == replace(fresh, wall_time=0.0)
 
 
 class TestSimContext:
@@ -439,6 +466,34 @@ class TestSimContext:
         # the 4-antenna BS to the surface once; each UE's two links every trial
         assert calls.count(4) == 1 + 2 * cfg.trials
         assert calls.count(cfg.q_total) == 2 * cfg.trials
+
+    @pytest.mark.parametrize(
+        "model", [ChannelModel.IID_RICIAN, ChannelModel.NEARFIELD_GEOMETRIC],
+        ids=["rician", "nearfield"],
+    )
+    @pytest.mark.parametrize(
+        "counts, offset", [((3, 1), (0.0, 0.0, 0.0)), ((2, 1), (0.0, 4.0, 1.0))],
+        ids=["3x1", "moved"],
+    )
+    def test_direct_draw_to_another_array_is_fresh(self, model, counts, offset):
+        # The same (role, ue_index) drawn to a 2x1 array, then to another
+        # array on the same context and trial, as a caller outside the sweep
+        # does: each draw equals one on a fresh context.
+        cfg = small_config()
+
+        def draw(ctx, counts, offset):
+            rx = ArrayGeometry.upa_centered(
+                *counts, cfg.element_spacing, np.add(cfg.ris_center, offset)
+            )
+            link = (LinkRole.TX_TO_RIS, ctx.bs_geom, rx, 0)
+            return draw_links(model, [link], cfg, ctx, 0, {})[0]
+
+        ctx = SimContext(cfg)
+        for args in (((2, 1), (0.0, 0.0, 0.0)), (counts, offset)):
+            h = draw(ctx, *args)
+            expected = draw(SimContext(cfg), *args)
+            assert h.shape == expected.shape == (args[0][0] * args[0][1], 4)
+            np.testing.assert_array_equal(h, expected)
 
     def test_geometry_matches_config(self):
         cfg = small_config()
