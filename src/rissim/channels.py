@@ -5,7 +5,9 @@ The models differ only in how one link is drawn:
 * iid Rayleigh entries,
 * iid Rician (rank-one planar line-of-sight plus iid scatter),
 * correlated Rayleigh (matrix-normal scatter with sinc correlations),
-* low-rank geometric (clustered sub-paths, planar wave per array),
+* low-rank geometric (clustered sub-paths, a planar wave per array
+  phase-referenced to its center; each steering vector is the Kronecker
+  product of per-axis phasors, so no N-by-sub-path exponential table),
 * near-field geometric (exact per-element-pair spherical distances).
 
 This module holds the pieces: the per-link power budget ``h_p``, the iid
@@ -243,8 +245,22 @@ def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom:
     return d_tx, d_rx, dir_tx, dir_rx
 
 
-def _centered_coords(geom: ArrayGeometry) -> np.ndarray:
-    return geom.local_coords - geom.local_coords.mean(axis=0)
+def _axis_phasors(geom: ArrayGeometry, directions: np.ndarray, phase_scale: float):
+    """Per-axis phasors ``exp(j*phase_scale*y*u_y)`` (n_y, LR) and
+    ``exp(j*phase_scale*z*u_z)`` (n_z, LR) for directions ``u`` (3, LR).
+
+    ``y`` and ``z`` are the element offsets from the array center along each
+    axis, so the phases are referenced to the center.  Elements are
+    flattened y-major, so element ``(i, k)``'s phasor is the product of row
+    ``i`` of the first and row ``k`` of the second.
+    """
+    (n_y, n_z), (d_y, d_z) = geom.counts, geom.spacing
+    y = d_y * (np.arange(n_y) - (n_y - 1) / 2.0)
+    z = d_z * (np.arange(n_z) - (n_z - 1) / 2.0)
+    return (
+        np.exp(1j * phase_scale * np.outer(y, directions[1])),
+        np.exp(1j * phase_scale * np.outer(z, directions[2])),
+    )
 
 
 def lowrank_from_clusters(
@@ -260,15 +276,32 @@ def lowrank_from_clusters(
     steering vectors are evaluated at the center-to-scatterer directions and
     phase-referenced to the array centers; the sum is scaled by
     ``1/sqrt(L*R)``.
+
+    Arrays lie in the y-z plane, so a centered steering phase
+    ``kappa*(y*u_y + z*u_z)`` splits per axis and each steering vector is
+    the Kronecker product ``a_y (x) a_z`` of per-axis phasors
+    (:func:`_axis_phasors`): ``n_y + n_z`` exponentials per sub-path and
+    array instead of ``N``.  A single-antenna receiver sits at its own
+    center, so its steering entries are 1 and the link is the transmitter's
+    ``conj(A_y) diag(c) conj(A_z)^T`` flattened y-major, one
+    ``(n_y, LR) @ (LR, n_z)`` product.  Between two arrays each steering
+    matrix is built by broadcasting its two factors, and one product over
+    the sub-paths remains.  :func:`rissim.oracles.dense_lowrank` is the
+    direct ``N``-exponential form it is checked against.
     """
     kappa = 2.0 * math.pi / wavelength
     d_tx, d_rx, dir_tx, dir_rx = _propagation_geometry(clusters, tx_geom, rx_geom)
     gains = np.repeat(clusters.gains, clusters.phases.shape[1])
     coeff = gains * np.exp(1j * (clusters.phases.reshape(-1) + kappa * (d_tx + d_rx)))
-    a_tx = np.exp(1j * kappa * (_centered_coords(tx_geom) @ dir_tx))  # (N_tx, LR)
-    a_rx = np.exp(1j * kappa * (_centered_coords(rx_geom) @ dir_rx))  # (N_rx, LR)
     scale = 1.0 / math.sqrt(len(coeff))
-    return scale * ((a_rx * coeff) @ np.conj(a_tx).T)
+    # exp(-jx) is conj(exp(jx)): the transmitter's phasors come conjugated
+    ty, tz = _axis_phasors(tx_geom, dir_tx, -kappa)
+    if rx_geom.size == 1:
+        return scale * ((ty * coeff) @ tz.T).reshape(1, -1)
+    ry, rz = _axis_phasors(rx_geom, dir_rx, kappa)
+    a_tx_conj = (ty[:, None, :] * tz[None]).reshape(tx_geom.size, -1)  # (N_tx, LR)
+    a_rx = (ry[:, None, :] * (rz * coeff)[None]).reshape(rx_geom.size, -1)  # (N_rx, LR)
+    return scale * (a_rx @ a_tx_conj.T)
 
 
 def nearfield_from_clusters(

@@ -2,7 +2,8 @@
 
 Subcommands:
   run       execute the configured sweep and emit aggregate (and raw) CSV
-  check     quick invariant/oracle suite (covariance, codebook, precoder, factor)
+  check     quick invariant/oracle suite (covariance, codebook, precoder, factor,
+            low-rank steering factors)
   scenario  print the fully resolved configuration as INI
 """
 
@@ -16,7 +17,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, oracles
+from .channels import Box, draw_clusters
 from .correlation import matrix_sqrt_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import InfeasibleError, min_power_precoder
@@ -116,6 +120,31 @@ def _check_factor_fold(seed: int) -> tuple[bool, str]:
     return ok, f"|F - F_dense| {worst_ref:.1e} (tol 1e-8), |F F^T - R| {worst_rec:.1e} (tol 1e-13)"
 
 
+def _check_lowrank_kron(seed: int) -> tuple[bool, str]:
+    # Random spacings, array centers and clusters on even, odd, length-1 and
+    # single-antenna shapes; the pipeline link against the dense oracle.
+    rng = derive_rng(seed)
+    lam = 0.06
+    shapes = [
+        ((4, 4), (32, 32)), ((3, 5), (4, 4)), ((1, 7), (7, 1)),
+        ((3, 5), (1, 1)), ((5, 1), (1, 1)), ((1, 1), (3, 5)),
+    ]
+    volume = Box(lo=(5.0, -10.0, -5.0), hi=(25.0, 10.0, 5.0))
+    worst = 0.0
+    for tx_counts, rx_counts in shapes:
+        tx_spacing, rx_spacing = rng.uniform(0.0, lam, size=2)
+        tx = ArrayGeometry.upa_centered(*tx_counts, tx_spacing, rng.uniform(-2.0, 2.0, size=3))
+        rx_center = (30.0, 0.0, 0.0) + rng.uniform(-2.0, 2.0, size=3)
+        rx = ArrayGeometry.upa_centered(*rx_counts, rx_spacing, rx_center)
+        clusters = draw_clusters(rng, volume, 5, 20, 1.0)
+        h = harness.lowrank_from_clusters(clusters, tx, rx, lam)
+        ref = oracles.dense_lowrank(clusters, tx, rx, lam)
+        worst = max(worst, float(np.abs(h - ref).max() / np.abs(ref).max()))
+    return worst <= 1e-12, (
+        f"{len(shapes)} links match the dense steering oracle to {worst:.1e} relative (tol 1e-12)"
+    )
+
+
 def _check_precoder(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed)
     worst_gap = worst_slack = 0.0
@@ -177,6 +206,7 @@ def _cmd_check(args) -> int:
         ("precoder-duality", _check_precoder),
         ("precoder-gram", _check_precoder_gram),
         ("factor-fold", _check_factor_fold),
+        ("lowrank-kron", _check_lowrank_kron),
     ]
     failed = 0
     for name, fn in checks:

@@ -16,6 +16,8 @@ theory says it must be:
 * :func:`sample_matrix_normal_vec` draws the correlated channel through the
   Kronecker covariance instead of the two-sided factor product;
 * :func:`kron_steering` builds the UPA steering vector from its ULA factors;
+* :func:`dense_lowrank` builds the low-rank geometric channel from one
+  exponential per element and sub-path, without the per-axis factors;
 * :func:`sqrt_factor_errors` measures a correlation factor, expanded to a
   dense root (:func:`expand_factor`), against the root from one
   eigendecomposition of the whole matrix, without the fold (:func:`eigh_root`).
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 
-from .channels import sample_iid_rayleigh
+from .channels import ClusterSet, _propagation_geometry, sample_iid_rayleigh
 from .correlation import _apply_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import _DIVERGENCE_FACTOR, InfeasibleError, PrecodingSolution, achieved_sinr
@@ -179,6 +181,27 @@ def kron_steering(geom: ArrayGeometry, direction: np.ndarray, wavelength: float)
     a_y = np.exp(1j * kappa * d_y * u_y * np.arange(n_y))
     a_z = np.exp(1j * kappa * d_z * u_z * np.arange(n_z))
     return np.kron(a_y, a_z)
+
+
+def dense_lowrank(
+    clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, wavelength: float
+) -> np.ndarray:
+    """The channel :func:`rissim.channels.lowrank_from_clusters` computes, in
+    dense form.
+
+    Each end's (N, LR) steering matrix has one exponential per element and
+    sub-path, ``exp(j*kappa*c_n . u)`` for the element offset ``c_n`` from
+    the array center, and the link is ``(a_rx * coeff) @ a_tx^H / sqrt(L*R)``.
+    """
+    kappa = 2.0 * math.pi / wavelength
+    d_tx, d_rx, dir_tx, dir_rx = _propagation_geometry(clusters, tx_geom, rx_geom)
+    gains = np.repeat(clusters.gains, clusters.phases.shape[1])
+    coeff = gains * np.exp(1j * (clusters.phases.reshape(-1) + kappa * (d_tx + d_rx)))
+    centered = [g.local_coords - g.local_coords.mean(axis=0) for g in (tx_geom, rx_geom)]
+    a_tx = np.exp(1j * kappa * (centered[0] @ dir_tx))  # (N_tx, LR)
+    a_rx = np.exp(1j * kappa * (centered[1] @ dir_rx))  # (N_rx, LR)
+    scale = 1.0 / math.sqrt(len(coeff))
+    return scale * ((a_rx * coeff) @ np.conj(a_tx).T)
 
 
 def expand_factor(factor) -> np.ndarray:

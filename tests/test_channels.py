@@ -20,6 +20,7 @@ from rissim.channels import (
 )
 from rissim.geometry import ArrayGeometry, fraunhofer_distance
 from rissim.harness import SimContext, draw_links
+from rissim.oracles import dense_lowrank
 from rissim.scenario import default_config, load_config
 
 LAM = 0.06
@@ -281,6 +282,33 @@ class TestLowRankGeometric:
         cs.positions[1, 3] = rx.center
         with pytest.raises(ValueError, match="array center"):
             lowrank_from_clusters(cs, tx, rx, LAM)
+
+    @pytest.mark.parametrize(
+        "tx_counts, rx_counts, spacing",
+        [
+            ((4, 4), (8, 8), LAM / 2),
+            ((4, 4), (32, 32), LAM / 2),
+            ((3, 5), (3, 5), 0.4 * LAM),
+            ((1, 7), (7, 1), LAM / 2),
+            ((7, 1), (1, 7), LAM / 2),
+            ((4, 4), (8, 8), 0.0),
+            ((4, 4), (1, 1), LAM / 2),
+            ((1, 1), (8, 8), LAM / 2),
+            ((1, 1), (1, 1), LAM / 2),
+        ],
+        ids=["4x4-8x8", "4x4-32x32", "3x5-3x5", "1x7-7x1", "7x1-1x7", "zero-spacing",
+             "single-rx", "single-tx", "single-both"],
+    )
+    def test_matches_dense_oracle(self, tx_counts, rx_counts, spacing):
+        # the per-axis factors against one exponential per element and sub-path
+        tx = ArrayGeometry.upa_centered(*tx_counts, spacing, (0.0, 1.0, 0.5))
+        rx = ArrayGeometry.upa_centered(*rx_counts, spacing, (30.0, -2.0, 1.0))
+        for seed in range(5):
+            cs = draw_clusters(np.random.default_rng(seed), VOLUME, 5, 20, h_p=1.0)
+            h = lowrank_from_clusters(cs, tx, rx, LAM)
+            ref = dense_lowrank(cs, tx, rx, LAM)
+            assert h.shape == ref.shape == (rx.size, tx.size)
+            assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_power_normalization(self):
         tx, rx = far_apart_geoms()

@@ -155,8 +155,9 @@ class TestCliCheck:
     def test_oracle_suite_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5 and "FAIL" not in out
+        assert out.count("PASS") == 6 and "FAIL" not in out
         assert "all 16 tile selections (K=1 to 4)" in out
+        assert "PASS lowrank-kron: 6 links match the dense steering oracle" in out
 
     @pytest.mark.parametrize(
         "flags",
