@@ -151,7 +151,7 @@ def _check_precoder(seed: int) -> tuple[bool, str]:
     for _ in range(20):
         h = oracles.complex_randn(rng, (6, 3))
         sol = min_power_precoder(h, gamma_thr=5.0, noise_power=1.0)
-        gap, slack = oracles.duality_gap_and_slack(sol, 5.0)
+        gap, slack = oracles.duality_gap_and_slack(sol, h, 5.0, 1.0)
         worst_gap, worst_slack = max(worst_gap, gap), max(worst_slack, slack)
     ok = worst_gap < 1e-6 and worst_slack < 1e-6
     return ok, f"duality gap {worst_gap:.2e}, constraint slack {worst_slack:.2e} (tol 1e-6)"

@@ -8,9 +8,11 @@ cores and cluster draws depend only on (master seed, trial index, link,
 UE), which isolates the channel-model delta from Monte Carlo noise.  A
 sweep runs each surface size on one :class:`SimContext`, trial by trial,
 and within a trial model by model.  The context's per-trial slot holds the
-trial's model-independent inputs, drawn once and read by every model, and
-each model's channels, drawn once for ``max(n_ue)`` UEs: every UE-count
-cell of that model takes the first ``n_ue`` columns.
+trial's model-independent inputs, computed once and read by every model:
+the UE positions, each link's power budget and near-field test, its fading
+core or clusters, and its scaled LOS term.  It also holds each model's
+channels, drawn once for ``max(n_ue)`` UEs: every UE-count cell of that
+model takes the first ``n_ue`` columns.
 """
 
 from __future__ import annotations
@@ -104,14 +106,18 @@ class SimContext:
     caches, one per lifetime:
 
     * per Q, one dict that lives as long as the context: the correlation
-      factors (:meth:`correlation_factor`) and the BS-to-surface LOS matrix
-      of each LOS function.  Both depend only on the context's fixed
+      factors (:meth:`correlation_factor`), the Fraunhofer boundary of
+      each array shape (:meth:`fraunhofer`) and the BS-to-surface LOS term
+      of each LOS function.  They depend only on the context's fixed
       arrays, so at most one surface size's factors are held at a time;
     * per trial, one slot (:meth:`trial_inputs`) that holds one trial at a
       time.  Its entries are filled lazily by whichever model asks first:
-      ``"ues"``, the trial's UE geometries; a link's fading core or
-      clusters under its seed path ``(stream, link id, ue_index)``; a UE
-      link's LOS matrix under ``(los_fn, role, ue_index)``; and each
+      ``"ues"``, the trial's UE geometries; a link's set-up ``(h_p,
+      distance, inside)`` under ``(role, ue_index)``, its power budget,
+      center distance and the array sides inside their Fraunhofer
+      boundary; a link's fading core or clusters under its seed path
+      ``(stream, link id, ue_index)``; a UE link's LOS term
+      ``sqrt(K/(1+K)) * los`` under ``(los_fn, role, ue_index)``; and each
       model's channels ``(h_t, direct, h_r)``, drawn for the largest UE
       count, under the model.  The UE-count cells of that model slice them.
     """
@@ -163,22 +169,39 @@ class SimContext:
             self._per_q[key] = (geom.counts, factor)
         return self._per_q[key]
 
-    def flag_near_field(self, model: ChannelModel, role: LinkRole, tx, rx, distance):
-        """Warn once per (model, link) when a far-field model is evaluated inside the near field."""
+    def fraunhofer(self, geom: ArrayGeometry) -> float:
+        """Far-field boundary of ``geom`` at the config's wavelength, 0 for a single antenna.
+
+        The aperture depends only on element counts and spacing, so the
+        boundary is kept in the per-Q dict under them.
+        """
+        key = ("fraunhofer", geom.counts, geom.spacing)
+        boundary = self._per_q.get(key)
+        if boundary is None:
+            aperture = geom.aperture
+            boundary = fraunhofer_distance(aperture, self.config.wavelength) if aperture > 0 else 0.0
+            self._per_q[key] = boundary
+        return boundary
+
+    def flag_near_field(
+        self, model: ChannelModel, role: LinkRole, distance: float, inside: list[tuple[str, float]]
+    ):
+        """Warn when a far-field model is evaluated inside the near field.
+
+        ``inside`` lists the ``(side, boundary)`` of each link end whose
+        Fraunhofer boundary exceeds ``distance``.  The warnings come once
+        per (model, link) and context, so once per Q in a sweep.
+        """
         key = (model, role)
-        if key in self._flagged:
+        if not inside or key in self._flagged:
             return
-        for geom, name in ((tx, "tx"), (rx, "rx")):
-            if geom.aperture <= 0:
-                continue
-            boundary = fraunhofer_distance(geom.aperture, self.config.wavelength)
-            if distance < boundary:
-                self._flagged.add(key)
-                logger.warning(
-                    "far-field model %s on link %s: %s-side distance %.1f m is inside "
-                    "the Fraunhofer boundary %.1f m",
-                    model.value, role.value, name, distance, boundary,
-                )
+        self._flagged.add(key)
+        for name, boundary in inside:
+            logger.warning(
+                "far-field model %s on link %s: %s-side distance %.1f m is inside "
+                "the Fraunhofer boundary %.1f m",
+                model.value, role.value, name, distance, boundary,
+            )
 
 
 def draw_links(
@@ -196,7 +219,9 @@ def draw_links(
     Rayleigh is the fading draw alone; the other models mix their nLOS draw
     (iid, correlated, or a cluster sum) with the planar or spherical LOS
     matrix by the link's K-factor,
-    ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.  The geometric models
+    ``sqrt(K/(1+K)) * los + sqrt(1/(1+K)) * nlos``.  A link with ``K = 0``
+    has no LOS term, so its channel is its nLOS draw and no LOS matrix is
+    built for it.  The geometric models
     read the link's clusters, the others its fading core: a unit complex
     Gaussian that iid and Rician scale by ``sqrt(h_p/2)`` and the correlated
     model passes to :func:`sample_matrix_normal_factor`, all links in one
@@ -205,14 +230,17 @@ def draw_links(
     model, Q or the other links, and only the stream the model uses is
     derived.
 
-    ``inputs`` is the trial's slot: cores and clusters are read from it
-    under their seed path and UE-link LOS matrices under ``(los_fn, role,
-    ue_index)``, and what is missing is computed and stored there.  Those
-    keys do not name the arrays, so a slot holds the links of one set of
-    arrays: :func:`run_trial` passes ``ctx.trial_inputs(config, trial)``,
+    ``inputs`` is the trial's slot.  Each link's set-up, the power budget
+    ``h_p`` at its center distance and the near-field test of the planar
+    models, is read from it under ``(role, ue_index)``; cores and clusters
+    under their seed path; and UE-link LOS terms ``sqrt(K/(1+K)) * los``
+    under ``(los_fn, role, ue_index)``.  What is missing is computed and
+    stored there, so the models of a trial share one set-up per link.
+    Those keys do not name the arrays, so a slot holds the links of one set
+    of arrays: :func:`run_trial` passes ``ctx.trial_inputs(config, trial)``,
     and a caller that draws links of its own passes a new ``{}``.  Only the
-    LOS of ``ctx``'s own BS-to-surface link, the very ``ctx.bs_geom`` and
-    ``ctx.ris_geom`` objects, is kept on ``ctx``, per Q.
+    LOS term of ``ctx``'s own BS-to-surface link, the very ``ctx.bs_geom``
+    and ``ctx.ris_geom`` objects, is kept on ``ctx``, per Q.
     """
     wl = config.wavelength
     geometric = model in _GEOMETRIC_MODELS
@@ -220,11 +248,17 @@ def draw_links(
     budgets, nlos = [], []
     for role, tx_geom, rx_geom, ue_index in links:
         link = config.links[role]
-        distance = float(np.linalg.norm(rx_geom.center - tx_geom.center))
-        h_p = pathloss(link, distance)
+        setup = inputs.get((role, ue_index))
+        if setup is None:
+            distance = float(np.linalg.norm(rx_geom.center - tx_geom.center))
+            h_p = pathloss(link, distance)
+            ends = (("tx", ctx.fraunhofer(tx_geom)), ("rx", ctx.fraunhofer(rx_geom)))
+            inside = [(name, boundary) for name, boundary in ends if distance < boundary]
+            setup = inputs[role, ue_index] = (h_p, distance, inside)
+        h_p, distance, inside = setup
         budgets.append(h_p)
         if model in _PLANAR_MODELS:
-            ctx.flag_near_field(model, role, tx_geom, rx_geom, distance)
+            ctx.flag_near_field(model, role, distance, inside)
 
         path = (stream, seeding.LINK_IDS[role.value], ue_index)
         drawn = inputs.get(path)
@@ -259,14 +293,17 @@ def draw_links(
     los_fn = nearfield_los if model == ChannelModel.NEARFIELD_GEOMETRIC else los_matrix
     out = []
     for (role, tx_geom, rx_geom, ue_index), h_p, scatter in zip(links, budgets, nlos):
+        k = config.links[role].k_factor
+        if k == 0.0:
+            out.append(scatter)
+            continue
         cache, key = inputs, (los_fn, role, ue_index)
         if tx_geom is ctx.bs_geom and rx_geom is ctx.ris_geom:
             cache, key = ctx._per_q, los_fn
-        los = cache.get(key)
-        if los is None:
-            los = cache[key] = los_fn(tx_geom, rx_geom, h_p, wl)
-        k = config.links[role].k_factor
-        out.append(math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * scatter)
+        los_term = cache.get(key)
+        if los_term is None:
+            los_term = cache[key] = math.sqrt(k / (1.0 + k)) * los_fn(tx_geom, rx_geom, h_p, wl)
+        out.append(los_term + math.sqrt(1.0 / (1.0 + k)) * scatter)
     return out
 
 

@@ -143,25 +143,27 @@ def nt_space_precoder(
     p = np.linalg.solve(m, np.full(k, noise_power))
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise InfeasibleError("downlink power allocation is not valid", "invalid_allocation")
-    w = directions * np.sqrt(p)
     return PrecodingSolution(
-        w=w,
+        w=directions * np.sqrt(p),
         total_power=float(p.sum()),
-        achieved_sinr=achieved_sinr(w, h, noise_power),
         dual_total_power=float(q.sum()),
         iterations=iterations,
     )
 
 
-def duality_gap_and_slack(solution: PrecodingSolution, gamma_thr: float) -> tuple[float, float]:
+def duality_gap_and_slack(
+    solution: PrecodingSolution, h: np.ndarray, gamma_thr: float, noise_power: float
+) -> tuple[float, float]:
     """Relative gap between the primal and dual total powers of a precoder
-    solution, and its largest relative SINR deviation from ``gamma_thr``.
+    solution for channel ``h``, and its largest relative SINR deviation from
+    ``gamma_thr`` at ``noise_power``.
 
     Both vanish at the optimum, where every SINR constraint is tight and the
     uplink dual has the same total power.
     """
     gap = abs(solution.total_power - solution.dual_total_power) / solution.total_power
-    slack = float(np.max(np.abs(solution.achieved_sinr / gamma_thr - 1.0)))
+    sinr = achieved_sinr(solution.w, h, noise_power)
+    slack = float(np.max(np.abs(sinr / gamma_thr - 1.0)))
     return gap, slack
 
 

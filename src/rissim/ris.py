@@ -89,6 +89,13 @@ class Codebook:
         """(G, tile_size) gradient phasors ``exp(-j * gradients)``, computed once."""
         return np.exp(-1j * self.gradients)
 
+    @cached_property
+    def offset_weights(self) -> np.ndarray:
+        """(B, 3) rows ``(1, cos(theta_b), sin(theta_b))`` of the offsets, computed once."""
+        return np.stack(
+            [np.ones(len(self.offsets)), np.cos(self.offsets), np.sin(self.offsets)], axis=1
+        )
+
 
 def build_codebook(tile_shape) -> Codebook:
     """Reflection/wavefront product codebook for one tile.
@@ -136,14 +143,14 @@ def min_singular_values(grams: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam_min, 0.0))
 
 
-def _best_candidate(grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> int:
+def _best_candidate(grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None) -> int:
     """Lowest index maximizing :func:`min_singular_values` over ``grams``.
 
     For K >= 3 the eigensolve runs first on the few candidates with the
     highest interlacing bounds (over the 2 x 2 principal minors on
-    ``pairs``), then only on those whose bound reaches the best of those
-    exact scores less the rounding margin; the rest cannot win and are left
-    at ``-inf``.
+    ``pairs``, ``None`` for K <= 2), then only on those whose bound reaches
+    the best of those exact scores less the rounding margin; the rest cannot
+    win and are left at ``-inf``.
     """
     if grams.shape[-1] <= 2:
         return int(np.argmax(min_singular_values(grams)))
@@ -209,9 +216,6 @@ def configure_tiles(
     # The Gramian of entry (g, b) is S_g + cos(theta_b) U_g + sin(theta_b) V_g
     # with S_g = H^H H + D_g^H D_g, U_g = P_g + P_g^H, V_g = -j (P_g - P_g^H)
     # and P_g = H^H D_g: one real product over the three terms.
-    offset_weights = np.stack(
-        [np.ones(n_off), np.cos(codebook.offsets), np.sin(codebook.offsets)], axis=1
-    )  # (B, 3)
     # Every tile's D_g and D_g^H D_g depend only on the channels, not on H:
     # all UEs' gradient contributions come from one product per tile,
     # (G, q) @ (q, K*N_t), and row k of d_all[t, g] is column k of D_g.
@@ -220,7 +224,7 @@ def configure_tiles(
     d_all = d_all.reshape(len(tiles), n_grad, n_ue, n_t)
     dhd_all = np.conj(d_all) @ d_all.swapaxes(2, 3)  # (T, G, K, K)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
-    pairs = np.triu_indices(n_ue, 1)
+    pairs = np.triu_indices(n_ue, 1) if n_ue >= 3 else None
     h_eff = direct.astype(complex)  # (N_t, K)
     chosen = np.empty(len(tiles), dtype=np.intp)
     for t, (d_rows, dhd) in enumerate(zip(d_all, dhd_all)):
@@ -229,7 +233,7 @@ def configure_tiles(
         terms[0] = np.conj(h_eff).T @ h_eff + dhd
         terms[1] = p + p_h
         terms[2] = -1j * (p - p_h)
-        grams = (offset_weights @ terms.view(float).reshape(3, -1)).view(complex)
+        grams = (codebook.offset_weights @ terms.view(float).reshape(3, -1)).view(complex)
         grams = grams.reshape(n_off, n_grad, n_ue, n_ue).swapaxes(0, 1)
         best = _best_candidate(grams.reshape(n_grad * n_off, n_ue, n_ue), pairs)
         g, b = divmod(best, n_off)

@@ -84,6 +84,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # The precoder's first step moves every dual power by all of itself
+        # (a relative change of 1), so a tolerance of 1 or more would stop it
+        # at the single-user powers.
+        if not self.precoder_tol < 1.0:
+            raise ValueError(f"precoder_tol must be below 1, got {self.precoder_tol!r}")
         for name in ("noise_figure_db", "n0_dbm_per_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

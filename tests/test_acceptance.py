@@ -232,7 +232,7 @@ def test_criterion_7_precoder():
     for _ in range(20):
         h = complex_randn(rng, (4, 2))
         sol = min_power_precoder(h, 10.0, 1.0)
-        sol_gap, sol_slack = duality_gap_and_slack(sol, 10.0)
+        sol_gap, sol_slack = duality_gap_and_slack(sol, h, 10.0, 1.0)
         gap, tight_err = max(gap, sol_gap), max(tight_err, sol_slack)
         for k in range(2):
             w = sol.w.copy()

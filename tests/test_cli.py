@@ -75,7 +75,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=key):
             load_config(f"[{section}]\n{key} = nan\n")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, 1.0, 2.0])
     def test_bad_precoder_tol_rejected(self, value):
         with pytest.raises(ValueError, match="precoder_tol"):
             replace(default_config(), precoder_tol=value)
@@ -95,6 +95,7 @@ class TestConfigValidation:
         [
             ("[precoder]\ntol = nan\n", "precoder_tol"),
             ("[precoder]\ntol = 0\n", "precoder_tol"),
+            ("[precoder]\ntol = 1\n", "precoder_tol"),
             ("[precoder]\nmax_iters = 0\n", "precoder_max_iters"),
             ("[ue]\narea_side = nan\n", "ue_side"),
             ("[ue]\narea_side = -8\n", "ue_side"),

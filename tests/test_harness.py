@@ -32,6 +32,12 @@ def small_config(**kw):
     return replace(default_config(), **base)
 
 
+def with_direct_k(cfg, k_factor):
+    links = dict(cfg.links)
+    links[LinkRole.DIRECT] = replace(links[LinkRole.DIRECT], k_factor=k_factor)
+    return replace(cfg, links=links)
+
+
 class TestNoisePower:
     def test_default_budget(self):
         # -174 dBm/Hz + 10log10(20e6) + 6 dB = -94.99 dBm
@@ -458,7 +464,8 @@ class TestSimContext:
         ids=["planar", "nearfield"],
     )
     def test_bs_to_surface_los_computed_once(self, monkeypatch, model, los_name):
-        cfg = small_config()
+        # The shipped direct link has K = 0 and so no LOS; here it has one.
+        cfg = with_direct_k(small_config(), 0.5)
         calls = []
         los_fn = getattr(harness, los_name)
         monkeypatch.setattr(harness, los_name, lambda tx, *a: calls.append(tx.size) or los_fn(tx, *a))
@@ -466,6 +473,41 @@ class TestSimContext:
         # the 4-antenna BS to the surface once; each UE's two links every trial
         assert calls.count(4) == 1 + 2 * cfg.trials
         assert calls.count(cfg.q_total) == 2 * cfg.trials
+
+    @pytest.mark.parametrize("k_factor, direct_calls", [(0.0, 0), (0.5, 2)])
+    def test_los_built_only_for_a_link_with_a_los_term(self, monkeypatch, k_factor, direct_calls):
+        # One trial of every model: the direct links (BS to a single-antenna
+        # UE) get a LOS matrix per UE and LOS function only when K > 0.
+        cfg = with_direct_k(small_config(), k_factor)
+        calls = []
+        for name in ("los_matrix", "nearfield_los"):
+            fn = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name,
+                lambda tx, rx, *a, fn=fn, name=name: calls.append((name, tx.size, rx.size))
+                or fn(tx, rx, *a),
+            )
+        ctx = SimContext(cfg)
+        for model in ChannelModel:
+            run_trial(cfg, 0, model=model, ctx=ctx)
+        direct = [c for c in calls if c[1:] == (4, 1)]
+        assert sorted(direct) == [("los_matrix", 4, 1)] * direct_calls + [
+            ("nearfield_los", 4, 1)
+        ] * direct_calls
+        # the surface links keep theirs: BS to surface and one per UE, per function
+        assert len(calls) - len(direct) == 2 * (1 + 2)
+
+    def test_link_budget_computed_once_per_trial_and_link(self, monkeypatch):
+        cfg = small_config()
+        calls = []
+        budget = harness.pathloss
+        monkeypatch.setattr(harness, "pathloss", lambda link, d: calls.append(d) or budget(link, d))
+        ctx = SimContext(cfg)
+        for model in ChannelModel:
+            run_trial(cfg, 0, model=model, ctx=ctx)
+        # the BS-to-surface link and the two links of each of the 2 UEs
+        assert len(calls) == 1 + 2 * 2
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize(
         "model", [ChannelModel.IID_RICIAN, ChannelModel.NEARFIELD_GEOMETRIC],

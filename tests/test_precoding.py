@@ -25,8 +25,9 @@ class TestSingleUser:
 
     def test_sinr_exact(self):
         rng = np.random.default_rng(1)
-        sol = min_power_precoder(complex_randn(rng, (3, 1)), 5.0, 1.0)
-        assert sol.achieved_sinr[0] == pytest.approx(5.0, rel=1e-9)
+        h = complex_randn(rng, (3, 1))
+        sol = min_power_precoder(h, 5.0, 1.0)
+        assert achieved_sinr(sol.w, h, 1.0)[0] == pytest.approx(5.0, rel=1e-9)
 
 
 class TestMultiUser:
@@ -44,7 +45,7 @@ class TestMultiUser:
         for _ in range(20):
             h = complex_randn(rng, (4, 2))
             sol = min_power_precoder(h, 10.0, 1.0)
-            np.testing.assert_allclose(sol.achieved_sinr, 10.0, rtol=1e-6)
+            np.testing.assert_allclose(achieved_sinr(sol.w, h, 1.0), 10.0, rtol=1e-6)
 
     def test_downscaling_violates(self):
         rng = np.random.default_rng(3)
@@ -59,7 +60,7 @@ class TestMultiUser:
         rng = np.random.default_rng(4)
         for _ in range(20):
             h = complex_randn(rng, (6, 3))
-            gap, _ = duality_gap_and_slack(min_power_precoder(h, 8.0, 2.0), 8.0)
+            gap, _ = duality_gap_and_slack(min_power_precoder(h, 8.0, 2.0), h, 8.0, 2.0)
             assert gap < 1e-6
 
     def test_power_monotone_in_gamma_and_noise(self):
@@ -78,6 +79,21 @@ class TestMultiUser:
         assert sol.total_power == pytest.approx(
             float(np.sum(np.abs(sol.w) ** 2)), rel=1e-10
         )
+
+
+class TestFirstStep:
+    # The fixed point starts from zero uplink powers, so its first step is
+    # the single-user one, q_k = gamma * noise / ||h_k||^2, in closed form.
+
+    def test_tolerance_above_one_stops_at_the_single_user_step(self):
+        rng = np.random.default_rng(17)
+        gamma, sigma2 = 0.5, 0.3
+        for k in range(1, 5):
+            h = complex_randn(rng, (16, k))
+            sol = min_power_precoder(h, gamma, sigma2, tol=2.0)
+            assert sol.iterations == 1
+            single_user = gamma * sigma2 / np.sum(np.abs(h) ** 2, axis=0)
+            assert sol.dual_total_power == pytest.approx(single_user.sum(), rel=1e-12)
 
 
 class TestGramForm:
@@ -99,7 +115,7 @@ class TestGramForm:
                         ref.dual_total_power, rel=max(1e-12, 1e-15 * gamma)
                     )
                     np.testing.assert_allclose(sol.w, ref.w, rtol=0, atol=1e-9 * np.abs(ref.w).max())
-                    np.testing.assert_allclose(sol.achieved_sinr, gamma, rtol=1e-9)
+                    np.testing.assert_allclose(achieved_sinr(sol.w, h, 0.5), gamma, rtol=1e-9)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8], ids=["collinear", "near-collinear"])
     def test_near_collinear_both_raise(self, eps):

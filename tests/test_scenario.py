@@ -257,7 +257,7 @@ def configs(draw):
         n_clusters=draw(count),
         n_subpaths=draw(count),
         precoder_max_iters=draw(count),
-        precoder_tol=draw(positive),
+        precoder_tol=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         trials=draw(count),
         master_seed=draw(st.integers(0, 2**64 - 1)),
         models=draw(st.lists(st.sampled_from(list(ChannelModel)), min_size=1, unique=True)),
