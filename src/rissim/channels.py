@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import units
-from .geometry import ArrayGeometry, distance_matrix, element_distances, steering_vector
+from .geometry import ArrayGeometry, element_distances, steering_vector
 
 # A sub-path closer than this to an array center (low-rank) or to an
 # antenna element (near-field) makes the link raise ValueError.  Nothing is
@@ -155,7 +155,7 @@ def nearfield_los(
     retained.
     """
     kappa = 2.0 * math.pi / wavelength
-    d = distance_matrix(rx_geom.element_positions, tx_geom.element_positions)
+    d = element_distances(rx_geom, tx_geom.element_positions)
     return math.sqrt(h_p) * np.exp(1j * kappa * d)
 
 
@@ -236,8 +236,8 @@ def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom:
     p = clusters.positions.reshape(-1, 3)  # (LR, 3)
     v_tx = p - tx_geom.center
     v_rx = rx_geom.center - p
-    d_tx = distance_matrix(tx_geom.center[None], p)[0]
-    d_rx = distance_matrix(rx_geom.center[None], p)[0]
+    d_tx = np.linalg.norm(v_tx, axis=1)
+    d_rx = np.linalg.norm(v_rx, axis=1)
     if d_tx.min() < _MIN_SCATTER_CLEARANCE or d_rx.min() < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an array center")
     dir_tx = (v_tx / d_tx[:, None]).T  # (3, LR)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, oracles
-from .channels import Box, draw_clusters
+from .channels import Box, draw_clusters, lowrank_from_clusters
 from .correlation import matrix_sqrt_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import InfeasibleError, min_power_precoder
@@ -137,7 +137,7 @@ def _check_lowrank_kron(seed: int) -> tuple[bool, str]:
         rx_center = (30.0, 0.0, 0.0) + rng.uniform(-2.0, 2.0, size=3)
         rx = ArrayGeometry.upa_centered(*rx_counts, rx_spacing, rx_center)
         clusters = draw_clusters(rng, volume, 5, 20, 1.0)
-        h = harness.lowrank_from_clusters(clusters, tx, rx, lam)
+        h = lowrank_from_clusters(clusters, tx, rx, lam)
         ref = oracles.dense_lowrank(clusters, tx, rx, lam)
         worst = max(worst, float(np.abs(h - ref).max() / np.abs(ref).max()))
     return worst <= 1e-12, (

@@ -96,23 +96,13 @@ def steering_vector(geom: ArrayGeometry, direction: np.ndarray, wavelength: floa
     return np.exp(1j * kappa * (geom.local_coords @ (d / n)))
 
 
-def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances (M, N) between the rows of ``a`` (M, 3) and ``b`` (N, 3).
-
-    Summed as ``dx*dx + dy*dy + dz*dz`` on split coordinates, the order
-    ``np.linalg.norm(..., axis=-1)`` uses, so the values are the same bit for
-    bit, without the (M, N, 3) difference array.
-    """
-    dx, dy, dz = (a[:, i, None] - b[None, :, i] for i in range(3))
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
-
-
 def element_distances(geom: ArrayGeometry, points: np.ndarray) -> np.ndarray:
     """Distances (N, P) from each element of ``geom`` to each row of ``points`` (P, 3).
 
-    The same values as ``distance_matrix(geom.element_positions, points)``,
-    bit for bit, from per-axis offsets: every element shares one x, a row
-    shares its y and a column its z, so ``dy*dy`` is computed per row and
+    Bit for bit ``np.linalg.norm(pos[:, None] - points[None], axis=-1)`` for
+    the element positions ``pos`` (the squares are summed in x, y, z order),
+    without the (N, P, 3) difference array: every element shares one x, a
+    row shares its y and a column its z, so ``dy*dy`` is computed per row and
     ``dz*dz`` per column and only their sum is full size.
     """
     n_y, n_z = geom.counts

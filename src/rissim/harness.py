@@ -105,11 +105,12 @@ class SimContext:
     codebook and noise power are fixed for the context, and it keeps two
     caches, one per lifetime:
 
-    * per Q, one dict that lives as long as the context: the correlation
-      factors (:meth:`correlation_factor`), the Fraunhofer boundary of
-      each array shape (:meth:`fraunhofer`) and the BS-to-surface LOS term
-      of each LOS function.  They depend only on the context's fixed
-      arrays, so at most one surface size's factors are held at a time;
+    * per Q, one dict that lives as long as the context: each array
+      shape's correlation factor under its ``(counts, spacing)``
+      (:meth:`correlation_factor`), and the BS-to-surface LOS term
+      ``sqrt(K/(1+K)) * los`` under its LOS function (:func:`draw_links`).
+      They depend only on the context's fixed arrays, so at most one
+      surface size's factors are held at a time;
     * per trial, one slot (:meth:`trial_inputs`) that holds one trial at a
       time.  Its entries are filled lazily by whichever model asks first:
       ``"ues"``, the trial's UE geometries; a link's set-up ``(h_p,
@@ -168,20 +169,6 @@ class SimContext:
             factor = correlation.matrix_sqrt_factor(geom, self.config.wavelength)
             self._per_q[key] = (geom.counts, factor)
         return self._per_q[key]
-
-    def fraunhofer(self, geom: ArrayGeometry) -> float:
-        """Far-field boundary of ``geom`` at the config's wavelength, 0 for a single antenna.
-
-        The aperture depends only on element counts and spacing, so the
-        boundary is kept in the per-Q dict under them.
-        """
-        key = ("fraunhofer", geom.counts, geom.spacing)
-        boundary = self._per_q.get(key)
-        if boundary is None:
-            aperture = geom.aperture
-            boundary = fraunhofer_distance(aperture, self.config.wavelength) if aperture > 0 else 0.0
-            self._per_q[key] = boundary
-        return boundary
 
     def flag_near_field(
         self, model: ChannelModel, role: LinkRole, distance: float, inside: list[tuple[str, float]]
@@ -252,7 +239,10 @@ def draw_links(
         if setup is None:
             distance = float(np.linalg.norm(rx_geom.center - tx_geom.center))
             h_p = pathloss(link, distance)
-            ends = (("tx", ctx.fraunhofer(tx_geom)), ("rx", ctx.fraunhofer(rx_geom)))
+            ends = [
+                (name, fraunhofer_distance(geom.aperture, wl) if geom.aperture > 0 else 0.0)
+                for name, geom in (("tx", tx_geom), ("rx", rx_geom))
+            ]
             inside = [(name, boundary) for name, boundary in ends if distance < boundary]
             setup = inputs[role, ue_index] = (h_p, distance, inside)
         h_p, distance, inside = setup
@@ -433,19 +423,6 @@ def aggregate(results: list[TrialResult]) -> AggregateRow:
         std_ptx_db=std_db,
         seed=first.seed,
     )
-
-
-def run_cell(
-    config: ScenarioConfig, model: ChannelModel, ctx: SimContext | None = None
-) -> list[TrialResult]:
-    """All trials of one (model, Q, N_UE) cell on one context.
-
-    ``ctx`` may come from another cell of the same Q, of any model; without
-    it a fresh context is built for the cell.
-    """
-    if ctx is None:
-        ctx = SimContext(config)
-    return [run_trial(config, i, model=model, ctx=ctx) for i in range(config.trials)]
 
 
 def _check_sweep(config: ScenarioConfig) -> None:

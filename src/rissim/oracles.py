@@ -10,7 +10,7 @@ theory says it must be:
   uplink covariance, one N_t-sized solve per UE and iteration, instead of
   in the K x K Gram form;
 * :func:`duality_gap_and_slack` measures a precoder solution against its
-  dual and its SINR constraints;
+  dual and its SINR constraints, which :func:`achieved_sinr` evaluates;
 * :func:`path_sum_covariance_error` checks the finite-path channel sum
   against its matrix-Gaussian limit;
 * :func:`sample_matrix_normal_vec` draws the correlated channel through the
@@ -35,7 +35,7 @@ import numpy as np
 from .channels import ClusterSet, _propagation_geometry, sample_iid_rayleigh
 from .correlation import _apply_factor, sinc_correlation
 from .geometry import ArrayGeometry
-from .precoding import _DIVERGENCE_FACTOR, InfeasibleError, PrecodingSolution, achieved_sinr
+from .precoding import _DIVERGENCE_FACTOR, InfeasibleError, PrecodingSolution
 from .ris import Codebook, build_codebook, build_tile_partition
 
 
@@ -149,6 +149,14 @@ def nt_space_precoder(
         dual_total_power=float(q.sum()),
         iterations=iterations,
     )
+
+
+def achieved_sinr(w: np.ndarray, h: np.ndarray, noise_power: float) -> np.ndarray:
+    """Per-UE SINR ``|h_k^H w_k|^2 / (sum_{j != k} |h_k^H w_j|^2 + noise)``."""
+    gains = np.abs(np.conj(h).T @ w) ** 2  # (K, K): gains[k, j] = |h_k^H w_j|^2
+    signal = np.diag(gains)
+    interference = gains.sum(axis=1) - signal
+    return signal / (interference + noise_power)
 
 
 def duality_gap_and_slack(

@@ -13,8 +13,8 @@ touches ``H`` again only to form the beamformers.  The iteration starts
 from zero uplink powers, where the uplink covariance is ``noise * I``, so
 its first step is the single-user one, ``q_k = gamma * noise / ||h_k||^2``,
 taken in closed form without a K x K inverse.  The solution carries the
-beamformers and the two total powers; :func:`achieved_sinr` evaluates the
-SINRs of any beamformers.
+beamformers and the two total powers;
+:func:`rissim.oracles.achieved_sinr` evaluates the SINRs of any beamformers.
 """
 
 from __future__ import annotations
@@ -48,22 +48,15 @@ class InfeasibleError(RuntimeError):
 class PrecodingSolution:
     """Per-UE beamformers and the bookkeeping of the solved instance.
 
-    The SINRs the beamformers reach are not kept; :func:`achieved_sinr`
-    computes them from ``w``, the channel and the noise power.
+    The SINRs the beamformers reach are not kept;
+    :func:`rissim.oracles.achieved_sinr` computes them from ``w``, the
+    channel and the noise power.
     """
 
     w: np.ndarray  # (N_t, K), column k serves UE k
     total_power: float
     dual_total_power: float
     iterations: int  # fixed-point steps, the closed-form first one included
-
-
-def achieved_sinr(w: np.ndarray, h: np.ndarray, noise_power: float) -> np.ndarray:
-    """Per-UE SINR ``|h_k^H w_k|^2 / (sum_{j != k} |h_k^H w_j|^2 + noise)``."""
-    gains = np.abs(np.conj(h).T @ w) ** 2  # (K, K): gains[k, j] = |h_k^H w_j|^2
-    signal = np.diag(gains)
-    interference = gains.sum(axis=1) - signal
-    return signal / (interference + noise_power)
 
 
 def min_power_precoder(

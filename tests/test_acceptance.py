@@ -28,6 +28,7 @@ from rissim.correlation import matrix_sqrt_factor, sample_matrix_normal_factor, 
 from rissim.geometry import ArrayGeometry, fraunhofer_distance, steering_vector
 from rissim.harness import run_sweep
 from rissim.oracles import (
+    achieved_sinr,
     brute_force_tiles,
     complex_randn,
     duality_gap_and_slack,
@@ -36,7 +37,7 @@ from rissim.oracles import (
     sample_matrix_normal_vec,
     tile_instance,
 )
-from rissim.precoding import achieved_sinr, min_power_precoder
+from rissim.precoding import min_power_precoder
 from rissim.ris import configure_tiles
 from rissim.scenario import default_config
 

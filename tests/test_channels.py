@@ -130,6 +130,24 @@ class TestLosMatrix:
         ratio = nearfield_los(tx, rx, 0.5, LAM) / los_matrix(tx, rx, 0.5, LAM)
         np.testing.assert_allclose(ratio, ratio[0, 0], atol=1e-2)
 
+    @pytest.mark.parametrize(
+        "tx_counts, rx_counts",
+        [((4, 4), (8, 8)), ((3, 1), (5, 7)), ((5, 7), (3, 1)), ((8, 8), (1, 1)), ((1, 1), (4, 4))],
+        ids=["4x4-8x8", "3x1-5x7", "5x7-3x1", "8x8-single", "single-4x4"],
+    )
+    def test_nearfield_los_matches_dense_distances(self, tx_counts, rx_counts):
+        # bit for bit the phases of the dense element-pair distance matrix
+        rng = np.random.default_rng(tx_counts[0] * 10 + rx_counts[0])
+        tx_spacing, rx_spacing = rng.uniform(0.1 * LAM, LAM, size=2)
+        tx = ArrayGeometry.upa_centered(*tx_counts, tx_spacing, rng.uniform(-2.0, 2.0, size=3))
+        rx_center = (20.0, 5.0, 3.0) + rng.uniform(-2.0, 2.0, size=3)
+        rx = ArrayGeometry.upa_centered(*rx_counts, rx_spacing, rx_center)
+        h_p, kappa = 0.3, 2.0 * math.pi / LAM
+        u_rx, u_tx = rx.element_positions, tx.element_positions
+        reference = np.linalg.norm(u_rx[:, None] - u_tx[None], axis=-1)
+        expected = math.sqrt(h_p) * np.exp(1j * kappa * reference)
+        assert np.array_equal(nearfield_los(tx, rx, h_p, LAM), expected)
+
 
 def far_apart_geoms():
     tx = ArrayGeometry.upa_centered(2, 2, LAM / 2, (0.0, 0.0, 0.0))

@@ -7,7 +7,6 @@ from rissim.channels import los_matrix
 from rissim.correlation import sinc_correlation
 from rissim.geometry import (
     ArrayGeometry,
-    distance_matrix,
     element_distances,
     fraunhofer_distance,
     steering_vector,
@@ -164,22 +163,42 @@ class TestKronSteering:
             )
 
 
+def dense_distances(a, b):
+    """The dense distance matrix between the rows of ``a`` and ``b``, from the
+    (M, N, 3) differences."""
+    return np.linalg.norm(a[:, None] - b[None], axis=-1)
+
+
 class TestDistances:
     def test_zero(self):
-        assert distance_matrix(np.zeros((1, 3)), np.zeros((1, 3)))[0, 0] == 0.0
+        geom = ArrayGeometry.single((1.0, 2.0, 3.0))
+        d = element_distances(geom, geom.element_positions)
+        assert d.shape == (1, 1) and d[0, 0] == 0.0
 
     def test_three_four_five(self):
-        origin = np.zeros((1, 3))
-        d = distance_matrix(origin, np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]))
+        geom = ArrayGeometry.single((0.0, 0.0, 0.0))
+        points = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]])
+        d = element_distances(geom, points)
         np.testing.assert_allclose(d, [[5.0, 2.0]], rtol=1e-15)
+        assert np.array_equal(d, dense_distances(geom.element_positions, points))
+
+    def test_translation(self):
+        # moving the array and the points by one offset keeps every distance
+        geom = ArrayGeometry.upa(3, 5, 0.4 * LAM, (1.5, -2.0, 3.0))
+        points = np.random.default_rng(3).uniform(-20.0, 20.0, size=(50, 3))
+        shift = np.array([7.0, -3.0, 11.0])
+        moved = ArrayGeometry.upa(3, 5, 0.4 * LAM, geom.origin + shift)
+        d = element_distances(moved, points + shift)
+        np.testing.assert_allclose(d, element_distances(geom, points), rtol=1e-12)
+        assert np.array_equal(d, dense_distances(moved.element_positions, points + shift))
 
     def test_scenario_centers(self):
         # sqrt(900 + 2500 + 25) by hand, and bit for bit what np.linalg.norm gives
-        a, b = np.array([[30.0, 0.0, 10.0]]), np.array([[0.0, 50.0, 5.0]])
-        d = distance_matrix(a, b)[0, 0]
+        a, b = np.array([30.0, 0.0, 10.0]), np.array([[0.0, 50.0, 5.0]])
+        d = element_distances(ArrayGeometry.single(a), b)[0, 0]
         assert d == pytest.approx(math.sqrt(3425.0), abs=1e-12)
         assert d == pytest.approx(58.5235, abs=1e-4)
-        assert d == np.linalg.norm(a[0] - b[0])
+        assert d == np.linalg.norm(a - b[0])
 
     @pytest.mark.parametrize(
         "geom",
@@ -196,7 +215,7 @@ class TestDistances:
         points = np.random.default_rng(geom.size).uniform(-20.0, 20.0, size=(100, 3))
         points[0] = geom.element_positions[-1]  # an exact zero
         d = element_distances(geom, points)
-        assert np.array_equal(d, distance_matrix(geom.element_positions, points))
+        assert np.array_equal(d, dense_distances(geom.element_positions, points))
 
 
 class TestFraunhofer:

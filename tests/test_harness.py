@@ -16,13 +16,18 @@ from rissim.harness import (
     draw_links,
     noise_power,
     raw_csv,
-    run_cell,
     run_sweep,
     run_trial,
     ue_positions,
 )
 from rissim.scenario import default_config, tile_grid_for, with_q
 from rissim.seeding import derive_rng
+
+
+def cell_trials(config, model):
+    """All trials of one (model, Q, n_ue) cell, run on a fresh context."""
+    ctx = SimContext(config)
+    return [run_trial(config, i, model=model, ctx=ctx) for i in range(config.trials)]
 
 
 def small_config(**kw):
@@ -150,8 +155,8 @@ class TestPairedRandomness:
 
     def test_iid_below_correlated_on_paired_seeds(self):
         cfg = replace(default_config(), trials=50, ue_count=2)
-        iid = run_cell(cfg, ChannelModel.IID_RAYLEIGH)
-        corr = run_cell(cfg, ChannelModel.CORRELATED_RAYLEIGH)
+        iid = cell_trials(cfg, ChannelModel.IID_RAYLEIGH)
+        corr = cell_trials(cfg, ChannelModel.CORRELATED_RAYLEIGH)
         mean = lambda rs: np.mean([r.total_power_watts for r in rs if r.feasible])
         assert mean(iid) < mean(corr)
 
@@ -192,7 +197,7 @@ class TestNearFieldWarning:
 class TestAggregation:
     def make_results(self):
         cfg = small_config(trials=6)
-        return run_cell(cfg, ChannelModel.IID_RAYLEIGH)
+        return cell_trials(cfg, ChannelModel.IID_RAYLEIGH)
 
     def test_aggregate_matches_recomputation(self):
         results = self.make_results()
@@ -304,7 +309,7 @@ class TestContextPerQ:
         assert sorted(built) == [4, 4, 8, 16]
 
         fresh = [
-            run_cell(replace(with_q(cfg, q), ue_count=n_ue, models=[model]), model)
+            cell_trials(replace(with_q(cfg, q), ue_count=n_ue, models=[model]), model)
             for q in cfg.sweep_q
             for n_ue in cfg.sweep_n_ue
         ]
@@ -469,7 +474,7 @@ class TestSimContext:
         calls = []
         los_fn = getattr(harness, los_name)
         monkeypatch.setattr(harness, los_name, lambda tx, *a: calls.append(tx.size) or los_fn(tx, *a))
-        run_cell(cfg, model)
+        cell_trials(cfg, model)
         # the 4-antenna BS to the surface once; each UE's two links every trial
         assert calls.count(4) == 1 + 2 * cfg.trials
         assert calls.count(cfg.q_total) == 2 * cfg.trials

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rissim.oracles import complex_randn, duality_gap_and_slack, nt_space_precoder
-from rissim.precoding import InfeasibleError, achieved_sinr, min_power_precoder
+from rissim.oracles import (
+    achieved_sinr,
+    complex_randn,
+    duality_gap_and_slack,
+    nt_space_precoder,
+)
+from rissim.precoding import InfeasibleError, min_power_precoder
 
 
 class TestSingleUser:

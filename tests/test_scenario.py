@@ -116,9 +116,10 @@ class TestLinkBudgets:
         links[LinkRole.DIRECT] = replace(links[LinkRole.DIRECT], beta_db=1540.0, blockage_db=-40.0)
         links[LinkRole.TX_TO_RIS] = replace(links[LinkRole.TX_TO_RIS], beta_db=1490.0)
         config = replace(config, links=links, trials=2)
+        ctx = harness.SimContext(config)
         for model in ChannelModel:
-            rows = harness.run_cell(config, model)
-            assert all(row.feasible for row in rows)
+            for i in range(config.trials):
+                assert harness.run_trial(config, i, model=model, ctx=ctx).feasible
 
 class TestClusterSettings:
     @pytest.mark.parametrize(
