@@ -11,20 +11,30 @@ tile choice or any precoder result shows here.
 The CSVs print 10 significant digits, so a rounding change in a channel
 can pass them.  ``tests/golden/sweep.powers.hex`` holds every raw power of
 ``sweep.ini`` at full precision, one ``model,Q,n_ue,trial,float.hex`` line
-per trial in raw-CSV order, and must match exactly.  After a declared
-rounding change, ``python tests/test_golden.py`` rewrites it.
+per trial in raw-CSV order, and must match exactly.
+
+``tests/golden/precoder.hex`` locks the min-power precoder on its own, one
+line per seeded instance (:func:`precoder_instances`): the iteration count
+or the ``InfeasibleError`` kind, both total powers as ``float.hex`` and a
+sha256 of the beamformers' bytes.  After a declared rounding change,
+``python tests/test_golden.py`` rewrites both hex files.
 """
 
+import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rissim.cli import main
 from rissim.harness import run_sweep
+from rissim.oracles import complex_randn
+from rissim.precoding import InfeasibleError, min_power_precoder
 from rissim.scenario import load_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 POWERS_HEX = GOLDEN / "sweep.powers.hex"
+PRECODER_HEX = GOLDEN / "precoder.hex"
 
 
 @pytest.mark.parametrize("name", ["sweep", "odd_axes"])
@@ -47,5 +57,73 @@ def test_sweep_raw_powers_match_golden_hex():
     assert sweep_powers_hex() == POWERS_HEX.read_text()
 
 
+def precoder_instances():
+    """``(h, gamma_thr, noise_power, max_iters, tol)`` for the precoder golden.
+
+    300 random instances: K = 1..4 UEs, N_t = K..16 antennas, channel scale
+    1e-8..1e3, SINR targets 0.1..1e4, noise 1e-14..1, a near-collinear last
+    column in about one in five, and a tolerance and iteration budget that
+    stop some solves at their first steps.  Then the edge cases: budgets of
+    1 and 2 steps, tolerances of 0.5 and 2, exactly collinear columns, a
+    zero column, a single UE, first-step powers all below (or some below)
+    the 1e-300 floor of the relative change, and a target that overflows.
+    """
+    rng = np.random.default_rng(20241)
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        n_t = int(rng.integers(k, 17))
+        scale = 10.0 ** rng.uniform(-8, 3)
+        h = scale * complex_randn(rng, (n_t, k))
+        if k >= 2 and rng.random() < 0.2:
+            h[:, -1] = h[:, 0] + 10.0 ** rng.uniform(-8, -1) * scale * complex_randn(rng, n_t)
+        gamma, noise = 10.0 ** rng.uniform(-1, 4), 10.0 ** rng.uniform(-14, 0)
+        tol = float(rng.choice([1e-10, 1e-6, 0.5], p=[0.6, 0.3, 0.1]))
+        max_iters = int(rng.choice([500, 1, 2, 5], p=[0.7, 0.1, 0.1, 0.1]))
+        yield h, gamma, noise, max_iters, tol
+    h = complex_randn(rng, (8, 3))
+    for max_iters in (1, 2):
+        for tol in (1e-10, 0.5, 2.0):
+            yield h, 10.0, 1e-3, max_iters, tol
+    yield h, 10.0, 1e-3, 500, 0.5
+    collinear = h.copy()
+    collinear[:, 2] = collinear[:, 0]
+    yield collinear, 10.0, 1e-3, 500, 1e-10
+    yield collinear, 1e-3, 1.0, 500, 1e-10
+    zero = h.copy()
+    zero[:, 1] = 0.0
+    yield zero, 10.0, 1e-3, 500, 1e-10
+    yield h[:, :1], 100.0, 1e-3, 500, 1e-10
+    huge = 1e150 * h
+    yield huge, 1.0, 1e-2, 500, 1e-10
+    yield huge, 1.0, 1e-2, 1, 0.5
+    yield huge, 10.0, 1e-20, 500, 1e-10
+    mixed = h.copy()
+    mixed[:, 0] *= 1e150
+    yield mixed, 10.0, 1e-20, 500, 1e-10
+    yield h, 1e300, 1e10, 500, 1e-10
+
+
+def precoder_hex() -> str:
+    lines = []
+    for i, (h, gamma, noise, max_iters, tol) in enumerate(precoder_instances()):
+        try:
+            # the edge cases overflow on purpose; their outcome is what is locked
+            with np.errstate(all="ignore"):
+                sol = min_power_precoder(h, gamma, noise, max_iters=max_iters, tol=tol)
+        except InfeasibleError as exc:
+            lines.append(f"{i},{exc.kind}\n")
+            continue
+        digest = hashlib.sha256(sol.w.tobytes()).hexdigest()
+        lines.append(
+            f"{i},{sol.iterations},{sol.total_power.hex()},{sol.dual_total_power.hex()},{digest}\n"
+        )
+    return "".join(lines)
+
+
+def test_precoder_results_match_golden_hex():
+    assert precoder_hex() == PRECODER_HEX.read_text()
+
+
 if __name__ == "__main__":
     POWERS_HEX.write_text(sweep_powers_hex())
+    PRECODER_HEX.write_text(precoder_hex())
