@@ -97,6 +97,7 @@ def nt_space_precoder(
     noise_power: float,
     max_iters: int = 500,
     tol: float = 1e-10,
+    deltas: list | None = None,
 ) -> PrecodingSolution:
     """The fixed point of :func:`rissim.precoding.min_power_precoder`, in N_t space.
 
@@ -106,7 +107,8 @@ def nt_space_precoder(
     solve per UE; the beam directions are the normalized columns of
     ``A^-1 H``.  The guards, their order and the :class:`InfeasibleError`
     kinds are the pipeline's, so both give the same iteration count and
-    feasibility.  Inputs are not validated.
+    feasibility.  Inputs are not validated.  A list passed as ``deltas``
+    gets every step's relative change, the one compared with ``tol``.
     """
     h = np.asarray(h, dtype=complex)
     n_t, k = h.shape
@@ -126,6 +128,8 @@ def nt_space_precoder(
         if not np.all(np.isfinite(q_new)) or q_new.max() > q_cap:
             raise InfeasibleError("dual uplink powers diverged", "diverged")
         delta = np.max(np.abs(q_new - q) / np.maximum(q_new, 1e-300))
+        if deltas is not None:
+            deltas.append(delta)
         q = q_new
         if delta < tol:
             break
@@ -282,13 +286,11 @@ def _axis_powers(alpha: np.ndarray, count: int, cdtype) -> np.ndarray:
     """Columns ``[1, z, z^2, ...]`` for ``z = exp(1j*alpha)``, one per path."""
     out = np.empty((count, alpha.size), dtype=cdtype)
     out[0] = 1.0
-    if count > 1:
-        z = np.empty(alpha.size, dtype=cdtype)
-        np.cos(alpha, out=z.real)
-        np.sin(alpha, out=z.imag)
-        out[1] = z
-        for k in range(2, count):
-            np.multiply(out[k - 1], z, out=out[k])
+    z = np.empty(alpha.size, dtype=cdtype)
+    np.cos(alpha, out=z.real)
+    np.sin(alpha, out=z.imag)
+    for k in range(1, count):
+        np.multiply(out[k - 1], z, out=out[k])
     return out
 
 
@@ -302,14 +304,8 @@ def _steering_batch(geom: ArrayGeometry, rng, n: int, kappa: float, dtype, cdtyp
     d_y, d_z = _halfspace_direction_yz(rng, n, dtype)
     n_y, n_z = geom.counts
     s_y, s_z = geom.spacing
-    p_y = _axis_powers((kappa * s_y) * d_y, n_y, cdtype) if n_y > 1 else None
-    p_z = _axis_powers((kappa * s_z) * d_z, n_z, cdtype) if n_z > 1 else None
-    if p_y is None and p_z is None:
-        return np.ones((1, n), dtype=cdtype)
-    if p_y is None:
-        return p_z
-    if p_z is None:
-        return p_y
+    p_y = _axis_powers((kappa * s_y) * d_y, n_y, cdtype)
+    p_z = _axis_powers((kappa * s_z) * d_z, n_z, cdtype)
     return (p_y[:, None, :] * p_z[None, :, :]).reshape(n_y * n_z, n)
 
 
@@ -343,8 +339,7 @@ def path_sum_covariance_error(
     n_rx, n_tx = rx_geom.size, tx_geom.size
     p = n_rx * n_tx
     acc = np.zeros((p, p), dtype=np.complex128)
-    done = 0
-    while done < draws:
+    for done in range(0, draws, chunk):
         m = min(chunk, draws - done)
         n = m * n_paths
         a_rx = _steering_batch(rx_geom, rng, n, kappa, dtype, cdtype)
@@ -358,7 +353,6 @@ def path_sum_covariance_error(
         h = a_rx.reshape(n_rx, m, n_paths).transpose(1, 0, 2) @ weighted  # (m, n_rx, n_tx)
         v = h.reshape(m, p)
         acc += (np.conj(v).T @ v).astype(np.complex128).T
-        done += m
     cov = acc / draws
     target = sigma_c * sigma_c * np.kron(
         sinc_correlation(rx_geom, wavelength), sinc_correlation(tx_geom, wavelength)

@@ -10,11 +10,10 @@ total powers coincide.
 Every step depends on the (N_t, K) channel ``H`` only through its K x K
 Gram matrix ``G = H^H H``, so the solver works on K x K matrices and
 touches ``H`` again only to form the beamformers.  The iteration starts
-from zero uplink powers, where the uplink covariance is ``noise * I``, so
-its first step is the single-user one, ``q_k = gamma * noise / ||h_k||^2``,
-taken in closed form without a K x K inverse.  The solution carries the
-beamformers and the two total powers;
-:func:`rissim.oracles.achieved_sinr` evaluates the SINRs of any beamformers.
+from zero uplink powers, where the uplink covariance is ``noise * I``; its
+first step, the single-user ``q_k = gamma * noise / ||h_k||^2``, runs
+through the same loop body as every later step, with ``I / noise`` in place
+of the K x K inverse.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class PrecodingSolution:
     w: np.ndarray  # (N_t, K), column k serves UE k
     total_power: float
     dual_total_power: float
-    iterations: int  # fixed-point steps, the closed-form first one included
+    iterations: int  # fixed-point steps, the single-user first one included
 
 
 def min_power_precoder(
@@ -102,36 +101,30 @@ def min_power_precoder(
     q_cap = _DIVERGENCE_FACTOR * gamma_thr * noise_power / min_norm_sq
 
     noise_eye = noise_power * np.eye(k)
-    # Step 1 from q = 0, where M = noise*I below: M^-1 = I/noise, so
-    # a_i = G_ii/noise and (M^-1)_ii = 1/noise, the values the loop computes.
-    inv_noise = 1.0 / noise_power
-    q = gamma_thr * noise_power * np.full(k, inv_noise) / (inv_noise * gram.diagonal().real)
-    q_max = q.max()
-    if not np.isfinite(q).all() or q_max > q_cap:
-        raise InfeasibleError("dual uplink powers diverged", "diverged")
-    # Its delta, |q - 0| / max(q, 1e-300), is 1 unless every q is below 1e-300.
-    iterations = 1
-    if not min(q_max, 1e-300) / 1e-300 < tol:
-        for iterations in range(2, max_iters + 1):
+    # M^-1 at q = 0, where M = noise*I below: the first step needs no inverse.
+    q = np.zeros(k)
+    mi = np.eye(k) / noise_power
+    for iterations in range(1, max_iters + 1):
+        if iterations > 1:
             # a_i = h_i^H A^-1 h_i for the uplink covariance A = noise*I + H diag(q) H^H:
             # by push-through, H^H A^-1 H = M^-1 G with M = noise*I + G diag(q).
             mi = np.linalg.inv(noise_eye + gram * q)
-            a = (mi * gram.T).sum(axis=1).real
-            # Sherman-Morrison takes UE i's own term out of A:
-            # h_i^H (A - q_i h_i h_i^H)^-1 h_i = a_i / (1 - q_i a_i), and
-            # 1 - q_i a_i = noise * (M^-1)_ii because M^-1 G diag(q) = I - noise*M^-1,
-            # which keeps the leave-one-out term free of cancellation.
-            q_new = gamma_thr * noise_power * mi.diagonal().real / a
-            if not np.isfinite(q_new).all() or q_new.max() > q_cap:
-                raise InfeasibleError("dual uplink powers diverged", "diverged")
-            delta = (np.abs(q_new - q) / np.maximum(q_new, 1e-300)).max()
-            q = q_new
-            if delta < tol:
-                break
-        else:
-            raise InfeasibleError(
-                f"dual fixed point did not converge in {max_iters} iterations", "not_converged"
-            )
+        a = (mi * gram.T).sum(axis=1).real
+        # Sherman-Morrison takes UE i's own term out of A:
+        # h_i^H (A - q_i h_i h_i^H)^-1 h_i = a_i / (1 - q_i a_i), and
+        # 1 - q_i a_i = noise * (M^-1)_ii because M^-1 G diag(q) = I - noise*M^-1,
+        # which keeps the leave-one-out term free of cancellation.
+        q_new = gamma_thr * noise_power * mi.diagonal().real / a
+        if not np.isfinite(q_new).all() or q_new.max() > q_cap:
+            raise InfeasibleError("dual uplink powers diverged", "diverged")
+        delta = (np.abs(q_new - q) / np.maximum(q_new, 1e-300)).max()
+        q = q_new
+        if delta < tol:
+            break
+    else:
+        raise InfeasibleError(
+            f"dual fixed point did not converge in {max_iters} iterations", "not_converged"
+        )
 
     # Optimal beam directions are the MMSE (MVDR) directions of the dual
     # uplink problem at the fixed point: A^-1 H = H X with

@@ -2,12 +2,15 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from rissim import harness
+from rissim import cli, harness
 from rissim.channels import ChannelModel, LinkRole
 from rissim.cli import main
+from rissim.precoding import InfeasibleError, min_power_precoder
 from rissim.scenario import default_config, dump_config, full_config, load_config
 
 SMALL_INI = """
@@ -170,6 +173,48 @@ class TestCliCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", *flags])
         assert exc.value.code == 2
+
+
+def _gram_without_leave_one_out(h, gamma_thr, noise_power, tol=1e-10):
+    """A seeded defect: the Gram-form fixed point with Sherman-Morrison's
+    leave-one-out factor ``noise * (M^-1)_ii`` dropped, ``q_i = gamma / a_i``."""
+    gram = np.conj(h).T @ h
+    q = np.zeros(h.shape[1])
+    for iterations in range(1, 501):
+        mi = np.linalg.inv(noise_power * np.eye(len(q)) + gram * q)
+        q_new = gamma_thr / (mi * gram.T).sum(axis=1).real
+        if not q_new.max() < 1e12:
+            raise InfeasibleError("dual uplink powers diverged", "diverged")
+        delta, q = (np.abs(q_new - q) / q_new).max(), q_new
+        if delta < tol:
+            return SimpleNamespace(iterations=iterations, total_power=float(q.sum()))
+    raise InfeasibleError("dual fixed point did not converge", "not_converged")
+
+
+class TestCheckPrecoderGram:
+    """The ``precoder-gram`` line passes on the program and fails on defects."""
+
+    @pytest.mark.parametrize("seed", [6, 16, 18, 29])
+    def test_reference_rounding_is_allowed(self, seed):
+        # at gamma = 1e4 the N_t-space reference stops later than the Gram
+        # form at these seeds, within its own rounding floor of tol
+        ok, detail = cli._check_precoder_gram(seed)
+        assert ok, detail
+        assert "(1 stopped later by the reference within its rounding floor" in detail
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda h, gamma, noise: min_power_precoder(h, gamma, noise, tol=1e-9),
+            _gram_without_leave_one_out,
+        ],
+        ids=["stops-at-10-tol", "no-leave-one-out-factor"],
+    )
+    def test_fails_on_a_seeded_defect(self, monkeypatch, defect):
+        monkeypatch.setattr(cli, "min_power_precoder", defect)
+        ok, detail = cli._check_precoder_gram(1234)
+        assert not ok
+        assert "mismatches" in detail
 
 
 class TestCliErrors:

@@ -87,8 +87,8 @@ class TestMultiUser:
 
 
 class TestFirstStep:
-    # The fixed point starts from zero uplink powers, so its first step is
-    # the single-user one, q_k = gamma * noise / ||h_k||^2, in closed form.
+    # The fixed point starts from zero uplink powers, so its first step gives
+    # the single-user powers, q_k = gamma * noise / ||h_k||^2.
 
     def test_tolerance_above_one_stops_at_the_single_user_step(self):
         rng = np.random.default_rng(17)
