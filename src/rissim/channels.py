@@ -236,8 +236,9 @@ def _propagation_geometry(clusters: ClusterSet, tx_geom: ArrayGeometry, rx_geom:
     p = clusters.positions.reshape(-1, 3)  # (LR, 3)
     v_tx = p - tx_geom.center
     v_rx = rx_geom.center - p
-    d_tx = np.linalg.norm(v_tx, axis=1)
-    d_rx = np.linalg.norm(v_rx, axis=1)
+    # np.linalg.norm(v, axis=1) computes exactly this
+    d_tx = np.sqrt(np.add.reduce(v_tx * v_tx, axis=1))
+    d_rx = np.sqrt(np.add.reduce(v_rx * v_rx, axis=1))
     if d_tx.min() < _MIN_SCATTER_CLEARANCE or d_rx.min() < _MIN_SCATTER_CLEARANCE:
         raise ValueError("sub-path coincides with an array center")
     dir_tx = (v_tx / d_tx[:, None]).T  # (3, LR)
@@ -258,8 +259,8 @@ def _axis_phasors(geom: ArrayGeometry, directions: np.ndarray, phase_scale: floa
     y = d_y * (np.arange(n_y) - (n_y - 1) / 2.0)
     z = d_z * (np.arange(n_z) - (n_z - 1) / 2.0)
     return (
-        np.exp(1j * phase_scale * np.outer(y, directions[1])),
-        np.exp(1j * phase_scale * np.outer(z, directions[2])),
+        np.exp(1j * phase_scale * (y[:, None] * directions[1])),
+        np.exp(1j * phase_scale * (z[:, None] * directions[2])),
     )
 
 

@@ -65,8 +65,22 @@ class ArrayGeometry:
 
     @classmethod
     def single(cls, position):
-        """Single-element 'array' (isotropic antenna) at ``position``."""
-        return cls(counts=(1, 1), spacing=(0.0, 0.0), origin=position)
+        """Single-element 'array' (isotropic antenna) at ``position``.
+
+        Built directly, without the UPA index tables: field for field what
+        ``cls(counts=(1, 1), spacing=(0.0, 0.0), origin=position)`` builds,
+        with the same check.  Adding the zero offset turns a ``-0.0``
+        coordinate into ``0.0`` in the positions and the center, as there.
+        """
+        geom = cls.__new__(cls)
+        geom.counts, geom.spacing = (1, 1), (0.0, 0.0)
+        geom.origin = np.asarray(position, dtype=float).reshape(3)
+        if not all(map(math.isfinite, geom.origin.tolist())):
+            raise ValueError(f"spacing {geom.spacing} and origin {geom.origin} must be finite")
+        geom.local_coords = np.zeros((1, 3))
+        geom.element_positions = geom.origin + geom.local_coords
+        geom.center = geom.element_positions[0].copy()
+        return geom
 
     @property
     def size(self) -> int:

@@ -53,7 +53,7 @@ _PLANAR_MODELS = (
 _GEOMETRIC_MODELS = (ChannelModel.LOWRANK_GEOMETRIC, ChannelModel.NEARFIELD_GEOMETRIC)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialResult:
     model: str
     q: int
@@ -69,7 +69,7 @@ class TrialResult:
     min_sv: float = math.nan  # min singular value of the configured channel; nan when infeasible
 
 
-@dataclass
+@dataclass(slots=True)
 class AggregateRow:
     model: str
     q: int

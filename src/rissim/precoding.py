@@ -13,7 +13,8 @@ touches ``H`` again only to form the beamformers.  The iteration starts
 from zero uplink powers, where the uplink covariance is ``noise * I``; its
 first step, the single-user ``q_k = gamma * noise / ||h_k||^2``, runs
 through the same loop body as every later step, with ``I / noise`` in place
-of the K x K inverse.
+of the K x K inverse.  Each step's divergence guards and relative change
+read the K dual powers as Python floats.
 """
 
 from __future__ import annotations
@@ -69,14 +70,16 @@ def min_power_precoder(
 
     Parameters
     ----------
-    h : (N_t, K) stacked effective channels, all entries finite.
+    h : (N_t, K) stacked effective channels, with a finite Gram matrix ``H^H H``.
     gamma_thr : SINR target (linear), finite and > 0.
     noise_power : receiver noise power in watts, finite and > 0.
 
     Raises
     ------
     ValueError
-        For a malformed or non-finite ``h``, ``gamma_thr`` or ``noise_power``.
+        For a malformed ``h``, a non-finite ``gamma_thr``, ``noise_power`` or
+        ``H^H H`` (a non-finite ``h`` always gives one; entries above about
+        1e153 overflow it), or a non-positive ``gamma_thr`` or ``noise_power``.
     InfeasibleError
         If a UE has a zero channel, or the dual fixed point diverges or fails
         to converge within ``max_iters`` (e.g. collinear channels for the
@@ -90,35 +93,41 @@ def min_power_precoder(
         raise ValueError("need at least one UE")
     if not (0.0 < gamma_thr < math.inf and 0.0 < noise_power < math.inf):
         raise ValueError("gamma_thr and noise_power must be finite and positive")
-    if not np.isfinite(h).all():
-        raise ValueError("effective channel has a non-finite entry")
-
     gram = np.conj(h).T @ h
-    min_norm_sq = gram.diagonal().real.min()
+    # A non-finite entry of h always reaches G; a finite h can still overflow it.
+    if not np.isfinite(gram).all():
+        raise ValueError("effective channel has a non-finite entry or its Gram matrix overflows")
+    min_norm_sq = float(gram.diagonal().real.min())
     if min_norm_sq == 0.0:
         raise InfeasibleError("a UE has a zero effective channel", "zero_channel")
     # Largest single-user dual power; used to scale the divergence guard.
     q_cap = _DIVERGENCE_FACTOR * gamma_thr * noise_power / min_norm_sq
 
     noise_eye = noise_power * np.eye(k)
+    gram_t = gram.T
+    target = gamma_thr * noise_power
     # M^-1 at q = 0, where M = noise*I below: the first step needs no inverse.
-    q = np.zeros(k)
+    q_prev = [0.0] * k
     mi = np.eye(k) / noise_power
     for iterations in range(1, max_iters + 1):
         if iterations > 1:
             # a_i = h_i^H A^-1 h_i for the uplink covariance A = noise*I + H diag(q) H^H:
             # by push-through, H^H A^-1 H = M^-1 G with M = noise*I + G diag(q).
             mi = np.linalg.inv(noise_eye + gram * q)
-        a = (mi * gram.T).sum(axis=1).real
+        a = np.add.reduce(mi * gram_t, axis=1).real
         # Sherman-Morrison takes UE i's own term out of A:
         # h_i^H (A - q_i h_i h_i^H)^-1 h_i = a_i / (1 - q_i a_i), and
         # 1 - q_i a_i = noise * (M^-1)_ii because M^-1 G diag(q) = I - noise*M^-1,
         # which keeps the leave-one-out term free of cancellation.
-        q_new = gamma_thr * noise_power * mi.diagonal().real / a
-        if not np.isfinite(q_new).all() or q_new.max() > q_cap:
+        q = target * mi.diagonal().real / a
+        # The K powers are few, so the guards and the relative change read
+        # them as Python floats: NaN, +-inf and a power above the cap diverge,
+        # and a negative power passes the guards.
+        q_now = q.tolist()
+        if not all(map(math.isfinite, q_now)) or max(q_now) > q_cap:
             raise InfeasibleError("dual uplink powers diverged", "diverged")
-        delta = (np.abs(q_new - q) / np.maximum(q_new, 1e-300)).max()
-        q = q_new
+        delta = max([abs(x - y) / max(x, 1e-300) for x, y in zip(q_now, q_prev)])
+        q_prev = q_now
         if delta < tol:
             break
     else:

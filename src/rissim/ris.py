@@ -143,17 +143,21 @@ def min_singular_values(grams: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam_min, 0.0))
 
 
-def _best_candidate(grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None) -> int:
-    """Lowest index maximizing :func:`min_singular_values` over ``grams``.
+def _candidate_scores(
+    grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None
+) -> np.ndarray:
+    """:func:`min_singular_values` of ``grams`` wherever it can be the maximum.
 
     For K >= 3 the eigensolve runs first on the few candidates with the
     highest interlacing bounds (over the 2 x 2 principal minors on
     ``pairs``, ``None`` for K <= 2), then only on those whose bound reaches
     the best of those exact scores less the rounding margin; the rest cannot
-    win and are left at ``-inf``.
+    reach the maximum and are left at ``-inf``.  Every maximal candidate is
+    solved exactly whatever the order of ``grams``, so the caller can take
+    the lowest index in any order it likes.
     """
     if grams.shape[-1] <= 2:
-        return int(np.argmax(min_singular_values(grams)))
+        return min_singular_values(grams)
     diag = np.real(np.diagonal(grams, axis1=1, axis2=2))  # (M, K)
     i, j = pairs
     bound = _lambda_min_2x2(diag[:, i], diag[:, j], grams[:, i, j]).min(axis=1)
@@ -166,7 +170,7 @@ def _best_candidate(grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | No
     rest[top] = False
     if rest.any():
         scores[rest] = min_singular_values(grams[rest])
-    return int(np.argmax(scores))
+    return scores
 
 
 def configure_tiles(
@@ -198,8 +202,10 @@ def configure_tiles(
     of ``D_g = conj(H_t)^T diag(e^{-j g}) h_{r,k}`` is gradient ``g``'s
     reflected contribution; the candidates are scored from their ``K x K``
     Gramians, with interlacing pruning for ``K >= 3`` (see the module
-    docstring).  Requires ``K <= N_t`` so the stacked matrix can stay full
-    column rank.
+    docstring).  The scores are taken in the Gram product's offset-major
+    order and reordered to the gradient-major codebook index before the
+    ``argmax``, so ties still go to the lowest index.  Requires ``K <= N_t``
+    so the stacked matrix can stay full column rank.
     """
     if len(codebook) == 0:
         raise ValueError("empty codebook")
@@ -225,18 +231,22 @@ def configure_tiles(
     dhd_all = np.conj(d_all) @ d_all.swapaxes(2, 3)  # (T, G, K, K)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
     pairs = np.triu_indices(n_ue, 1) if n_ue >= 3 else None
+    offset_phasors = np.exp(-1j * codebook.offsets)
     h_eff = direct.astype(complex)  # (N_t, K)
     chosen = np.empty(len(tiles), dtype=np.intp)
     for t, (d_rows, dhd) in enumerate(zip(d_all, dhd_all)):
-        p_t = (d_rows.reshape(n_grad * n_ue, n_t) @ np.conj(h_eff)).reshape(n_grad, n_ue, n_ue)
+        h_conj = np.conj(h_eff)
+        p_t = (d_rows.reshape(n_grad * n_ue, n_t) @ h_conj).reshape(n_grad, n_ue, n_ue)
         p, p_h = p_t.swapaxes(1, 2), np.conj(p_t)  # P_g = H^H D_g and P_g^H
-        terms[0] = np.conj(h_eff).T @ h_eff + dhd
+        terms[0] = h_conj.T @ h_eff + dhd
         terms[1] = p + p_h
         terms[2] = -1j * (p - p_h)
+        # Rows are offset-major, entry (b, g); the scores are reordered to
+        # the codebook's gradient-major index g * B + b, not the Gramians.
         grams = (codebook.offset_weights @ terms.view(float).reshape(3, -1)).view(complex)
-        grams = grams.reshape(n_off, n_grad, n_ue, n_ue).swapaxes(0, 1)
-        best = _best_candidate(grams.reshape(n_grad * n_off, n_ue, n_ue), pairs)
+        scores = _candidate_scores(grams.reshape(n_off * n_grad, n_ue, n_ue), pairs)
+        best = int(scores.reshape(n_off, n_grad).T.argmax())
         g, b = divmod(best, n_off)
         chosen[t] = best
-        h_eff = h_eff + np.exp(-1j * codebook.offsets[b]) * d_rows[g].T
+        h_eff = h_eff + offset_phasors[b] * d_rows[g].T
     return chosen, h_eff

@@ -8,6 +8,7 @@ from rissim import units
 from rissim.channels import (
     Box,
     ChannelModel,
+    ClusterSet,
     LinkParams,
     LinkRole,
     draw_clusters,
@@ -17,6 +18,8 @@ from rissim.channels import (
     nearfield_los,
     pathloss,
     sample_iid_rayleigh,
+    _axis_phasors,
+    _propagation_geometry,
 )
 from rissim.geometry import ArrayGeometry, fraunhofer_distance
 from rissim.harness import SimContext, draw_links
@@ -147,6 +150,51 @@ class TestLosMatrix:
         reference = np.linalg.norm(u_rx[:, None] - u_tx[None], axis=-1)
         expected = math.sqrt(h_p) * np.exp(1j * kappa * reference)
         assert np.array_equal(nearfield_los(tx, rx, h_p, LAM), expected)
+
+
+SETUP_GEOMS = {
+    "upa": ArrayGeometry.upa_centered(4, 6, LAM / 2, (0.0, 1.0, 2.0)),
+    "ula-y": ArrayGeometry.upa_centered(5, 1, 0.7 * LAM, (30.0, -1.0, 0.5)),
+    "ula-z": ArrayGeometry.upa_centered(1, 7, 0.3 * LAM, (12.0, 4.0, -3.0)),
+    "single": ArrayGeometry.single((20.0, -2.5, 1.0)),
+}
+
+
+class TestLinkSetUpForms:
+    # The per-sub-path set-up of the low-rank model, bit for bit the
+    # np.linalg.norm and np.outer forms it replaces.
+
+    @pytest.mark.parametrize(
+        "tx, rx", [("upa", "single"), ("single", "upa"), ("ula-y", "ula-z"), ("single", "single")]
+    )
+    def test_propagation_geometry_matches_norm(self, tx, rx):
+        tx, rx = SETUP_GEOMS[tx], SETUP_GEOMS[rx]
+        rng = np.random.default_rng(len(tx.local_coords) * 10 + len(rx.local_coords))
+        # sub-paths at scales from millimeters to kilometers, both signs
+        scales = 10.0 ** rng.uniform(-3, 3, size=(4, 9, 1))
+        positions = rng.uniform(-1.0, 1.0, size=(4, 9, 3)) * scales
+        clusters = ClusterSet(positions, phases=np.zeros((4, 9)), gains=np.ones(4), h_p=1.0)
+        p = positions.reshape(-1, 3)
+        v_tx, v_rx = p - tx.center, rx.center - p
+        d_tx, d_rx = np.linalg.norm(v_tx, axis=1), np.linalg.norm(v_rx, axis=1)
+        expected = (d_tx, d_rx, (v_tx / d_tx[:, None]).T, (v_rx / d_rx[:, None]).T)
+        for got, want in zip(_propagation_geometry(clusters, tx, rx), expected):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("name", list(SETUP_GEOMS))
+    def test_axis_phasors_match_outer(self, name):
+        geom = SETUP_GEOMS[name]
+        (n_y, n_z), (d_y, d_z) = geom.counts, geom.spacing
+        y = d_y * (np.arange(n_y) - (n_y - 1) / 2.0)
+        z = d_z * (np.arange(n_z) - (n_z - 1) / 2.0)
+        directions = np.random.default_rng(n_y * 10 + n_z).normal(size=(3, 40))
+        for scale in (2.0 * math.pi / LAM, -2.0 * math.pi / LAM):
+            expected = (
+                np.exp(1j * scale * np.outer(y, directions[1])),
+                np.exp(1j * scale * np.outer(z, directions[2])),
+            )
+            for got, want in zip(_axis_phasors(geom, directions, scale), expected):
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 def far_apart_geoms():

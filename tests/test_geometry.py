@@ -68,9 +68,21 @@ class TestArrayGeometry:
                 ArrayGeometry(counts=(2, 2), spacing=spacing, origin=origin)
         with pytest.raises(ValueError, match="must be finite"):
             ArrayGeometry.single((bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            ArrayGeometry.single((0.0, 0.0, -bad))
         # zero spacing and a single antenna stay valid
         assert ArrayGeometry(counts=(2, 2), spacing=(0.0, 0.0)).aperture == 0.0
         assert ArrayGeometry.single((1.0, 2.0, 3.0)).size == 1
+
+    @pytest.mark.parametrize("position", [(1.0, 2.0, 3.0), (-0.0, 0.0, -2.5), (0, -0.0, 7)])
+    def test_single_matches_general_constructor(self, position):
+        single = ArrayGeometry.single(position)
+        general = ArrayGeometry(counts=(1, 1), spacing=(0.0, 0.0), origin=position)
+        assert (single.counts, single.spacing) == (general.counts, general.spacing)
+        for name in ("origin", "local_coords", "element_positions", "center"):
+            a, b = getattr(single, name), getattr(general, name)
+            # bytes, so that the sign of a zero counts
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 class TestSteering:

@@ -182,12 +182,63 @@ class TestInfeasible:
         with pytest.raises(ValueError, match="finite"):
             min_power_precoder(h, **args)
 
+    # The check reads H^H H, and numpy warns as an infinite entry reaches it.
+    @pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_channel_rejected(self, bad):
         h = complex_randn(np.random.default_rng(16), (4, 2))
         h[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             min_power_precoder(h, 10.0, 1.0)
+
+    @pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
+    def test_overflowing_gram_rejected(self):
+        # every entry of h is finite, but H^H H overflows: a caller error, not
+        # a diverged, invalid or unclassified solve
+        h = 1e160 * complex_randn(np.random.default_rng(19), (4, 2))
+        assert np.isfinite(h).all()
+        with pytest.raises(ValueError, match="non-finite"):
+            min_power_precoder(h, 10.0, 1.0)
+
+
+class TestDivergenceGuard:
+    # h has the Gram matrix G = [[2, 1], [1, 1]].  Step 1 gives q = (5, 10);
+    # step 2 reads M^-1 from a patched inverse whose second row is (0, 1), so
+    # a = (2 m_11 + m_12, 1) and q = (10 m_11 / a_1, 10) exactly.
+    H = np.array([[1.0, 0.0], [1.0, 1.0]])
+
+    def solve_with_step_two_inverse(self, monkeypatch, first_row, **kwargs):
+        real_inv = np.linalg.inv
+        crafted = [np.array([first_row, [0.0, 1.0]], dtype=complex)]
+
+        def inv(m):
+            return crafted.pop() if crafted else real_inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        return min_power_precoder(self.H, 10.0, 1.0, **kwargs)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "first_row, power",
+        [([0.0, 0.0], math.nan), ([1.0, -2.0], math.inf), ([-1.0, 2.0], -math.inf)],
+        ids=["nan", "+inf", "-inf"],
+    )
+    def test_non_finite_power_diverges(self, monkeypatch, first_row, power):
+        m_11, m_12 = first_row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_1 = np.float64(10.0 * m_11) / (2.0 * m_11 + m_12)
+        assert repr(q_1) == repr(np.float64(power))
+        # with a budget of 2 steps, only step 2's own guard can say diverged
+        with pytest.raises(InfeasibleError) as info:
+            self.solve_with_step_two_inverse(monkeypatch, first_row, max_iters=2)
+        assert info.value.kind == "diverged"
+
+    def test_negative_power_passes_the_guards(self, monkeypatch):
+        # q_1 = -10 is finite and below the cap, so step 2 is not a divergence;
+        # its relative change is huge, and a budget of 2 steps runs out
+        with pytest.raises(InfeasibleError) as info:
+            self.solve_with_step_two_inverse(monkeypatch, [-1.0, 3.0], max_iters=2)
+        assert info.value.kind == "not_converged"
 
 
 class TestAchievedSinr:

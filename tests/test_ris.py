@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rissim import ris
 from rissim.oracles import brute_force_tiles, complex_randn, tile_instance
 from rissim.ris import (
     Codebook,
@@ -141,6 +142,21 @@ class TestConfigureTiles:
         chosen, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), tiles, codebook)
         assert chosen.tolist() == [0] * len(tiles)
         np.testing.assert_array_equal(eff, direct)
+
+    @pytest.mark.parametrize("n_ue", [1, 2, 4])
+    def test_tie_across_offsets_goes_to_the_lowest_codebook_index(self, monkeypatch, n_ue):
+        # Scores come in the Gram product's offset-major order, entry (b, g) at
+        # b * G + g.  A tie between (b=0, g=1) and (b=1, g=0) goes to codebook
+        # index g * B + b = 1, not to 8, which comes first offset-major.
+        def tied_scores(grams, pairs):
+            scores = np.zeros(len(grams))
+            scores[[1, len(grams) // ris.WAVEFRONT_PHASE_COUNT]] = 1.0
+            return scores
+
+        monkeypatch.setattr(ris, "_candidate_scores", tied_scores)
+        args = self.make_instance(np.random.default_rng(14), ris=(8, 8), tile=(4, 4), n_ue=n_ue)
+        chosen, _ = configure_tiles(*args)
+        assert chosen.tolist() == [1] * len(args[3])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_ue", [3, 4, 6])
