@@ -2,8 +2,8 @@
 
 Subcommands:
   run       execute the configured sweep and emit aggregate (and raw) CSV
-  check     quick invariant/oracle suite (covariance, codebook, precoder, factor,
-            low-rank steering factors)
+  check     quick invariant/oracle suite (covariance, codebook, tile search on
+            pipeline channels, precoder, factor, low-rank steering factors)
   scenario  print the fully resolved configuration as INI
 """
 
@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, oracles
-from .channels import Box, draw_clusters, lowrank_from_clusters
+from .channels import Box, ChannelModel, draw_clusters, lowrank_from_clusters
 from .correlation import matrix_sqrt_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import InfeasibleError, min_power_precoder
 from .ris import configure_tiles
-from .scenario import PRESETS, ScenarioConfig, dump_config, load_config
+from .scenario import PRESETS, ScenarioConfig, default_config, dump_config, load_config, with_q
 from .seeding import derive_rng
 
 
@@ -102,6 +102,49 @@ def _check_codebook(seed: int) -> tuple[bool, str]:
     if mismatches:
         return False, f"(K, tile, greedy, oracle) mismatches: {mismatches}"
     return True, f"all {n_tiles} tile selections (K=1 to 4) match the brute-force oracle"
+
+
+def _pipeline_draws(seed: int):
+    """Yield ``(model, Q, trial)``, the trial's ``SimContext`` and ``(h_t, direct, h_r)``.
+
+    These are the channels :func:`rissim.harness.run_trial` draws for 4 UEs
+    in 2 desk-config trials of every model at Q = 64 and 256, read from the
+    trial's slot: near-collinear columns, unlike the Gaussian instances.
+    """
+    for q in (64, 256):
+        config = replace(with_q(default_config(), q), master_seed=seed, ue_count=4, sweep_n_ue=[4])
+        ctx = harness.SimContext(config)
+        for trial in range(2):
+            for model in ChannelModel:
+                harness.run_trial(config, trial, model, ctx)
+                yield (model.value, q, trial), ctx, ctx.trial_inputs(config, trial)[model]
+
+
+def _check_pipeline_tiles(seed: int) -> tuple[bool, str]:
+    # On these channels many K >= 3 candidates survive the interlacing bound
+    # and take the pivot test.  The far-field models' near-field warnings
+    # say nothing about the search, so they are not printed.
+    harness_log = logging.getLogger(harness.__name__)
+    level = harness_log.level
+    harness_log.setLevel(logging.ERROR)
+    mismatches, n_instances = [], 0
+    try:
+        for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
+            for k in range(1, 5):
+                instance = (direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
+                greedy = configure_tiles(*instance)[0].tolist()
+                brute = oracles.brute_force_tiles(*instance)[0].tolist()
+                n_instances += 1
+                if greedy != brute:
+                    mismatches.append((*key, k, greedy, brute))
+    finally:
+        harness_log.setLevel(level)
+    if mismatches:
+        return False, f"(model, Q, trial, K, greedy, oracle) mismatches: {mismatches}"
+    return True, (
+        f"all {n_instances} tile searches on pipeline channels (5 models, Q=64 and 256, "
+        f"K=1 to 4) match the brute-force oracle"
+    )
 
 
 def _check_factor_fold(seed: int) -> tuple[bool, str]:
@@ -216,6 +259,7 @@ def _cmd_check(args) -> int:
     checks = [
         ("covariance-limit", _check_covariance_limit),
         ("codebook-brute-force", _check_codebook),
+        ("pipeline-tiles", _check_pipeline_tiles),
         ("precoder-duality", _check_precoder),
         ("precoder-gram", _check_precoder_gram),
         ("factor-fold", _check_factor_fold),

@@ -34,9 +34,10 @@ class InfeasibleError(RuntimeError):
 
     ``kind`` names where the solve stopped: ``zero_channel`` (a UE has an
     all-zero channel), ``diverged`` (the dual uplink powers left the
-    divergence guard), ``not_converged`` (``max_iters`` ran out) or
-    ``invalid_allocation`` (the downlink power system has no finite
-    non-negative solution).
+    divergence guard, or their uplink covariance became singular),
+    ``not_converged`` (``max_iters`` ran out) or ``invalid_allocation`` (the
+    downlink power system has no finite non-negative solution, or is
+    singular in floating point).
     """
 
     def __init__(self, message: str, kind: str | None = None):
@@ -113,7 +114,10 @@ def min_power_precoder(
         if iterations > 1:
             # a_i = h_i^H A^-1 h_i for the uplink covariance A = noise*I + H diag(q) H^H:
             # by push-through, H^H A^-1 H = M^-1 G with M = noise*I + G diag(q).
-            mi = np.linalg.inv(noise_eye + gram * q)
+            try:
+                mi = np.linalg.inv(noise_eye + gram * q)
+            except np.linalg.LinAlgError:
+                raise InfeasibleError("uplink covariance became singular", "diverged") from None
         a = np.add.reduce(mi * gram_t, axis=1).real
         # Sherman-Morrison takes UE i's own term out of A:
         # h_i^H (A - q_i h_i h_i^H)^-1 h_i = a_i / (1 - q_i a_i), and
@@ -150,7 +154,10 @@ def min_power_precoder(
     gains = np.abs(gx) ** 2
     m = -gains
     np.fill_diagonal(m, np.diag(gains) / gamma_thr)
-    p = np.linalg.solve(m, np.full(k, noise_power))
+    try:
+        p = np.linalg.solve(m, np.full(k, noise_power))
+    except np.linalg.LinAlgError:  # singular in floating point, near overflow of G
+        p = np.full(k, math.nan)
     if not (np.isfinite(p).all() and p.min() >= 0.0):
         raise InfeasibleError("downlink power allocation is not valid", "invalid_allocation")
 

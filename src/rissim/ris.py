@@ -16,12 +16,18 @@ and each candidate is scored through its ``K x K`` Gramian
     H_gb^H H_gb = H^H H + e^{-j theta_b} H^H D_g + e^{j theta_b} D_g^H H + D_g^H D_g,
 
 so the eight offsets cost only ``K x K`` work.  For ``K >= 3`` the exact
-score needs an eigensolve; Cauchy interlacing bounds each candidate's
-smallest Gram eigenvalue by the smallest eigenvalue of any of its 2 x 2
-principal minors, and only candidates whose bound reaches the best exact
-score found so far (less a rounding margin) are solved.  Pruned candidates
-cannot win, so the choice, including lowest-index tie-breaking, is the one
-an exhaustive evaluation makes.
+score needs an eigensolve, and two exact tests decide which candidates get
+one.  The few with the highest interlacing bounds are solved first: Cauchy
+interlacing bounds each candidate's smallest Gram eigenvalue by the
+smallest eigenvalue of any of its 2 x 2 principal minors, and their best
+exact score is the floor.  A candidate whose bound falls short of the floor
+(less a rounding margin) cannot win.  The others take a pivot test, one
+batched LDL^H elimination of ``G - tau I`` with ``tau`` two margins below
+the squared floor: by Sylvester's criterion its pivots are all positive
+exactly when the smallest eigenvalue exceeds ``tau``, and only those
+candidates are solved.  Neither test drops a candidate that can win, so
+the choice, including lowest-index tie-breaking, is the one an exhaustive
+evaluation makes.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ WAVEFRONT_PHASE_COUNT = 8  # three-bit global phase offsets per tile
 # Candidates solved exactly, by bound, to set the pruning floor (K >= 3).
 _FLOOR_CANDIDATES = 8
 # Pruning margin as a multiple of the tile's largest Gram trace.  It covers
-# the rounding of the bound and of the eigensolve; the 2 x 2 closed form
-# loses up to ~sqrt(eps) of the trace when a minor's eigenvalues coincide.
+# the rounding of the bound, the eigensolve and the pivot test; the 2 x 2
+# closed form loses up to ~sqrt(eps) of the trace when a minor's
+# eigenvalues coincide.
 _PRUNE_MARGIN = 1e-6
 
 
@@ -143,6 +150,31 @@ def min_singular_values(grams: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam_min, 0.0))
 
 
+def _lambda_min_above(grams: np.ndarray, tau: float) -> np.ndarray:
+    """Whether each Hermitian ``grams[m]`` has its smallest eigenvalue above ``tau``.
+
+    Sylvester's criterion: ``G - tau I`` is positive definite exactly when
+    every pivot of its LDL^H elimination is positive.  The elimination runs
+    once, batched over the stack (held candidate-last, so each step works on
+    contiguous rows), with a Python loop over the K columns; ``tau`` only
+    shifts the diagonal, so it is taken off each pivot as it is read.  Like
+    ``eigvalsh`` it reads the lower triangle and the real part of the
+    diagonal.  A candidate whose pivot fails is eliminated on with zero
+    multipliers, so its entries keep their scale and stay finite.
+    """
+    k = grams.shape[-1]
+    work = grams.transpose(1, 2, 0).copy()  # (K, K, M)
+    above = np.ones(len(grams), dtype=bool)
+    for c in range(k):
+        pivot = work[c, c].real - tau
+        above &= pivot > 0.0
+        if c + 1 < k:
+            col = work[c + 1 :, c]
+            conj_multipliers = np.conj(col) / np.where(above, pivot, np.inf)
+            work[c + 1 :, c + 1 :] -= col[:, None] * conj_multipliers
+    return above
+
+
 def _candidate_scores(
     grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None
 ) -> np.ndarray:
@@ -150,11 +182,25 @@ def _candidate_scores(
 
     For K >= 3 the eigensolve runs first on the few candidates with the
     highest interlacing bounds (over the 2 x 2 principal minors on
-    ``pairs``, ``None`` for K <= 2), then only on those whose bound reaches
-    the best of those exact scores less the rounding margin; the rest cannot
-    reach the maximum and are left at ``-inf``.  Every maximal candidate is
-    solved exactly whatever the order of ``grams``, so the caller can take
-    the lowest index in any order it likes.
+    ``pairs``, ``None`` for K <= 2), whose best score is the floor.  Of the
+    others, those whose bound reaches ``floor^2 - margin`` take the pivot
+    test (:func:`_lambda_min_above`) at ``tau = floor^2 - 2 margin``, and
+    only those that pass it are solved; the rest are left at ``-inf``.
+
+    No winner is lost.  Let ``T`` be the largest Gram trace of the tile;
+    ``margin`` is ``_PRUNE_MARGIN * T``.  A candidate can win only if its
+    score reaches the floor, that is if its ``eigvalsh`` value is at least
+    ``floor^2`` (up to the rounding of a square root and a square).  That
+    value is within about ``K eps T`` of the exact smallest eigenvalue, so
+    a possible winner's exact eigenvalue is at least ``floor^2`` less that
+    rounding, well above ``tau + margin``.  Its interlacing bound is never
+    below that eigenvalue by more than the 2 x 2 closed form's rounding,
+    about ``sqrt(eps) T``, so it clears ``floor^2 - margin``.  It then
+    reaches the pivot test ``margin`` or more above ``tau``, far beyond the
+    ``K eps T`` that the LDL^H elimination of a positive definite matrix
+    can lose, so its pivots are all positive.  Every candidate that can win
+    is scored by the same ``eigvalsh`` value as without the pruning, so the
+    caller can take the lowest index of the maximum in any order it likes.
     """
     if grams.shape[-1] <= 2:
         return min_singular_values(grams)
@@ -165,11 +211,16 @@ def _candidate_scores(
     scores = np.full(grams.shape[0], -np.inf)
     n_top = min(_FLOOR_CANDIDATES, grams.shape[0])
     top = np.argpartition(bound, -n_top)[-n_top:]
-    scores[top] = min_singular_values(grams[top])
-    rest = bound >= scores[top].max() ** 2 - margin
+    top_scores = min_singular_values(grams[top])
+    scores[top] = top_scores
+    floor_sq = top_scores.max() ** 2
+    rest = bound >= floor_sq - margin
     rest[top] = False
     if rest.any():
-        scores[rest] = min_singular_values(grams[rest])
+        rest = np.flatnonzero(rest)
+        rest = rest[_lambda_min_above(grams[rest], floor_sq - 2.0 * margin)]
+        if rest.size:
+            scores[rest] = min_singular_values(grams[rest])
     return scores
 
 

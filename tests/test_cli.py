@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rissim import cli, harness
+from rissim import cli, harness, ris
 from rissim.channels import ChannelModel, LinkRole
 from rissim.cli import main
 from rissim.precoding import InfeasibleError, min_power_precoder
@@ -159,8 +159,9 @@ class TestCliCheck:
     def test_oracle_suite_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6 and "FAIL" not in out
+        assert out.count("PASS") == 7 and "FAIL" not in out
         assert "all 16 tile selections (K=1 to 4)" in out
+        assert "PASS pipeline-tiles: all 80 tile searches on pipeline channels" in out
         assert "PASS lowrank-kron: 6 links match the dense steering oracle" in out
 
     @pytest.mark.parametrize(
@@ -173,6 +174,17 @@ class TestCliCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", *flags])
         assert exc.value.code == 2
+
+
+class TestCheckPipelineTiles:
+    """The ``pipeline-tiles`` line fails when the K >= 3 search loses a winner."""
+
+    def test_fails_when_the_pivot_test_keeps_no_candidate(self, monkeypatch):
+        # only the top-8 candidates by bound are then solved
+        monkeypatch.setattr(ris, "_lambda_min_above", lambda grams, tau: np.zeros(len(grams), bool))
+        ok, detail = cli._check_pipeline_tiles(1234)
+        assert not ok
+        assert "mismatches" in detail
 
 
 def _gram_without_leave_one_out(h, gamma_thr, noise_power, tol=1e-10):

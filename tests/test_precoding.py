@@ -201,6 +201,17 @@ class TestInfeasible:
             min_power_precoder(h, 10.0, 1.0)
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_singular_downlink_system_is_an_invalid_allocation(self):
+        # H^H H is finite (max |G| about 1.9e306), but the downlink system
+        # is singular in floating point
+        h = 2.5e152 * complex_randn(np.random.default_rng(0), (14, 4))
+        assert np.isfinite(np.conj(h).T @ h).all()
+        with pytest.raises(InfeasibleError) as info:
+            min_power_precoder(h, 1.3, 0.0225)
+        assert info.value.kind == "invalid_allocation"
+
+
 class TestDivergenceGuard:
     # h has the Gram matrix G = [[2, 1], [1, 1]].  Step 1 gives q = (5, 10);
     # step 2 reads M^-1 from a patched inverse whose second row is (0, 1), so
@@ -231,6 +242,21 @@ class TestDivergenceGuard:
         # with a budget of 2 steps, only step 2's own guard can say diverged
         with pytest.raises(InfeasibleError) as info:
             self.solve_with_step_two_inverse(monkeypatch, first_row, max_iters=2)
+        assert info.value.kind == "diverged"
+
+    def test_singular_uplink_covariance_diverges(self, monkeypatch):
+        real_inv = np.linalg.inv
+
+        def inv(m):
+            inv.calls += 1
+            if inv.calls == 1:  # step 2's inverse; step 1 needs none
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_inv(m)
+
+        inv.calls = 0
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        with pytest.raises(InfeasibleError) as info:
+            min_power_precoder(self.H, 10.0, 1.0)
         assert info.value.kind == "diverged"
 
     def test_negative_power_passes_the_guards(self, monkeypatch):

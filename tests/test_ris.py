@@ -211,6 +211,165 @@ class TestConfigureTiles:
             configure_tiles(complex_randn(rng, (2, 3)), h_t, h_r, tiles, codebook)
 
 
+def hermitian_batch(rng, m, k, rank=None):
+    """(m, k, k) Gramians of complex Gaussian (k + 2, rank) factors, padded to k columns
+    by copies of the first, so ``rank < k`` gives exactly rank-deficient Grams."""
+    rank = k if rank is None else rank
+    factor = complex_randn(rng, (m, k + 2, rank))
+    stack = np.concatenate([factor, np.repeat(factor[:, :, :1], k - rank, axis=2)], axis=2)
+    return gramians(stack)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPivotTest:
+    """``_lambda_min_above`` is Sylvester's criterion: λ_min(G) > τ, as ``eigvalsh`` says."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_agrees_with_eigvalsh(self, k):
+        rng = np.random.default_rng(20 + k)
+        grams = hermitian_batch(rng, 200, k)
+        lam = np.linalg.eigvalsh(grams)[:, 0]
+        trace = np.trace(grams, axis1=1, axis2=2).real
+        # thresholds spread over the spectrum, away from lambda_min by more
+        # than rounding
+        for tau in np.linspace(-1.0, 2.0, 13) * np.median(lam):
+            keep = np.abs(lam - tau) > 1e-9 * trace
+            expected = lam > tau
+            np.testing.assert_array_equal(ris._lambda_min_above(grams, tau)[keep], expected[keep])
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_one_part_in_a_million_either_side_of_lambda_min(self, k):
+        rng = np.random.default_rng(30 + k)
+        grams = hermitian_batch(rng, 50, k)
+        lam = np.linalg.eigvalsh(grams)[:, 0]
+        for g, lam_min in zip(grams, lam):
+            assert ris._lambda_min_above(g[None], lam_min * (1.0 - 1e-6)).tolist() == [True]
+            assert ris._lambda_min_above(g[None], lam_min * (1.0 + 1e-6)).tolist() == [False]
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_exactly_rank_deficient(self, k, rank):
+        # repeated columns (or none at all) make lambda_min zero up to
+        # rounding: above any tau a millionth of the trace below it, not above
+        # one a millionth above it
+        rng = np.random.default_rng(40 + k + rank)
+        grams = hermitian_batch(rng, 30, k, rank=max(rank, 1))
+        if rank == 0:
+            grams = np.zeros_like(grams)
+        scale = 1e-6 * max(np.trace(grams, axis1=1, axis2=2).real.max(), 1.0)
+        assert ris._lambda_min_above(grams, -scale).all()
+        assert not ris._lambda_min_above(grams, scale).any()
+        # a zero pivot is not positive
+        assert not ris._lambda_min_above(np.zeros((3, k, k), dtype=complex), 0.0).any()
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_empty_batch(self, k):
+        above = ris._lambda_min_above(np.empty((0, k, k), dtype=complex), 1.0)
+        assert above.shape == (0,) and above.dtype == bool
+
+    def test_reads_the_lower_triangle(self):
+        # like eigvalsh, only the lower triangle and the diagonal's real part count
+        rng = np.random.default_rng(50)
+        grams = hermitian_batch(rng, 100, 4)
+        tau = np.median(np.linalg.eigvalsh(grams)[:, 0])
+        scrambled = grams.copy()
+        rows, cols = np.triu_indices(4, 1)
+        scrambled[:, rows, cols] = complex_randn(rng, (100, len(rows)))
+        scrambled[:, range(4), range(4)] += 1j
+        np.testing.assert_array_equal(
+            ris._lambda_min_above(scrambled, tau), ris._lambda_min_above(grams, tau)
+        )
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scale_free(self, scale):
+        # a candidate that fails a pivot keeps its scale, so Grams near the
+        # ends of the float range neither overflow nor change their answer
+        rng = np.random.default_rng(51)
+        grams = hermitian_batch(rng, 100, 6)
+        tau = np.median(np.linalg.eigvalsh(grams)[:, 0])
+        np.testing.assert_array_equal(
+            ris._lambda_min_above(scale * grams, scale * tau), ris._lambda_min_above(grams, tau)
+        )
+
+
+def _steering(counts, u, v):
+    y, z = np.meshgrid(np.arange(counts[0]), np.arange(counts[1]), indexing="ij")
+    return np.exp(1j * np.pi * (u * y + v * z)).ravel()
+
+
+def geometric_instance(rng, n_ue, ris_counts=(16, 16), n_t=8, spread=0.05, paths=12):
+    """Tile-search inputs shaped like the geometric models' channels: a
+    low-rank BS-to-surface link of a few plane waves, UEs a small angle apart
+    (near-collinear columns of ``h_r``) and a weak direct link."""
+    h_t = sum(
+        rng.standard_normal()
+        * np.outer(
+            _steering(ris_counts, *rng.uniform(-1.0, 1.0, 2)),
+            _steering((n_t, 1), rng.uniform(-1.0, 1.0), 0.0),
+        )
+        for _ in range(paths)
+    )
+    u, v = rng.uniform(-1.0, 1.0, 2)
+    h_r = np.stack(
+        [_steering(ris_counts, *((u, v) + spread * rng.standard_normal(2))) for _ in range(n_ue)],
+        axis=1,
+    )
+    direct = 1e-3 * complex_randn(rng, (n_t, n_ue))
+    tiles = build_tile_partition(ris_counts, (8, 8))
+    return direct, h_t, h_r, tiles, build_codebook((8, 8))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCandidateScores:
+    """Every K >= 3 candidate that can win is scored exactly, so the choice is
+    the exhaustive ``eigvalsh`` argmax over all candidates."""
+
+    def exhaustive_check(self, monkeypatch, args):
+        """Chosen indices, and per pivot test the candidates it took and passed."""
+        tested = []
+        scorer, pivot_test = ris._candidate_scores, ris._lambda_min_above
+
+        def counted(grams, tau):
+            above = pivot_test(grams, tau)
+            tested.append((len(above), int(above.sum())))
+            return above
+
+        def checked(grams, pairs):
+            scores = scorer(grams, pairs)
+            exact = min_singular_values(grams)
+            best = np.flatnonzero(exact == exact.max())
+            np.testing.assert_array_equal(np.flatnonzero(scores == scores.max()), best)
+            assert scores[best[0]] == exact[best[0]]
+            return scores
+
+        monkeypatch.setattr(ris, "_candidate_scores", checked)
+        monkeypatch.setattr(ris, "_lambda_min_above", counted)
+        chosen, _ = configure_tiles(*args)
+        return chosen, tested
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n_ue", [3, 4, 6])
+    def test_geometric_choice_is_the_exhaustive_argmax(self, monkeypatch, n_ue, seed):
+        args = geometric_instance(np.random.default_rng(10 * n_ue + seed), n_ue)
+        _, tested = self.exhaustive_check(monkeypatch, args)
+        # over a hundred candidates clear the interlacing bound, and the pivot
+        # test both keeps and drops some of them
+        taken, passed = np.sum(tested, axis=0)
+        assert taken > 100 and 0 < passed < taken
+
+    @pytest.mark.parametrize("n_ue", [3, 4])
+    def test_duplicated_candidates_tie_to_the_lowest_index(self, monkeypatch, n_ue):
+        # every gradient appears twice, so each candidate has an exact twin
+        # G/2 * B entries later; the first of the tied pair wins
+        direct, h_t, h_r, tiles, codebook = geometric_instance(np.random.default_rng(60), n_ue)
+        half = codebook.gradients[::2]
+        doubled = Codebook(gradients=np.concatenate([half, half]), offsets=codebook.offsets)
+        chosen, _ = self.exhaustive_check(monkeypatch, (direct, h_t, h_r, tiles, doubled))
+        assert (chosen < len(doubled) // 2).all()
+        reference, _ = brute_force_tiles(direct, h_t, h_r, tiles, doubled)
+        np.testing.assert_array_equal(chosen, reference)
+
+
 class TestAssembleGamma:
     """The chosen element phases rebuild the channel the greedy search returns."""
 
