@@ -12,7 +12,9 @@ trial's model-independent inputs, computed once and read by every model:
 the UE positions, each link's power budget and near-field test, its fading
 core or clusters, and its scaled LOS term.  It also holds each model's
 channels, drawn once for ``max(n_ue)`` UEs: every UE-count cell of that
-model takes the first ``n_ue`` columns.
+model takes the first ``n_ue`` columns.  A cell narrower than the draw
+leaves the model's tile-search reflection table there, built one UE column
+at a time, so each UE-count cell pays only for the columns it adds.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class TrialResult:
     feasible: bool
     total_power_watts: float  # nan when infeasible
     seed: int
-    wall_time: float  # a trial's shared draws are charged to whichever model asks first
+    wall_time: float  # shared draws and table columns are charged to the cell that builds them
     iterations: int = 0  # precoder iterations; 0 when infeasible
     infeasible_kind: str | None = None  # InfeasibleError.kind, None when feasible
     duality_gap: float = math.nan  # |P - P_dual| / P of the precoder; nan when infeasible
@@ -118,9 +120,12 @@ class SimContext:
       center distance and the array sides inside their Fraunhofer
       boundary; a link's fading core or clusters under its seed path
       ``(stream, link id, ue_index)``; a UE link's LOS term
-      ``sqrt(K/(1+K)) * los`` under ``(los_fn, role, ue_index)``; and each
+      ``sqrt(K/(1+K)) * los`` under ``(los_fn, role, ue_index)``; each
       model's channels ``(h_t, direct, h_r)``, drawn for the largest UE
-      count, under the model.  The UE-count cells of that model slice them.
+      count, under the model, which the UE-count cells of that model slice;
+      and, under ``("table", model)``, the model's reflection table
+      (:func:`rissim.ris.configure_tiles`) while a cell narrower than the
+      draw has left it for a wider one.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -335,7 +340,11 @@ def run_trial(
     UE positions, the links' random inputs and each model's channels are
     kept in the trial's slot on ``ctx`` (:meth:`SimContext.trial_inputs`):
     a later call for the same trial reads them instead of drawing again,
-    and a call for another model draws only its own channels.
+    and a call for another model draws only its own channels.  The tile
+    search extends the model's reflection table from the slot, so a cell
+    pays only for the UE columns that no narrower cell of the trial built;
+    the table goes back into the slot only while ``ue_count`` is below the
+    draw size, so the widest cell, and a sweep of one UE count, leave none.
     """
     if model is None:
         if len(config.models) != 1:
@@ -346,8 +355,8 @@ def run_trial(
     t0 = time.perf_counter()
 
     inputs = ctx.trial_inputs(config, trial_index)
+    k_draw = _draw_size(config)
     if model not in inputs:
-        k_draw = _draw_size(config)
         if "ues" not in inputs:
             positions = ue_positions(config, trial_index, k_draw)
             inputs["ues"] = [ArrayGeometry.single(p) for p in positions]
@@ -363,7 +372,10 @@ def run_trial(
     h_t, direct, h_r = inputs[model]
     k = config.ue_count
 
-    _, effective = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
+    table = inputs.pop(("table", model), [])
+    _, effective = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook, table)
+    if k < k_draw:  # a wider cell may extend it
+        inputs["table", model] = table
     iterations, kind, gap, min_sv = 0, None, math.nan, math.nan
     try:
         solution = min_power_precoder(

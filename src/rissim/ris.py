@@ -10,8 +10,8 @@ Each codebook entry is a DFT phase gradient ``g`` plus one of eight global
 offsets ``theta_b``, so its reflected contribution to ``H`` is
 ``e^{-j theta_b} D_g``: the offset only scales the gradient's contribution.
 ``D_g`` and ``D_g^H D_g`` do not depend on the effective channel, so they
-are computed for every tile before the search, one matrix product per tile,
-and each candidate is scored through its ``K x K`` Gramian
+are computed for every tile before the search, one matrix product per tile
+and UE, and each candidate is scored through its ``K x K`` Gramian
 
     H_gb^H H_gb = H^H H + e^{-j theta_b} H^H D_g + e^{j theta_b} D_g^H H + D_g^H D_g,
 
@@ -230,6 +230,7 @@ def configure_tiles(
     h_r: np.ndarray,
     tiles: np.ndarray,
     codebook: Codebook,
+    table: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy per-tile codebook selection maximizing the minimum singular value.
 
@@ -241,6 +242,15 @@ def configure_tiles(
     tiles : (n_tiles, tile_size) element ids, rows in visit order
         (:func:`build_tile_partition`).
     codebook : per-tile phase configurations.
+    table : the reflection table of these same channels, tiles and codebook
+        built so far, a list that the call extends in place: ``table[0]``
+        is ``conj(h_t)[tiles]`` and ``table[1 + k]`` UE ``k``'s
+        (n_tiles, G, N_t) column of every ``D_g``.  The call appends the
+        columns it lacks and reads its first ``K``, so calls of growing
+        ``K`` on the leading columns of one ``h_r`` each build only the
+        columns they add.  Each column is one product of its own, so a
+        column is the same bytes whichever call built it.  ``None``, like
+        ``[]``, starts from zero columns.
 
     Returns the (n_tiles,) chosen codebook indices and the final (N_t, K)
     effective channel ``H = [h_1, ..., h_K]``; tile ``t``'s elements get
@@ -269,16 +279,26 @@ def configure_tiles(
         raise ValueError("channel dimensions do not match the tile partition")
 
     n_grad, n_off = codebook.gradients.shape[0], codebook.offsets.shape[0]
-    h_t_conj = np.conj(h_t)
     # The Gramian of entry (g, b) is S_g + cos(theta_b) U_g + sin(theta_b) V_g
     # with S_g = H^H H + D_g^H D_g, U_g = P_g + P_g^H, V_g = -j (P_g - P_g^H)
     # and P_g = H^H D_g: one real product over the three terms.
-    # Every tile's D_g and D_g^H D_g depend only on the channels, not on H:
-    # all UEs' gradient contributions come from one product per tile,
-    # (G, q) @ (q, K*N_t), and row k of d_all[t, g] is column k of D_g.
-    weighted = h_r[tiles][:, :, :, None] * h_t_conj[tiles][:, :, None, :]  # (T, q, K, N_t)
-    d_all = codebook.phasors @ weighted.reshape(*tiles.shape, n_ue * n_t)
-    d_all = d_all.reshape(len(tiles), n_grad, n_ue, n_t)
+    # Every tile's D_g and D_g^H D_g depend only on the channels, not on H.
+    # The table holds D_g one UE column at a time, each one (G, q) @ (q, N_t)
+    # product for every tile; row k of d_all[t, g] is column k of D_g.  A
+    # column the call adds is written into d_all and the table keeps a view.
+    # D_g^H D_g is built from this call's K columns in every call: the BLAS
+    # reduction of the K x K product, and so its rounding, changes with K.
+    if table is None:
+        table = []
+    if not table:
+        table.append(np.conj(h_t)[tiles])  # (T, q, N_t), read by every column
+    d_all = np.empty((len(tiles), n_grad, n_ue, n_t), dtype=complex)
+    for k in range(n_ue):
+        if k + 1 < len(table):
+            d_all[:, :, k] = table[1 + k]
+        else:
+            weighted = h_r[tiles, k][:, :, None] * table[0]
+            table.append(np.matmul(codebook.phasors, weighted, out=d_all[:, :, k]))
     dhd_all = np.conj(d_all) @ d_all.swapaxes(2, 3)  # (T, G, K, K)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
     pairs = np.triu_indices(n_ue, 1) if n_ue >= 3 else None

@@ -385,9 +385,9 @@ class TestSharedTrialDraw:
     def test_smaller_cells_take_leading_columns_of_the_largest(self, monkeypatch):
         calls = []
 
-        def capture(direct, h_t, h_r, tiles, codebook):
+        def capture(direct, h_t, h_r, tiles, codebook, table):
             calls.append((direct.shape[1], direct.copy(), h_t.copy(), h_r.copy()))
-            return configure_tiles(direct, h_t, h_r, tiles, codebook)
+            return configure_tiles(direct, h_t, h_r, tiles, codebook, table)
 
         monkeypatch.setattr(harness, "configure_tiles", capture)
         # default sizes: Q=64, N_t=16, where the width of the surface-factor
@@ -417,6 +417,63 @@ class TestSharedTrialDraw:
         key = lambda a: (a.model, a.q, a.n_ue)
         assert sorted(shuffled.aggregates, key=key) == sorted(ascending.aggregates, key=key)
         assert [a.n_ue for a in shuffled.aggregates[:3]] == [4, 1, 2]
+
+    def test_ue_count_order_does_not_change_results_at_several_tiles(self):
+        # Q=256 is four tiles and N_t=16; the cells of a trial share its
+        # reflection table in every order, and each matches the cell run
+        # alone on a fresh context
+        cfg = replace(default_config(), models=self.MODELS, sweep_q=[256], trials=2)
+        sized = with_q(cfg, 256)
+        alone = {
+            (model.value, n_ue): cell_trials(replace(sized, ue_count=n_ue, sweep_n_ue=[4]), model)
+            for model in self.MODELS
+            for n_ue in (1, 2, 3, 4)
+        }
+        for order in [(1, 2, 4), (4, 1, 2), (1, 4, 3)]:
+            res = run_sweep(replace(cfg, sweep_n_ue=list(order)))
+            assert len(res.raw) == 2 * 3 * 2
+            for r in res.raw:
+                expected = alone[r.model, r.n_ue][r.trial]
+                assert replace(r, wall_time=0.0) == replace(expected, wall_time=0.0)
+
+    def test_slot_holds_a_models_table_only_for_a_wider_cell(self):
+        sized = with_q(replace(default_config(), sweep_q=[256], sweep_n_ue=[1, 2, 4]), 256)
+        ctx = SimContext(sized)
+        a, b = self.MODELS
+
+        def tables(slot):
+            return {key[1]: v for key, v in slot.items() if type(key) is tuple and key[0] == "table"}
+
+        def run(n_ue, trial, model):
+            run_trial(replace(sized, ue_count=n_ue), trial, model=model, ctx=ctx)
+            slot = ctx.trial_inputs(sized, trial)
+            return slot, tables(slot)
+
+        def fresh_columns(slot, model, n_ue):
+            h_t, direct, h_r = slot[model]
+            table = []
+            configure_tiles(direct[:, :n_ue], h_t, h_r[:, :n_ue], ctx.tiles, ctx.codebook, table)
+            return [column.tobytes() for column in table]
+
+        slot, held = run(1, 0, a)
+        assert list(held) == [a] and len(held[a]) == 2
+        first_column = held[a][1]
+        slot, held = run(2, 0, a)
+        # the K=2 cell appends column 1 to the K=1 cell's table
+        assert list(held) == [a] and len(held[a]) == 3 and held[a][1] is first_column
+        # the widest cell drops it
+        assert run(4, 0, a)[1] == {}
+        slot, held = run(2, 0, b)
+        assert list(held) == [b]
+        assert [c.tobytes() for c in held[b]] == fresh_columns(slot, b, 2)
+        # a new trial starts from an empty slot
+        slot, held = run(1, 1, a)
+        assert list(held) == [a]
+        assert [c.tobytes() for c in held[a]] == fresh_columns(slot, a, 1)
+        # a sweep of one UE count keeps no table
+        single = replace(sized, sweep_n_ue=[2], ue_count=2)
+        run_trial(single, 0, model=a, ctx=ctx)
+        assert tables(ctx.trial_inputs(single, 0)) == {}
 
     def test_slot_holds_the_latest_trial_only(self):
         cfg = replace(small_config(sweep_n_ue=[1, 4]), ue_count=1)

@@ -370,6 +370,45 @@ class TestCandidateScores:
         np.testing.assert_array_equal(chosen, reference)
 
 
+class TestReflectionTable:
+    """A call given the reflection table that narrower or wider calls on the
+    same channels left behind returns the bytes of a call that builds it."""
+
+    @pytest.mark.parametrize("n_t", [8, 6])
+    @pytest.mark.parametrize("n_ue", [3, 4])
+    def test_prefix_table_gives_the_fresh_result(self, monkeypatch, n_ue, n_t):
+        # Q=256, four 8x8 tiles; channels for one UE more than the call reads
+        direct, h_t, h_r, tiles, codebook = geometric_instance(
+            np.random.default_rng(10 * n_ue + n_t), n_ue + 1, n_t=n_t
+        )
+        grams = []
+        scorer = ris._candidate_scores
+
+        def recorded(stack, pairs):
+            grams.append(stack.tobytes())
+            return scorer(stack, pairs)
+
+        monkeypatch.setattr(ris, "_candidate_scores", recorded)
+
+        def search(k, table):
+            grams.clear()
+            chosen, eff = configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
+            return chosen.tobytes(), eff.tobytes(), list(grams)
+
+        built = []
+        fresh = search(n_ue, built)
+        assert search(n_ue, None) == fresh
+        assert len(built) == 1 + n_ue
+        for width in (0, 1, n_ue - 1, n_ue, n_ue + 1):
+            table = []
+            if width:
+                search(width, table)
+            # every candidate's Gramian, so also D_g^H D_g, is the fresh one
+            assert search(n_ue, table) == fresh
+            assert len(table) == 1 + max(width, n_ue)
+            assert [c.tobytes() for c in table[: 1 + n_ue]] == [c.tobytes() for c in built]
+
+
 class TestAssembleGamma:
     """The chosen element phases rebuild the channel the greedy search returns."""
 
