@@ -12,12 +12,15 @@ The CSVs print 10 significant digits, so a rounding change in a channel
 can pass them.  ``tests/golden/sweep.powers.hex`` holds every raw power of
 ``sweep.ini`` at full precision, one ``model,Q,n_ue,trial,float.hex`` line
 per trial in raw-CSV order, and must match exactly.
+``tests/golden/q1024.powers.hex`` does the same for ``q1024.ini``, every
+model on sixteen tiles at K = 1, 2 and 4 for 2 trials, so the choices of
+the later tiles are locked too.
 
 ``tests/golden/precoder.hex`` locks the min-power precoder on its own, one
 line per seeded instance (:func:`precoder_instances`): the iteration count
 or the ``InfeasibleError`` kind, both total powers as ``float.hex`` and a
 sha256 of the beamformers' bytes.  After a declared rounding change,
-``python tests/test_golden.py`` rewrites both hex files.
+``python tests/test_golden.py`` rewrites the three hex files.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ from rissim.precoding import InfeasibleError, min_power_precoder
 from rissim.scenario import load_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-POWERS_HEX = GOLDEN / "sweep.powers.hex"
+POWERS_HEX = {name: GOLDEN / f"{name}.powers.hex" for name in ("sweep", "q1024")}
 PRECODER_HEX = GOLDEN / "precoder.hex"
 
 
@@ -46,15 +49,19 @@ def test_sweep_csv_bytes_match_golden(tmp_path, name):
     assert out.with_suffix(".raw.csv").read_bytes() == (GOLDEN / f"{name}.raw.csv").read_bytes()
 
 
-def sweep_powers_hex() -> str:
-    result = run_sweep(load_config(GOLDEN / "sweep.ini"))
+def sweep_powers_hex(name: str) -> str:
+    result = run_sweep(load_config(GOLDEN / f"{name}.ini"))
     return "".join(
         f"{r.model},{r.q},{r.n_ue},{r.trial},{r.total_power_watts.hex()}\n" for r in result.raw
     )
 
 
 def test_sweep_raw_powers_match_golden_hex():
-    assert sweep_powers_hex() == POWERS_HEX.read_text()
+    assert sweep_powers_hex("sweep") == POWERS_HEX["sweep"].read_text()
+
+
+def test_q1024_raw_powers_match_golden_hex():
+    assert sweep_powers_hex("q1024") == POWERS_HEX["q1024"].read_text()
 
 
 def precoder_instances():
@@ -125,5 +132,6 @@ def test_precoder_results_match_golden_hex():
 
 
 if __name__ == "__main__":
-    POWERS_HEX.write_text(sweep_powers_hex())
+    for name, path in POWERS_HEX.items():
+        path.write_text(sweep_powers_hex(name))
     PRECODER_HEX.write_text(precoder_hex())
