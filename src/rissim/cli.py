@@ -3,7 +3,8 @@
 Subcommands:
   run       execute the configured sweep and emit aggregate (and raw) CSV
   check     quick invariant/oracle suite (covariance, codebook, tile search on
-            pipeline channels, precoder, factor, low-rank steering factors)
+            pipeline channels, precoder, precoder on pipeline channels,
+            factor, low-rank steering factors)
   scenario  print the fully resolved configuration as INI
 """
 
@@ -24,7 +25,7 @@ from .channels import Box, ChannelModel, draw_clusters, lowrank_from_clusters
 from .correlation import matrix_sqrt_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import InfeasibleError, min_power_precoder
-from .ris import configure_tiles
+from .ris import configure_tiles, min_singular_values
 from .scenario import PRESETS, ScenarioConfig, default_config, dump_config, load_config, with_q
 from .seeding import derive_rng
 
@@ -110,35 +111,38 @@ def _pipeline_draws(seed: int):
     These are the channels :func:`rissim.harness.run_trial` draws for 4 UEs
     in 2 desk-config trials of every model at Q = 64 and 256, read from the
     trial's slot: near-collinear columns, unlike the Gaussian instances.
+    The far-field models' near-field warnings say nothing about the checks
+    that read them, so they are not printed until the draws are done.
     """
-    for q in (64, 256):
-        config = replace(with_q(default_config(), q), master_seed=seed, ue_count=4, sweep_n_ue=[4])
-        ctx = harness.SimContext(config)
-        for trial in range(2):
-            for model in ChannelModel:
-                harness.run_trial(config, trial, model, ctx)
-                yield (model.value, q, trial), ctx, ctx.trial_inputs(config, trial)[model]
+    harness_log = logging.getLogger(harness.__name__)
+    level = harness_log.level
+    harness_log.setLevel(logging.ERROR)
+    try:
+        for q in (64, 256):
+            config = replace(
+                with_q(default_config(), q), master_seed=seed, ue_count=4, sweep_n_ue=[4]
+            )
+            ctx = harness.SimContext(config)
+            for trial in range(2):
+                for model in ChannelModel:
+                    harness.run_trial(config, trial, model, ctx)
+                    yield (model.value, q, trial), ctx, ctx.trial_inputs(config, trial)[model]
+    finally:
+        harness_log.setLevel(level)
 
 
 def _check_pipeline_tiles(seed: int) -> tuple[bool, str]:
     # On these channels many K >= 3 candidates survive the interlacing bound
-    # and take the pivot test.  The far-field models' near-field warnings
-    # say nothing about the search, so they are not printed.
-    harness_log = logging.getLogger(harness.__name__)
-    level = harness_log.level
-    harness_log.setLevel(logging.ERROR)
+    # and take the pivot test.
     mismatches, n_instances = [], 0
-    try:
-        for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
-            for k in range(1, 5):
-                instance = (direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
-                greedy = configure_tiles(*instance)[0].tolist()
-                brute = oracles.brute_force_tiles(*instance)[0].tolist()
-                n_instances += 1
-                if greedy != brute:
-                    mismatches.append((*key, k, greedy, brute))
-    finally:
-        harness_log.setLevel(level)
+    for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
+        for k in range(1, 5):
+            instance = (direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
+            greedy = configure_tiles(*instance)[0].tolist()
+            brute = oracles.brute_force_tiles(*instance)[0].tolist()
+            n_instances += 1
+            if greedy != brute:
+                mismatches.append((*key, k, greedy, brute))
     if mismatches:
         return False, f"(model, Q, trial, K, greedy, oracle) mismatches: {mismatches}"
     return True, (
@@ -200,24 +204,51 @@ def _check_precoder(seed: int) -> tuple[bool, str]:
     return ok, f"duality gap {worst_gap:.2e}, constraint slack {worst_slack:.2e} (tol 1e-6)"
 
 
-def _precoder_outcome(solve, h, gamma_thr, *args):
+def _precoder_outcome(solve, h, gamma_thr, noise_power, *args):
     """``(iterations, total power)`` of a solve, or ``(kind, None)`` when infeasible."""
     try:
-        sol = solve(h, gamma_thr, 1.0, *args)
+        sol = solve(h, gamma_thr, noise_power, *args)
     except InfeasibleError as exc:
         return exc.kind, None
     return sol.iterations, sol.total_power
 
 
-def _reference_rounds_past_tol(h, gamma_thr, gram_iters, ref_iters) -> bool:
+def _reference_rounds_past_tol(h, gamma_thr, noise_power, gram_iters, ref_iters) -> bool:
     """Whether the reference's later stop is its own rounding: at the Gram form's
     stop, its relative change is below ``tol`` plus its rounding floor, the largest
     change it makes in four steps past its own stop, where only rounding moves it."""
     if not (isinstance(gram_iters, int) and isinstance(ref_iters, int) and gram_iters < ref_iters):
         return False
     deltas = []  # with tol = 0 the reference runs out of steps
-    _precoder_outcome(oracles.nt_space_precoder, h, gamma_thr, ref_iters + 4, 0.0, deltas)
+    _precoder_outcome(
+        oracles.nt_space_precoder, h, gamma_thr, noise_power, ref_iters + 4, 0.0, deltas
+    )
     return deltas[gram_iters - 1] < 1e-10 + max(deltas[ref_iters:], default=0.0)
+
+
+def _compare_precoders(instances) -> tuple[list, float, int, int]:
+    """Solve each ``(key, h, gamma_thr, noise_power)`` with the pipeline's
+    precoder and the N_t-space reference.
+
+    Returns the ``(key, precoder, reference)`` iteration/kind mismatches, the
+    worst relative total-power difference, the infeasible count and the
+    count of instances that the reference stopped later within its rounding
+    floor of ``tol`` (:func:`_reference_rounds_past_tol`).
+    """
+    mismatches, worst, infeasible, rounded = [], 0.0, 0, 0
+    for key, h, gamma, noise in instances:
+        gram = _precoder_outcome(min_power_precoder, h, gamma, noise)
+        ref = _precoder_outcome(oracles.nt_space_precoder, h, gamma, noise)
+        if gram[0] != ref[0]:
+            if not _reference_rounds_past_tol(h, gamma, noise, gram[0], ref[0]):
+                mismatches.append((key, gram[0], ref[0]))
+                continue
+            rounded += 1
+        if ref[1] is None:
+            infeasible += 1
+        else:
+            worst = max(worst, abs(gram[1] - ref[1]) / ref[1])
+    return mismatches, worst, infeasible, rounded
 
 
 def _check_precoder_gram(seed: int) -> tuple[bool, str]:
@@ -228,28 +259,46 @@ def _check_precoder_gram(seed: int) -> tuple[bool, str]:
     for k in range(1, 5):
         for n_t in range(k, 17):
             h = oracles.complex_randn(rng, (n_t, k))
-            instances += [(h, gamma) for gamma in (1.0, 10.0, 100.0, 1e3, 1e4)]
+            for gamma in (1.0, 10.0, 100.0, 1e3, 1e4):
+                instances.append(((h.shape, gamma), h, gamma, 1.0))
             if k >= 2:
-                instances.append((np.column_stack([h[:, :-1], h[:, 0]]), 10.0))
-    mismatches, worst, infeasible, rounded = [], 0.0, 0, 0
-    for h, gamma in instances:
-        gram = _precoder_outcome(min_power_precoder, h, gamma)
-        ref = _precoder_outcome(oracles.nt_space_precoder, h, gamma)
-        if gram[0] != ref[0]:
-            if not _reference_rounds_past_tol(h, gamma, gram[0], ref[0]):
-                mismatches.append((h.shape, gamma, gram[0], ref[0]))
-                continue
-            rounded += 1
-        if ref[1] is None:
-            infeasible += 1
-        else:
-            worst = max(worst, abs(gram[1] - ref[1]) / ref[1])
+                collinear = np.column_stack([h[:, :-1], h[:, 0]])
+                instances.append(((h.shape, 10.0), collinear, 10.0, 1.0))
+    mismatches, worst, infeasible, rounded = _compare_precoders(instances)
     if mismatches:
-        return False, f"(shape, gamma, Gram, reference) iteration/kind mismatches: {mismatches}"
+        return False, f"((shape, gamma), Gram, reference) iteration/kind mismatches: {mismatches}"
     return worst <= 1e-12, (
         f"{len(instances)} instances ({infeasible} infeasible) match the N_t-space reference "
         f"in feasibility and iterations ({rounded} stopped later by the reference within its "
         f"rounding floor of tol); total power {worst:.1e} relative (tol 1e-12)"
+    )
+
+
+def _check_pipeline_precoder(seed: int) -> tuple[bool, str]:
+    # The precoder on the channels the tile search configures from the
+    # pipeline draws at K = 1 to 4, with the sweep's SINR target and noise
+    # power; and the search's own score of each configured channel, its
+    # Gram's smallest singular value, against an SVD.  Its tolerance
+    # allows the K = 2 closed form's loss of about sqrt(eps) when the two
+    # eigenvalues coincide.
+    instances, worst_sv = [], 0.0
+    for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
+        for k in range(1, 5):
+            _, h = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
+            instances.append(((*key, k), h, ctx.config.gamma_thr, ctx.noise_power))
+            score = min_singular_values((np.conj(h).T @ h)[None])[0]
+            sv = np.linalg.svd(h, compute_uv=False).min()
+            worst_sv = max(worst_sv, abs(score - sv) / sv)
+    mismatches, worst, infeasible, rounded = _compare_precoders(instances)
+    if mismatches:
+        return False, (
+            f"((model, Q, trial, K), precoder, reference) iteration/kind mismatches: {mismatches}"
+        )
+    return worst <= 1e-12 and worst_sv <= 1e-6, (
+        f"{len(instances)} configured pipeline channels ({infeasible} infeasible) match the "
+        f"N_t-space reference in feasibility and iterations ({rounded} stopped later by the "
+        f"reference within its rounding floor of tol); total power {worst:.1e} relative "
+        f"(tol 1e-12); min_sv {worst_sv:.1e} relative to an SVD (tol 1e-6)"
     )
 
 
@@ -262,6 +311,7 @@ def _cmd_check(args) -> int:
         ("pipeline-tiles", _check_pipeline_tiles),
         ("precoder-duality", _check_precoder),
         ("precoder-gram", _check_precoder_gram),
+        ("pipeline-precoder", _check_pipeline_precoder),
         ("factor-fold", _check_factor_fold),
         ("lowrank-kron", _check_lowrank_kron),
     ]

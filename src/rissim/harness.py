@@ -12,9 +12,11 @@ trial's model-independent inputs, computed once and read by every model:
 the UE positions, each link's power budget and near-field test, its fading
 core or clusters, and its scaled LOS term.  It also holds each model's
 channels, drawn once for ``max(n_ue)`` UEs: every UE-count cell of that
-model takes the first ``n_ue`` columns.  A cell narrower than the draw
-leaves the model's tile-search reflection table there, built one UE column
-at a time, so each UE-count cell pays only for the columns it adds.
+model takes the first ``n_ue`` columns.  Once every model of the context
+has drawn, the cores, clusters and LOS terms leave the slot.  A cell
+narrower than the draw leaves the model's tile-search reflection table
+there, built one UE column at a time with that column's row of every
+``D_g^H D_g``, so each UE-count cell pays only for the columns it adds.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class TrialResult:
     feasible: bool
     total_power_watts: float  # nan when infeasible
     seed: int
-    wall_time: float  # shared draws and table columns are charged to the cell that builds them
+    wall_time: float  # shared draws, table columns and their Gram rows: the cell that builds them
     iterations: int = 0  # precoder iterations; 0 when infeasible
     infeasible_kind: str | None = None  # InfeasibleError.kind, None when feasible
     duality_gap: float = math.nan  # |P - P_dual| / P of the precoder; nan when infeasible
@@ -119,11 +121,12 @@ class SimContext:
       distance, inside)`` under ``(role, ue_index)``, its power budget,
       center distance and the array sides inside their Fraunhofer
       boundary; a link's fading core or clusters under its seed path
-      ``(stream, link id, ue_index)``; a UE link's LOS term
-      ``sqrt(K/(1+K)) * los`` under ``(los_fn, role, ue_index)``; each
-      model's channels ``(h_t, direct, h_r)``, drawn for the largest UE
-      count, under the model, which the UE-count cells of that model slice;
-      and, under ``("table", model)``, the model's reflection table
+      ``(stream, link id, ue_index)`` and a UE link's LOS term
+      ``sqrt(K/(1+K)) * los`` under ``(los_fn, role, ue_index)``, both
+      dropped once every model of the context has drawn; each model's
+      channels ``(h_t, direct, h_r)``, drawn for the largest UE count,
+      under the model, which the UE-count cells of that model slice; and,
+      under ``("table", model)``, the model's reflection table
       (:func:`rissim.ris.configure_tiles`) while a cell narrower than the
       draw has left it for a wider one.
     """
@@ -340,11 +343,14 @@ def run_trial(
     UE positions, the links' random inputs and each model's channels are
     kept in the trial's slot on ``ctx`` (:meth:`SimContext.trial_inputs`):
     a later call for the same trial reads them instead of drawing again,
-    and a call for another model draws only its own channels.  The tile
-    search extends the model's reflection table from the slot, so a cell
-    pays only for the UE columns that no narrower cell of the trial built;
-    the table goes back into the slot only while ``ue_count`` is below the
-    draw size, so the widest cell, and a sweep of one UE count, leave none.
+    and a call for another model draws only its own channels.  The call
+    that completes the draws of every model in ``ctx.config.models`` drops
+    the cores, clusters and UE-link LOS terms, which no cell reads again.
+    The tile search extends the model's reflection table from the slot, so
+    a cell pays only for the UE columns, and their rows of ``D_g^H D_g``,
+    that no narrower cell of the trial built; the table goes back into the
+    slot only while ``ue_count`` is below the draw size, so the widest
+    cell, and a sweep of one UE count, leave none.
     """
     if model is None:
         if len(config.models) != 1:
@@ -369,6 +375,11 @@ def run_trial(
         direct = np.vstack(rows[:k_draw]).T.conj()
         h_r = np.vstack(rows[k_draw:]).T.conj()
         inputs[model] = (h_t, direct, h_r)
+        if all(m in inputs for m in ctx.config.models):
+            # No model draws again: drop the cores, clusters and LOS terms,
+            # the slot's 3-tuple keys (a seed path or (los_fn, role, UE)).
+            for key in [key for key in inputs if type(key) is tuple and len(key) == 3]:
+                del inputs[key]
     h_t, direct, h_r = inputs[model]
     k = config.ue_count
 

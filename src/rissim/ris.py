@@ -10,8 +10,11 @@ Each codebook entry is a DFT phase gradient ``g`` plus one of eight global
 offsets ``theta_b``, so its reflected contribution to ``H`` is
 ``e^{-j theta_b} D_g``: the offset only scales the gradient's contribution.
 ``D_g`` and ``D_g^H D_g`` do not depend on the effective channel, so they
-are computed for every tile before the search, one matrix product per tile
-and UE, and each candidate is scored through its ``K x K`` Gramian
+are computed for every tile before the search: each UE column of ``D_g`` is
+one matrix product per tile, and each entry ``(k, j)`` of ``D_g^H D_g`` one
+dot product over the N_t antennas, made once per UE pair when column ``k``
+joins, so it has the same bytes in every call that reads it.  Each
+candidate is scored through its ``K x K`` Gramian
 
     H_gb^H H_gb = H^H H + e^{-j theta_b} H^H D_g + e^{j theta_b} D_g^H H + D_g^H D_g,
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,9 +46,8 @@ WAVEFRONT_PHASE_COUNT = 8  # three-bit global phase offsets per tile
 # Candidates solved exactly, by bound, to set the pruning floor (K >= 3).
 _FLOOR_CANDIDATES = 8
 # Pruning margin as a multiple of the tile's largest Gram trace.  It covers
-# the rounding of the bound, the eigensolve and the pivot test; the 2 x 2
-# closed form loses up to ~sqrt(eps) of the trace when a minor's
-# eigenvalues coincide.
+# the rounding of the bound, the eigensolve and the pivot test, each a few
+# eps of the trace, many times over.
 _PRUNE_MARGIN = 1e-6
 
 
@@ -175,17 +177,47 @@ def _lambda_min_above(grams: np.ndarray, tau: float) -> np.ndarray:
     return above
 
 
-def _candidate_scores(
-    grams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None
-) -> np.ndarray:
+@lru_cache
+def _packed_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and upper-triangle mask that unpack K x K Hermitian stacks.
+
+    The packed stacks hold the lower triangle row by row, entry ``(r, c)``,
+    ``c <= r``, at ``r (r + 1) / 2 + c``, so the first ``K (K + 1) / 2``
+    entries are those of the leading ``K x K`` block.  Entry ``(r, c)`` of a
+    stack is the packed ``(max, min)`` entry, conjugated where ``r < c``.
+    """
+    rows, cols = np.indices((k, k))
+    hi, lo = np.maximum(rows, cols), np.minimum(rows, cols)
+    gather, upper = hi * (hi + 1) // 2 + lo, rows < cols
+    gather.flags.writeable = upper.flags.writeable = False  # cached: shared by every call
+    return gather, upper
+
+
+@lru_cache
+def _pair_gather(k: int) -> np.ndarray:
+    """Flat ``K x K`` indices of the diagonal and of each 2 x 2 principal minor.
+
+    In order: the K diagonal entries, then over the pairs ``i < j`` of
+    ``np.triu_indices(k, 1)``, the ``(i, i)``, the ``(j, j)`` and the
+    ``(i, j)`` entries.
+    """
+    i, j = np.triu_indices(k, 1)
+    diag = np.arange(k) * (k + 1)
+    gather = np.concatenate([diag, diag[i], diag[j], i * k + j])
+    gather.flags.writeable = False  # cached: shared by every call
+    return gather
+
+
+def _candidate_scores(grams: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
     """:func:`min_singular_values` of ``grams`` wherever it can be the maximum.
 
     For K >= 3 the eigensolve runs first on the few candidates with the
-    highest interlacing bounds (over the 2 x 2 principal minors on
-    ``pairs``, ``None`` for K <= 2), whose best score is the floor.  Of the
-    others, those whose bound reaches ``floor^2 - margin`` take the pivot
-    test (:func:`_lambda_min_above`) at ``tau = floor^2 - 2 margin``, and
-    only those that pass it are solved; the rest are left at ``-inf``.
+    highest interlacing bounds, over the 2 x 2 principal minors that one
+    gather of the flattened stack reads (``pairs``, :func:`_pair_gather`;
+    ``None`` for K <= 2), whose best score is the floor.  Of the others,
+    those whose bound reaches ``floor^2 - margin`` take the pivot test
+    (:func:`_lambda_min_above`) at ``tau = floor^2 - 2 margin``, and only
+    those that pass it are solved; the rest are left at ``-inf``.
 
     No winner is lost.  Let ``T`` be the largest Gram trace of the tile;
     ``margin`` is ``_PRUNE_MARGIN * T``.  A candidate can win only if its
@@ -193,23 +225,30 @@ def _candidate_scores(
     ``floor^2`` (up to the rounding of a square root and a square).  That
     value is within about ``K eps T`` of the exact smallest eigenvalue, so
     a possible winner's exact eigenvalue is at least ``floor^2`` less that
-    rounding, well above ``tau + margin``.  Its interlacing bound is never
-    below that eigenvalue by more than the 2 x 2 closed form's rounding,
-    about ``sqrt(eps) T``, so it clears ``floor^2 - margin``.  It then
-    reaches the pivot test ``margin`` or more above ``tau``, far beyond the
-    ``K eps T`` that the LDL^H elimination of a positive definite matrix
-    can lose, so its pivots are all positive.  Every candidate that can win
-    is scored by the same ``eigvalsh`` value as without the pruning, so the
-    caller can take the lowest index of the maximum in any order it likes.
+    rounding, well above ``tau + margin``.  Its interlacing bound is the
+    smaller eigenvalue ``(a + d - sqrt((a - d)^2 + 4 |b|^2)) / 2`` of a
+    minor ``[[a, b], [conj(b), d]]``; no difference of nearly equal terms
+    enters the square root, so the bound rounds by a few ``eps T`` and is
+    never below that eigenvalue by more, and it clears ``floor^2 - margin``.  It then reaches the
+    pivot test ``margin`` or more above ``tau``, far beyond the ``K eps T``
+    that the LDL^H elimination of a positive definite matrix can lose, so
+    its pivots are all positive.  Every candidate that can win is scored by
+    the same ``eigvalsh`` value as without the pruning, so the caller can
+    take the lowest index of the maximum in any order it likes.
     """
-    if grams.shape[-1] <= 2:
+    k = grams.shape[-1]
+    if k <= 2:
         return min_singular_values(grams)
-    diag = np.real(np.diagonal(grams, axis1=1, axis2=2))  # (M, K)
-    i, j = pairs
-    bound = _lambda_min_2x2(diag[:, i], diag[:, j], grams[:, i, j]).min(axis=1)
-    margin = _PRUNE_MARGIN * diag.sum(axis=1).max()
-    scores = np.full(grams.shape[0], -np.inf)
-    n_top = min(_FLOOR_CANDIDATES, grams.shape[0])
+    n_pairs = k * (k - 1) // 2
+    block = grams.reshape(len(grams), k * k)[:, pairs]
+    a = block[:, k : k + n_pairs].real
+    d = block[:, k + n_pairs : k + 2 * n_pairs].real
+    b = block[:, k + 2 * n_pairs :]
+    disc = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
+    bound = 0.5 * (a + d - disc).min(axis=1)
+    margin = _PRUNE_MARGIN * block[:, :k].real.sum(axis=1).max()
+    scores = np.full(len(grams), -np.inf)
+    n_top = min(_FLOOR_CANDIDATES, len(grams))
     top = np.argpartition(bound, -n_top)[-n_top:]
     top_scores = min_singular_values(grams[top])
     scores[top] = top_scores
@@ -244,12 +283,15 @@ def configure_tiles(
     codebook : per-tile phase configurations.
     table : the reflection table of these same channels, tiles and codebook
         built so far, a list that the call extends in place: ``table[0]``
-        is ``conj(h_t)[tiles]`` and ``table[1 + k]`` UE ``k``'s
-        (n_tiles, G, N_t) column of every ``D_g``.  The call appends the
-        columns it lacks and reads its first ``K``, so calls of growing
-        ``K`` on the leading columns of one ``h_r`` each build only the
-        columns they add.  Each column is one product of its own, so a
-        column is the same bytes whichever call built it.  ``None``, like
+        is ``conj(h_t)[tiles]`` and ``table[1 + k]`` is UE ``k``'s pair
+        ``(column, rows)``: its (n_tiles, G, N_t) column of every ``D_g``
+        and its (n_tiles, G, k + 1) row of every ``D_g^H D_g``, entries
+        ``(k, j)`` for ``j <= k``.  The call appends the pairs it lacks
+        and reads its first ``K``, so calls of growing ``K`` on the leading
+        columns of one ``h_r`` each build only the columns and Gram entries
+        they add.  Each column is one product of its own and each entry
+        one fixed-length dot product of two columns, so a pair is the same
+        bytes whichever call, ``K`` or build order made it.  ``None``, like
         ``[]``, starts from zero columns.
 
     Returns the (n_tiles,) chosen codebook indices and the final (N_t, K)
@@ -285,9 +327,12 @@ def configure_tiles(
     # Every tile's D_g and D_g^H D_g depend only on the channels, not on H.
     # The table holds D_g one UE column at a time, each one (G, q) @ (q, N_t)
     # product for every tile; row k of d_all[t, g] is column k of D_g.  A
-    # column the call adds is written into d_all and the table keeps a view.
-    # D_g^H D_g is built from this call's K columns in every call: the BLAS
-    # reduction of the K x K product, and so its rounding, changes with K.
+    # column the call adds is written into d_all and the table keeps a view,
+    # beside row k of the lower triangle of every D_g^H D_g: entries
+    # (k, j <= k), each sum(conj(d_k) d_j) from its own dot over N_t
+    # (np.vecdot), so no entry depends on how many the call adds.  The call
+    # gathers its K x K stacks from its K rows, the upper triangle as
+    # conjugates.
     if table is None:
         table = []
     if not table:
@@ -295,13 +340,17 @@ def configure_tiles(
     d_all = np.empty((len(tiles), n_grad, n_ue, n_t), dtype=complex)
     for k in range(n_ue):
         if k + 1 < len(table):
-            d_all[:, :, k] = table[1 + k]
+            d_all[:, :, k] = table[1 + k][0]
         else:
             weighted = h_r[tiles, k][:, :, None] * table[0]
-            table.append(np.matmul(codebook.phasors, weighted, out=d_all[:, :, k]))
-    dhd_all = np.conj(d_all) @ d_all.swapaxes(2, 3)  # (T, G, K, K)
+            column = np.matmul(codebook.phasors, weighted, out=d_all[:, :, k])
+            table.append((column, np.vecdot(column[:, :, None], d_all[:, :, : k + 1])))
+    packed = np.concatenate([rows for _, rows in table[1 : 1 + n_ue]], axis=2)
+    gather, upper = _packed_lower(n_ue)
+    dhd_all = packed[:, :, gather]  # (T, G, K, K)
+    np.conjugate(dhd_all, out=dhd_all, where=upper)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
-    pairs = np.triu_indices(n_ue, 1) if n_ue >= 3 else None
+    pairs = _pair_gather(n_ue) if n_ue >= 3 else None
     offset_phasors = np.exp(-1j * codebook.offsets)
     h_eff = direct.astype(complex)  # (N_t, K)
     chosen = np.empty(len(tiles), dtype=np.intp)

@@ -159,10 +159,11 @@ class TestCliCheck:
     def test_oracle_suite_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 7 and "FAIL" not in out
+        assert out.count("PASS") == 8 and "FAIL" not in out
         assert "all 16 tile selections (K=1 to 4)" in out
         assert "PASS pipeline-tiles: all 80 tile searches on pipeline channels" in out
         assert "PASS lowrank-kron: 6 links match the dense steering oracle" in out
+        assert "PASS pipeline-precoder: 80 configured pipeline channels" in out
 
     @pytest.mark.parametrize(
         "flags",
@@ -225,6 +226,16 @@ class TestCheckPrecoderGram:
     def test_fails_on_a_seeded_defect(self, monkeypatch, defect):
         monkeypatch.setattr(cli, "min_power_precoder", defect)
         ok, detail = cli._check_precoder_gram(1234)
+        assert not ok
+        assert "mismatches" in detail
+
+
+class TestCheckPipelinePrecoder:
+    """The ``pipeline-precoder`` line fails on a precoder defect."""
+
+    def test_fails_without_the_leave_one_out_factor(self, monkeypatch):
+        monkeypatch.setattr(cli, "min_power_precoder", _gram_without_leave_one_out)
+        ok, detail = cli._check_pipeline_precoder(1234)
         assert not ok
         assert "mismatches" in detail
 

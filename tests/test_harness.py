@@ -449,11 +449,15 @@ class TestSharedTrialDraw:
             slot = ctx.trial_inputs(sized, trial)
             return slot, tables(slot)
 
-        def fresh_columns(slot, model, n_ue):
+        def table_bytes(table):
+            # the gathered conj(h_t), then each D_g column with its D_g^H D_g row
+            return [table[0].tobytes()] + [(c.tobytes(), rows.tobytes()) for c, rows in table[1:]]
+
+        def fresh_table(slot, model, n_ue):
             h_t, direct, h_r = slot[model]
             table = []
             configure_tiles(direct[:, :n_ue], h_t, h_r[:, :n_ue], ctx.tiles, ctx.codebook, table)
-            return [column.tobytes() for column in table]
+            return table_bytes(table)
 
         slot, held = run(1, 0, a)
         assert list(held) == [a] and len(held[a]) == 2
@@ -465,11 +469,11 @@ class TestSharedTrialDraw:
         assert run(4, 0, a)[1] == {}
         slot, held = run(2, 0, b)
         assert list(held) == [b]
-        assert [c.tobytes() for c in held[b]] == fresh_columns(slot, b, 2)
+        assert table_bytes(held[b]) == fresh_table(slot, b, 2)
         # a new trial starts from an empty slot
         slot, held = run(1, 1, a)
         assert list(held) == [a]
-        assert [c.tobytes() for c in held[a]] == fresh_columns(slot, a, 1)
+        assert table_bytes(held[a]) == fresh_table(slot, a, 1)
         # a sweep of one UE count keeps no table
         single = replace(sized, sweep_n_ue=[2], ue_count=2)
         run_trial(single, 0, model=a, ctx=ctx)
@@ -488,6 +492,32 @@ class TestSharedTrialDraw:
         assert direct.shape == (4, 4) and h_r.shape == (8, 4)
         # nothing of trial 0 is left: its slot comes back empty
         assert ctx.trial_inputs(cfg, 0) == {}
+
+    def test_slot_drops_draw_inputs_once_every_model_has_drawn(self):
+        # the cores or clusters and the UE-link LOS terms (RIS-to-UE K = 1)
+        # go once the context's last model has drawn; the UE geometries,
+        # link set-ups, channels and the table stay for the wider cells
+        def draw_inputs(slot):
+            return [key for key in slot if type(key) is tuple and len(key) == 3]
+
+        for models in ([ChannelModel.NEARFIELD_GEOMETRIC], self.MODELS):
+            cfg = small_config(models=models, sweep_n_ue=[1, 2], ue_count=1)
+            ctx = SimContext(cfg)
+            slot = ctx.trial_inputs(cfg, 0)
+            for model in models[:-1]:
+                run_trial(cfg, 0, model=model, ctx=ctx)
+                assert draw_inputs(slot)
+            last = models[-1]
+            first = run_trial(cfg, 0, model=last, ctx=ctx)
+            assert draw_inputs(slot) == []
+            assert {"ues", last, ("table", last), (LinkRole.RIS_TO_RX, 1)} <= set(slot)
+            # the K=2 cell reads the kept channels and gives the fresh result
+            wide = replace(cfg, ue_count=2)
+            second = run_trial(wide, 0, model=last, ctx=ctx)
+            expected = [run_trial(c, 0, model=last) for c in (cfg, wide)]
+            assert [replace(r, wall_time=0.0) for r in (first, second)] == [
+                replace(r, wall_time=0.0) for r in expected
+            ]
 
     @pytest.mark.parametrize(
         "a, b",

@@ -370,6 +370,12 @@ class TestCandidateScores:
         np.testing.assert_array_equal(chosen, reference)
 
 
+def table_bytes(table):
+    """The bytes of a reflection table: the gathered ``conj(h_t)``, then each
+    UE column of ``D_g`` with its row of the ``D_g^H D_g`` lower triangle."""
+    return [table[0].tobytes()] + [(column.tobytes(), rows.tobytes()) for column, rows in table[1:]]
+
+
 class TestReflectionTable:
     """A call given the reflection table that narrower or wider calls on the
     same channels left behind returns the bytes of a call that builds it."""
@@ -406,7 +412,33 @@ class TestReflectionTable:
             # every candidate's Gramian, so also D_g^H D_g, is the fresh one
             assert search(n_ue, table) == fresh
             assert len(table) == 1 + max(width, n_ue)
-            assert [c.tobytes() for c in table[: 1 + n_ue]] == [c.tobytes() for c in built]
+            assert table_bytes(table[: 1 + n_ue]) == table_bytes(built)
+
+    @pytest.mark.parametrize("n_t", [3, 6, 8, 16])
+    def test_gram_rows_do_not_depend_on_the_call_that_adds_them(self, n_t):
+        # Q=256; each build order adds column k in calls of other widths,
+        # after other columns, or after a narrower call that only reads
+        n_ue = min(n_t, 4)
+        direct, h_t, h_r, tiles, codebook = geometric_instance(
+            np.random.default_rng(70 + n_t), n_ue, n_t=n_t
+        )
+        orders = {(n_ue,), (1, n_ue), tuple(range(1, n_ue + 1)), (n_ue - 1, 1, n_ue), (2, 1, n_ue)}
+        built = []
+        for order in sorted(orders):
+            table = []
+            for k in order:
+                configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
+            built.append(table_bytes(table))
+        assert len(built[0]) == 1 + n_ue
+        assert all(b == built[0] for b in built)
+        # row k holds entries (k, j <= k) of every tile's D_g^H D_g
+        for k, (column, rows) in enumerate(table[1:]):
+            assert rows.shape == (len(tiles), len(codebook.gradients), k + 1)
+            for j in range(k + 1):
+                expected = np.sum(np.conj(column) * table[1 + j][0], axis=-1)
+                np.testing.assert_allclose(
+                    rows[:, :, j], expected, rtol=1e-12, atol=1e-12 * np.abs(rows).max()
+                )
 
 
 class TestAssembleGamma:
