@@ -228,13 +228,14 @@ def _candidate_scores(grams: np.ndarray, pairs: np.ndarray | None) -> np.ndarray
     rounding, well above ``tau + margin``.  Its interlacing bound is the
     smaller eigenvalue ``(a + d - sqrt((a - d)^2 + 4 |b|^2)) / 2`` of a
     minor ``[[a, b], [conj(b), d]]``; no difference of nearly equal terms
-    enters the square root, so the bound rounds by a few ``eps T`` and is
-    never below that eigenvalue by more, and it clears ``floor^2 - margin``.  It then reaches the
-    pivot test ``margin`` or more above ``tau``, far beyond the ``K eps T``
-    that the LDL^H elimination of a positive definite matrix can lose, so
-    its pivots are all positive.  Every candidate that can win is scored by
-    the same ``eigvalsh`` value as without the pruning, so the caller can
-    take the lowest index of the maximum in any order it likes.
+    enters the square root, so the bound rounds by a few ``eps T``, is
+    never below that eigenvalue by more, and clears ``floor^2 - margin``.
+    It then reaches the pivot test ``margin`` or more above ``tau``, far
+    beyond the ``K eps T`` that the LDL^H elimination of a positive
+    definite matrix can lose, so its pivots are all positive.  Every
+    candidate that can win is scored by the same ``eigvalsh`` value as
+    without the pruning, so the caller can take the lowest index of the
+    maximum in any order it likes.
     """
     k = grams.shape[-1]
     if k <= 2:
