@@ -108,9 +108,9 @@ def _check_codebook(seed: int) -> tuple[bool, str]:
 def _pipeline_draws(seed: int):
     """Yield ``(model, Q, trial)``, the trial's ``SimContext`` and ``(h_t, direct, h_r)``.
 
-    These are the channels :func:`rissim.harness.run_trial` draws for 4 UEs
-    in 2 desk-config trials of every model at Q = 64 and 256, read from the
-    trial's slot: near-collinear columns, unlike the Gaussian instances.
+    These are the channels :func:`rissim.harness.trial_channels` draws for 4
+    UEs in 2 desk-config trials of every model at Q = 64 and 256, with no tile
+    search run: near-collinear columns, unlike the Gaussian instances.
     The far-field models' near-field warnings say nothing about the checks
     that read them, so they are not printed until the draws are done.
     """
@@ -125,8 +125,8 @@ def _pipeline_draws(seed: int):
             ctx = harness.SimContext(config)
             for trial in range(2):
                 for model in ChannelModel:
-                    harness.run_trial(config, trial, model, ctx)
-                    yield (model.value, q, trial), ctx, ctx.trial_inputs(config, trial)[model]
+                    channels = harness.trial_channels(config, trial, model, ctx)
+                    yield (model.value, q, trial), ctx, channels
     finally:
         harness_log.setLevel(level)
 

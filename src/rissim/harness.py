@@ -7,16 +7,17 @@ per-trial randomness across models and surface sizes: UE positions, fading
 cores and cluster draws depend only on (master seed, trial index, link,
 UE), which isolates the channel-model delta from Monte Carlo noise.  A
 sweep runs each surface size on one :class:`SimContext`, trial by trial,
-and within a trial model by model.  The context's per-trial slot holds the
+within a trial model by model, and within a model UE count by UE count.
+The context's per-trial slot holds three entries.  ``"draw"`` holds the
 trial's model-independent inputs, computed once and read by every model:
 the UE positions, each link's power budget and near-field test, its fading
-core or clusters, and its scaled LOS term.  It also holds each model's
-channels, drawn once for ``max(n_ue)`` UEs: every UE-count cell of that
-model takes the first ``n_ue`` columns.  Once every model of the context
-has drawn, the cores, clusters and LOS terms leave the slot.  A cell
-narrower than the draw leaves the model's tile-search reflection table
-there, built one UE column at a time with that column's row of every
-``D_g^H D_g``, so each UE-count cell pays only for the columns it adds.
+core or clusters, and its scaled LOS term; it goes once the context's last
+model has drawn.  ``"channels"`` holds the channels of the model drawn
+last, drawn for ``max(n_ue)`` UEs: every UE-count cell of that model takes
+the first ``n_ue`` columns.  ``"table"`` holds that model's tile-search
+reflection table, built one UE column at a time with that column's row of
+every ``D_g^H D_g``, so each UE-count cell pays only for the columns that
+no earlier cell of the trial built.
 """
 
 from __future__ import annotations
@@ -115,20 +116,17 @@ class SimContext:
       ``sqrt(K/(1+K)) * los`` under its LOS function (:func:`draw_links`).
       They depend only on the context's fixed arrays, so at most one
       surface size's factors are held at a time;
-    * per trial, one slot (:meth:`trial_inputs`) that holds one trial at a
-      time.  Its entries are filled lazily by whichever model asks first:
-      ``"ues"``, the trial's UE geometries; a link's set-up ``(h_p,
-      distance, inside)`` under ``(role, ue_index)``, its power budget,
-      center distance and the array sides inside their Fraunhofer
-      boundary; a link's fading core or clusters under its seed path
-      ``(stream, link id, ue_index)`` and a UE link's LOS term
-      ``sqrt(K/(1+K)) * los`` under ``(los_fn, role, ue_index)``, both
-      dropped once every model of the context has drawn; each model's
-      channels ``(h_t, direct, h_r)``, drawn for the largest UE count,
-      under the model, which the UE-count cells of that model slice; and,
-      under ``("table", model)``, the model's reflection table
-      (:func:`rissim.ris.configure_tiles`) while a cell narrower than the
-      draw has left it for a wider one.
+    * per trial, one slot (:meth:`trial_inputs`) that holds one trial, and
+      one model of it, at a time (:func:`trial_channels`).  It has three
+      entries.  ``"draw"`` is the dict that :func:`draw_links` fills for
+      every model that draws: ``"ues"``, the trial's UE geometries, and
+      per link its set-up, fading core or clusters and LOS term; it is
+      deleted as one when the context's last model,
+      ``ctx.config.models[-1]``, draws.  ``"channels"`` is ``(model, h_t,
+      direct, h_r)`` of the model drawn last, for the largest UE count,
+      which the UE-count cells of that model slice; another model's
+      draw replaces it.  ``"table"`` is that model's reflection table
+      (:func:`rissim.ris.configure_tiles`), emptied with it.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -147,7 +145,7 @@ class SimContext:
         self._flagged: set = set()
 
     def trial_inputs(self, config: ScenarioConfig, trial: int) -> dict:
-        """The per-trial slot of ``trial``, as one dict that the models fill.
+        """The per-trial slot of ``trial``, the dict that :func:`trial_channels` fills.
 
         The slot is keyed by (master seed, trial, draw size) and replaced by
         an empty one when that key changes, so only one trial is held and a
@@ -225,15 +223,16 @@ def draw_links(
     model, Q or the other links, and only the stream the model uses is
     derived.
 
-    ``inputs`` is the trial's slot.  Each link's set-up, the power budget
+    ``inputs`` is the trial's draw dict.  Each link's set-up, the power budget
     ``h_p`` at its center distance and the near-field test of the planar
     models, is read from it under ``(role, ue_index)``; cores and clusters
     under their seed path; and UE-link LOS terms ``sqrt(K/(1+K)) * los``
     under ``(los_fn, role, ue_index)``.  What is missing is computed and
     stored there, so the models of a trial share one set-up per link.
-    Those keys do not name the arrays, so a slot holds the links of one set
-    of arrays: :func:`run_trial` passes ``ctx.trial_inputs(config, trial)``,
-    and a caller that draws links of its own passes a new ``{}``.  Only the
+    Those keys do not name the arrays, so a dict holds the links of one set
+    of arrays: :func:`trial_channels` passes the ``"draw"`` entry of
+    ``ctx.trial_inputs(config, trial)``, and a caller that draws links of
+    its own passes a new ``{}``.  Only the
     LOS term of ``ctx``'s own BS-to-surface link, the very ``ctx.bs_geom``
     and ``ctx.ris_geom`` objects, is kept on ``ctx``, per Q.
     """
@@ -329,6 +328,41 @@ def ue_positions(config: ScenarioConfig, trial: int, count: int) -> np.ndarray:
     return out
 
 
+def trial_channels(
+    config: ScenarioConfig, trial_index: int, model: ChannelModel, ctx: SimContext
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(h_t, direct, h_r)`` of one trial under ``model``, for the draw size's UEs.
+
+    That is ``max(ue_count, *sweep_n_ue)`` UEs: ``direct`` is ``(N_t, k_draw)``
+    and ``h_r`` ``(Q, k_draw)``, one column per UE, so each UE-count cell
+    slices the same bits.  The channels stay in the trial's slot on ``ctx``
+    until another model asks, which drops them and their reflection table
+    before it draws; the slot's ``"draw"`` dict (:class:`SimContext`) keeps
+    what the models share until ``ctx.config.models[-1]`` has drawn.
+    """
+    slot = ctx.trial_inputs(config, trial_index)
+    if slot.get("channels", (None,))[0] != model:
+        slot.pop("channels", None)
+        slot["table"] = []
+        k_draw = _draw_size(config)
+        draw = slot.setdefault("draw", {})
+        if "ues" not in draw:
+            positions = ue_positions(config, trial_index, k_draw)
+            draw["ues"] = [ArrayGeometry.single(p) for p in positions]
+        ues = draw["ues"]
+        links = [(LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, 0)]
+        links += [(LinkRole.DIRECT, ctx.bs_geom, ue, j) for j, ue in enumerate(ues)]
+        links += [(LinkRole.RIS_TO_RX, ctx.ris_geom, ue, j) for j, ue in enumerate(ues)]
+        h_t, *rows = draw_links(model, links, config, ctx, trial_index, draw)
+        # h_{d,k} and h_{r,k} are columns, with h^H the received row
+        direct = np.vstack(rows[:k_draw]).T.conj()
+        h_r = np.vstack(rows[k_draw:]).T.conj()
+        slot["channels"] = (model, h_t, direct, h_r)
+        if model == ctx.config.models[-1]:
+            del slot["draw"]
+    return slot["channels"][1:]
+
+
 def run_trial(
     config: ScenarioConfig,
     trial_index: int,
@@ -337,20 +371,12 @@ def run_trial(
 ) -> TrialResult:
     """One Monte Carlo trial; deterministic given (config, trial_index, model).
 
-    The trial's links are drawn for ``max(ue_count, *sweep_n_ue)`` UEs and
-    the first ``ue_count`` are used, so every UE-count cell of a sweep sees
-    the same channel bits, whether it runs in the sweep or on its own.  The
-    UE positions, the links' random inputs and each model's channels are
-    kept in the trial's slot on ``ctx`` (:meth:`SimContext.trial_inputs`):
-    a later call for the same trial reads them instead of drawing again,
-    and a call for another model draws only its own channels.  The call
-    that completes the draws of every model in ``ctx.config.models`` drops
-    the cores, clusters and UE-link LOS terms, which no cell reads again.
-    The tile search extends the model's reflection table from the slot, so
-    a cell pays only for the UE columns, and their rows of ``D_g^H D_g``,
-    that no narrower cell of the trial built; the table goes back into the
-    slot only while ``ue_count`` is below the draw size, so the widest
-    cell, and a sweep of one UE count, leave none.
+    The channels come from :func:`trial_channels`, drawn for the draw size,
+    and the trial uses their first ``ue_count`` UEs, so every UE-count cell
+    of a sweep sees the same channel bits, whether it runs in the sweep or
+    on its own.  The tile search extends the model's reflection table in
+    the trial's slot, so a cell pays only for the UE columns, and their rows
+    of ``D_g^H D_g``, that no earlier cell of the trial and model built.
     """
     if model is None:
         if len(config.models) != 1:
@@ -360,33 +386,10 @@ def run_trial(
         ctx = SimContext(config)
     t0 = time.perf_counter()
 
-    inputs = ctx.trial_inputs(config, trial_index)
-    k_draw = _draw_size(config)
-    if model not in inputs:
-        if "ues" not in inputs:
-            positions = ue_positions(config, trial_index, k_draw)
-            inputs["ues"] = [ArrayGeometry.single(p) for p in positions]
-        ues = inputs["ues"]
-        links = [(LinkRole.TX_TO_RIS, ctx.bs_geom, ctx.ris_geom, 0)]
-        links += [(LinkRole.DIRECT, ctx.bs_geom, ue, j) for j, ue in enumerate(ues)]
-        links += [(LinkRole.RIS_TO_RX, ctx.ris_geom, ue, j) for j, ue in enumerate(ues)]
-        h_t, *rows = draw_links(model, links, config, ctx, trial_index, inputs)
-        # h_{d,k} and h_{r,k} are columns, with h^H the received row
-        direct = np.vstack(rows[:k_draw]).T.conj()
-        h_r = np.vstack(rows[k_draw:]).T.conj()
-        inputs[model] = (h_t, direct, h_r)
-        if all(m in inputs for m in ctx.config.models):
-            # No model draws again: drop the cores, clusters and LOS terms,
-            # the slot's 3-tuple keys (a seed path or (los_fn, role, UE)).
-            for key in [key for key in inputs if type(key) is tuple and len(key) == 3]:
-                del inputs[key]
-    h_t, direct, h_r = inputs[model]
+    h_t, direct, h_r = trial_channels(config, trial_index, model, ctx)
+    table = ctx.trial_inputs(config, trial_index)["table"]
     k = config.ue_count
-
-    table = inputs.pop(("table", model), [])
     _, effective = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook, table)
-    if k < k_draw:  # a wider cell may extend it
-        inputs["table", model] = table
     iterations, kind, gap, min_sv = 0, None, math.nan, math.nan
     try:
         solution = min_power_precoder(
@@ -475,25 +478,22 @@ def run_sweep(config: ScenarioConfig) -> SweepResult:
     Each Q runs on one :class:`SimContext`, trial-major: trial ``i`` of every
     model, and of every UE-count cell of that model in ``sweep_n_ue`` order,
     before trial ``i + 1``.  So the models share the trial's inputs and the
-    UE-count cells of a model share its draw (:func:`run_trial`).  Rows come
-    out cell by cell in (model, Q, N_UE) order, as if each cell had run on
-    its own.
+    UE-count cells of a model share its draw (:func:`trial_channels`).  Rows
+    come out cell by cell in (model, Q, N_UE) order, as if each cell had run
+    on its own.
     """
     _check_sweep(config)
     results: dict[tuple, list[TrialResult]] = {}
     for q in config.sweep_q:
         sized = with_q(config, q)
         ctx = SimContext(sized)
-        cells = {
-            (model, q, n_ue): replace(sized, ue_count=n_ue, models=[model])
-            for model in config.models
-            for n_ue in config.sweep_n_ue
-        }
-        results.update((key, []) for key in cells)
+        cells = {n_ue: replace(sized, ue_count=n_ue) for n_ue in config.sweep_n_ue}
+        keys = [(model, q, n_ue) for model in config.models for n_ue in cells]
+        results.update((key, []) for key in keys)
         for i in range(sized.trials):
-            for key, cell in cells.items():
-                results[key].append(run_trial(cell, i, model=key[0], ctx=ctx))
-        for model, _, n_ue in cells:
+            for model, _, n_ue in keys:
+                results[model, q, n_ue].append(run_trial(cells[n_ue], i, model=model, ctx=ctx))
+        for model, _, n_ue in keys:
             logger.info(
                 "cell model=%s q=%d n_ue=%d: %d trials in %.1f s",
                 model.value, q, n_ue, sized.trials,

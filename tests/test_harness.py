@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -436,48 +437,41 @@ class TestSharedTrialDraw:
                 expected = alone[r.model, r.n_ue][r.trial]
                 assert replace(r, wall_time=0.0) == replace(expected, wall_time=0.0)
 
-    def test_slot_holds_a_models_table_only_for_a_wider_cell(self):
+    def test_slot_holds_one_models_channels_and_table(self):
         sized = with_q(replace(default_config(), sweep_q=[256], sweep_n_ue=[1, 2, 4]), 256)
         ctx = SimContext(sized)
         a, b = self.MODELS
 
-        def tables(slot):
-            return {key[1]: v for key, v in slot.items() if type(key) is tuple and key[0] == "table"}
-
         def run(n_ue, trial, model):
             run_trial(replace(sized, ue_count=n_ue), trial, model=model, ctx=ctx)
             slot = ctx.trial_inputs(sized, trial)
-            return slot, tables(slot)
+            assert slot["channels"][0] == model
+            return slot, slot["table"]
 
         def table_bytes(table):
             # the gathered conj(h_t), then each D_g column with its D_g^H D_g row
             return [table[0].tobytes()] + [(c.tobytes(), rows.tobytes()) for c, rows in table[1:]]
 
-        def fresh_table(slot, model, n_ue):
-            h_t, direct, h_r = slot[model]
+        def fresh_table(slot, n_ue):
+            _, h_t, direct, h_r = slot["channels"]
             table = []
             configure_tiles(direct[:, :n_ue], h_t, h_r[:, :n_ue], ctx.tiles, ctx.codebook, table)
             return table_bytes(table)
 
-        slot, held = run(1, 0, a)
-        assert list(held) == [a] and len(held[a]) == 2
-        first_column = held[a][1]
-        slot, held = run(2, 0, a)
-        # the K=2 cell appends column 1 to the K=1 cell's table
-        assert list(held) == [a] and len(held[a]) == 3 and held[a][1] is first_column
-        # the widest cell drops it
-        assert run(4, 0, a)[1] == {}
-        slot, held = run(2, 0, b)
-        assert list(held) == [b]
-        assert table_bytes(held[b]) == fresh_table(slot, b, 2)
+        slot, table = run(1, 0, a)
+        assert len(table) == 2
+        first_column = table[1]
+        # the K=2 cell appends column 1 to the K=1 cell's table, and the
+        # widest cell columns 2 and 3; the table stays
+        assert run(2, 0, a)[1] is table and len(table) == 3 and table[1] is first_column
+        assert run(4, 0, a)[1] is table and len(table) == 5
+        # another model's draw starts its own table
+        slot, table = run(2, 0, b)
+        assert len(table) == 3 and table_bytes(table) == fresh_table(slot, 2)
         # a new trial starts from an empty slot
-        slot, held = run(1, 1, a)
-        assert list(held) == [a]
-        assert table_bytes(held[a]) == fresh_table(slot, a, 1)
-        # a sweep of one UE count keeps no table
-        single = replace(sized, sweep_n_ue=[2], ue_count=2)
-        run_trial(single, 0, model=a, ctx=ctx)
-        assert tables(ctx.trial_inputs(single, 0)) == {}
+        slot, table = run(1, 1, a)
+        assert table_bytes(table) == fresh_table(slot, 1)
+        assert set(slot) == {"draw", "channels", "table"}
 
     def test_slot_holds_the_latest_trial_only(self):
         cfg = replace(small_config(sweep_n_ue=[1, 4]), ue_count=1)
@@ -487,30 +481,26 @@ class TestSharedTrialDraw:
         run_trial(cfg, 1, model=model, ctx=ctx)
         slot = ctx.trial_inputs(cfg, 1)
         # drawn for max(n_ue) = 4 UEs although the cell uses one
-        assert len(slot["ues"]) == 4
-        h_t, direct, h_r = slot[model]
-        assert direct.shape == (4, 4) and h_r.shape == (8, 4)
+        assert len(slot["draw"]["ues"]) == 4
+        held, h_t, direct, h_r = slot["channels"]
+        assert held == model and direct.shape == (4, 4) and h_r.shape == (8, 4)
         # nothing of trial 0 is left: its slot comes back empty
         assert ctx.trial_inputs(cfg, 0) == {}
 
     def test_slot_drops_draw_inputs_once_every_model_has_drawn(self):
-        # the cores or clusters and the UE-link LOS terms (RIS-to-UE K = 1)
-        # go once the context's last model has drawn; the UE geometries,
-        # link set-ups, channels and the table stay for the wider cells
-        def draw_inputs(slot):
-            return [key for key in slot if type(key) is tuple and len(key) == 3]
-
+        # the UE geometries, link set-ups, cores or clusters and the UE-link
+        # LOS terms (RIS-to-UE K = 1) go as one once the context's last
+        # model has drawn; its channels and table stay for the wider cells
         for models in ([ChannelModel.NEARFIELD_GEOMETRIC], self.MODELS):
             cfg = small_config(models=models, sweep_n_ue=[1, 2], ue_count=1)
             ctx = SimContext(cfg)
             slot = ctx.trial_inputs(cfg, 0)
             for model in models[:-1]:
                 run_trial(cfg, 0, model=model, ctx=ctx)
-                assert draw_inputs(slot)
+                assert {"ues", (LinkRole.RIS_TO_RX, 1)} <= set(slot["draw"])
             last = models[-1]
             first = run_trial(cfg, 0, model=last, ctx=ctx)
-            assert draw_inputs(slot) == []
-            assert {"ues", last, ("table", last), (LinkRole.RIS_TO_RX, 1)} <= set(slot)
+            assert set(slot) == {"channels", "table"} and len(slot["table"]) == 2
             # the K=2 cell reads the kept channels and gives the fresh result
             wide = replace(cfg, ue_count=2)
             second = run_trial(wide, 0, model=last, ctx=ctx)
@@ -518,6 +508,46 @@ class TestSharedTrialDraw:
             assert [replace(r, wall_time=0.0) for r in (first, second)] == [
                 replace(r, wall_time=0.0) for r in expected
             ]
+
+    def test_two_model_trial_leaves_only_the_last_models_channels(self, monkeypatch):
+        cfg = small_config(models=self.MODELS, sweep_n_ue=[1, 2], ue_count=2)
+        ctx = SimContext(cfg)
+        a, b = self.MODELS
+        first = weakref.ref(harness.trial_channels(cfg, 0, a, ctx)[0])
+        draw, alive_at_draw = harness.draw_links, []
+
+        def checking_draw(*args):
+            alive_at_draw.append(first() is not None)
+            return draw(*args)
+
+        monkeypatch.setattr(harness, "draw_links", checking_draw)
+        h_t, direct, h_r = harness.trial_channels(cfg, 0, b, ctx)
+        # model a's arrays are gone before model b draws
+        assert alive_at_draw == [False]
+        slot = ctx.trial_inputs(cfg, 0)
+        assert set(slot) == {"channels", "table"} and slot["table"] == []
+        held, *channels = slot["channels"]
+        assert held == b and all(x is y for x, y in zip(channels, (h_t, direct, h_r)))
+        # asking for b again reads the slot
+        assert all(x is y for x, y in zip(harness.trial_channels(cfg, 0, b, ctx), channels))
+        assert alive_at_draw == [False]
+
+    def test_unordered_ue_counts_build_each_table_column_once(self, monkeypatch):
+        # Q=256 is four tiles; the K=4 cell runs first, and the K=1 and K=2
+        # cells read its columns
+        built = []
+
+        def counting(direct, h_t, h_r, tiles, codebook, table):
+            before = max(len(table), 1)  # table[0] is conj(h_t), not a column
+            out = configure_tiles(direct, h_t, h_r, tiles, codebook, table)
+            built.append(len(table) - before)
+            return out
+
+        monkeypatch.setattr(harness, "configure_tiles", counting)
+        cfg = replace(default_config(), models=self.MODELS, sweep_q=[256], sweep_n_ue=[4, 1, 2],
+                      trials=2)
+        run_sweep(cfg)
+        assert built == [4, 0, 0] * (2 * len(self.MODELS))
 
     @pytest.mark.parametrize(
         "a, b",
