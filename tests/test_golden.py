@@ -19,8 +19,10 @@ the later tiles are locked too.
 ``tests/golden/precoder.hex`` locks the min-power precoder on its own, one
 line per seeded instance (:func:`precoder_instances`): the iteration count
 or the ``InfeasibleError`` kind, both total powers as ``float.hex`` and a
-sha256 of the beamformers' bytes.  After a declared rounding change,
-``python tests/test_golden.py`` rewrites the three hex files.
+sha256 of the beamformers' bytes.  The bytes hold for one numpy/OpenBLAS
+build at one BLAS thread, which the root ``conftest.py`` pins.  After a
+declared rounding change, ``OPENBLAS_NUM_THREADS=1 python
+tests/test_golden.py`` rewrites the three hex files.
 """
 
 import hashlib
