@@ -232,9 +232,9 @@ def draw_links(
     Those keys do not name the arrays, so a dict holds the links of one set
     of arrays: :func:`trial_channels` passes the ``"draw"`` entry of
     ``ctx.trial_inputs(config, trial)``, and a caller that draws links of
-    its own passes a new ``{}``.  Only the
-    LOS term of ``ctx``'s own BS-to-surface link, the very ``ctx.bs_geom``
-    and ``ctx.ris_geom`` objects, is kept on ``ctx``, per Q.
+    its own passes a new ``{}``.  Only the LOS term of ``ctx``'s own
+    BS-to-surface link, the very ``ctx.bs_geom`` and ``ctx.ris_geom``
+    objects, is kept on ``ctx``, per Q.
     """
     wl = config.wavelength
     geometric = model in _GEOMETRIC_MODELS
