@@ -278,9 +278,9 @@ def _check_pipeline_precoder(seed: int) -> tuple[bool, str]:
     # The precoder on the channels the tile search configures from the
     # pipeline draws at K = 1 to 4, with the sweep's SINR target and noise
     # power; and the search's own score of each configured channel, its
-    # Gram's smallest singular value, against an SVD.  Its tolerance
-    # allows the K = 2 closed form's loss of about sqrt(eps) when the two
-    # eigenvalues coincide.
+    # Gram's smallest singular value, against an SVD.  Both the closed forms
+    # (K <= 2) and the eigensolve round the smallest eigenvalue by a few eps
+    # of the Gram's trace, well inside the tolerance on these channels.
     instances, worst_sv = [], 0.0
     for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
         for k in range(1, 5):
@@ -294,11 +294,11 @@ def _check_pipeline_precoder(seed: int) -> tuple[bool, str]:
         return False, (
             f"((model, Q, trial, K), precoder, reference) iteration/kind mismatches: {mismatches}"
         )
-    return worst <= 1e-12 and worst_sv <= 1e-6, (
+    return worst <= 1e-12 and worst_sv <= 1e-10, (
         f"{len(instances)} configured pipeline channels ({infeasible} infeasible) match the "
         f"N_t-space reference in feasibility and iterations ({rounded} stopped later by the "
         f"reference within its rounding floor of tol); total power {worst:.1e} relative "
-        f"(tol 1e-12); min_sv {worst_sv:.1e} relative to an SVD (tol 1e-6)"
+        f"(tol 1e-12); min_sv {worst_sv:.1e} relative to an SVD (tol 1e-10)"
     )
 
 

@@ -29,10 +29,6 @@ from .geometry import ArrayGeometry
 _EIG_FLOOR = -1e-6
 
 
-class NotPositiveSemidefiniteError(ValueError):
-    """Raised when a correlation matrix has a meaningfully negative eigenvalue."""
-
-
 def _sinc_table(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
     """(N_y, N_z) sinc values by index offset, ``sinc(kappa * ||(a d_y, b d_z)||)``."""
     if not (math.isfinite(wavelength) and wavelength > 0):
@@ -68,7 +64,7 @@ def _symmetric_root(block: np.ndarray) -> np.ndarray:
     """Symmetric PSD root ``V sqrt(L) V^T`` of a symmetric block, by ``eigh``."""
     vals, vecs = np.linalg.eigh(block)
     if vals.min() < _EIG_FLOOR:
-        raise NotPositiveSemidefiniteError(
+        raise ValueError(
             f"eigenvalue {vals.min():.3e} below tolerance {_EIG_FLOOR:.1e}"
         )
     vals = np.clip(vals, 0.0, None)
@@ -101,8 +97,8 @@ def matrix_sqrt_factor(geom: ArrayGeometry, wavelength: float) -> np.ndarray:
     docstring) into four blocks, ordered (even y, even z), (even, odd),
     (odd, even), (odd, odd), and gives each the ``eigh`` root, with
     eigenvalues in ``(-1e-6, 0)`` clamped to zero and anything lower raising
-    :class:`NotPositiveSemidefiniteError` (so rank-deficient correlations of
-    large half-wavelength arrays still factor).  A block's rows and columns
+    ``ValueError`` (so rank-deficient correlations of large half-wavelength
+    arrays still factor).  A block's rows and columns
     index an ``m_y x m_z`` grid, ``m_a = ceil(N_a / 2)``, so ``m = m_y m_z``;
     the lines an odd half lacks are zero.  The symmetric root of the
     correlation is ``P diag(F_b) P^T``, which

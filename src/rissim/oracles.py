@@ -37,6 +37,7 @@ from .correlation import _apply_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import _DIVERGENCE_FACTOR, InfeasibleError, PrecodingSolution
 from .ris import Codebook, build_codebook, build_tile_partition
+_PATH_SUM_CHUNK = 250  # draws per batch in path_sum_covariance_error
 
 
 def complex_randn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -317,7 +318,6 @@ def path_sum_covariance_error(
     wavelength: float,
     sigma_c: float,
     draws: int,
-    chunk: int = 250,
 ) -> float:
     """Monte Carlo check of the matrix-Gaussian limit of the path-sum channel.
 
@@ -339,8 +339,8 @@ def path_sum_covariance_error(
     n_rx, n_tx = rx_geom.size, tx_geom.size
     p = n_rx * n_tx
     acc = np.zeros((p, p), dtype=np.complex128)
-    for done in range(0, draws, chunk):
-        m = min(chunk, draws - done)
+    for done in range(0, draws, _PATH_SUM_CHUNK):
+        m = min(_PATH_SUM_CHUNK, draws - done)
         n = m * n_paths
         a_rx = _steering_batch(rx_geom, rng, n, kappa, dtype, cdtype)
         a_tx = _steering_batch(tx_geom, rng, n, kappa, dtype, cdtype)

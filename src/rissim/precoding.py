@@ -40,7 +40,7 @@ class InfeasibleError(RuntimeError):
     singular in floating point).
     """
 
-    def __init__(self, message: str, kind: str | None = None):
+    def __init__(self, message: str, kind: str):
         super().__init__(message)
         self.kind = kind
 

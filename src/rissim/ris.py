@@ -18,11 +18,13 @@ candidate is scored through its ``K x K`` Gramian
 
     H_gb^H H_gb = H^H H + e^{-j theta_b} H^H D_g + e^{j theta_b} D_g^H H + D_g^H D_g,
 
-so the eight offsets cost only ``K x K`` work.  For ``K >= 3`` the exact
+so the eight offsets cost only ``K x K`` work.  ``K = 2`` is scored in
+closed form, from the root of ``(a - d)^2 + 4 |b|^2``, which does not
+cancel when the two eigenvalues are close.  For ``K >= 3`` the exact
 score needs an eigensolve, and two exact tests decide which candidates get
 one.  The few with the highest interlacing bounds are solved first: Cauchy
-interlacing bounds each candidate's smallest Gram eigenvalue by the
-smallest eigenvalue of any of its 2 x 2 principal minors, and their best
+interlacing bounds each candidate's smallest Gram eigenvalue by that of any
+of its 2 x 2 principal minors, in the same closed form, and their best
 exact score is the floor.  A candidate whose bound falls short of the floor
 (less a rounding margin) cannot win.  The others take a pivot test, one
 batched LDL^H elimination of ``G - tau I`` with ``tau`` two margins below
@@ -128,10 +130,8 @@ def build_codebook(tile_shape) -> Codebook:
 
 
 def _lambda_min_2x2(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smaller eigenvalue of Hermitian ``[[a, b], [conj(b), d]]``, elementwise."""
-    tr = a + d
-    det = a * d - np.abs(b) ** 2
-    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    """Smaller eigenvalue of Hermitian ``[[a, b], [conj(b), d]]``, elementwise, to a few eps."""
+    return 0.5 * (a + d - np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2)))
 
 
 def min_singular_values(grams: np.ndarray) -> np.ndarray:
@@ -208,13 +208,13 @@ def _pair_gather(k: int) -> np.ndarray:
     return gather
 
 
-def _candidate_scores(grams: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
+def _candidate_scores(grams: np.ndarray) -> np.ndarray:
     """:func:`min_singular_values` of ``grams`` wherever it can be the maximum.
 
     For K >= 3 the eigensolve runs first on the few candidates with the
-    highest interlacing bounds, over the 2 x 2 principal minors that one
-    gather of the flattened stack reads (``pairs``, :func:`_pair_gather`;
-    ``None`` for K <= 2), whose best score is the floor.  Of the others,
+    highest interlacing bounds, the smallest :func:`_lambda_min_2x2` over
+    the 2 x 2 principal minors that one gather of the flattened stack reads
+    (:func:`_pair_gather`), whose best score is the floor.  Of the others,
     those whose bound reaches ``floor^2 - margin`` take the pivot test
     (:func:`_lambda_min_above`) at ``tau = floor^2 - 2 margin``, and only
     those that pass it are solved; the rest are left at ``-inf``.
@@ -226,10 +226,9 @@ def _candidate_scores(grams: np.ndarray, pairs: np.ndarray | None) -> np.ndarray
     value is within about ``K eps T`` of the exact smallest eigenvalue, so
     a possible winner's exact eigenvalue is at least ``floor^2`` less that
     rounding, well above ``tau + margin``.  Its interlacing bound is the
-    smaller eigenvalue ``(a + d - sqrt((a - d)^2 + 4 |b|^2)) / 2`` of a
-    minor ``[[a, b], [conj(b), d]]``; no difference of nearly equal terms
-    enters the square root, so the bound rounds by a few ``eps T``, is
-    never below that eigenvalue by more, and clears ``floor^2 - margin``.
+    smaller eigenvalue of a minor ``[[a, b], [conj(b), d]]``, which
+    :func:`_lambda_min_2x2` rounds by a few ``eps T``, so the bound is
+    never below that eigenvalue by more and clears ``floor^2 - margin``.
     It then reaches the pivot test ``margin`` or more above ``tau``, far
     beyond the ``K eps T`` that the LDL^H elimination of a positive
     definite matrix can lose, so its pivots are all positive.  Every
@@ -241,12 +240,11 @@ def _candidate_scores(grams: np.ndarray, pairs: np.ndarray | None) -> np.ndarray
     if k <= 2:
         return min_singular_values(grams)
     n_pairs = k * (k - 1) // 2
-    block = grams.reshape(len(grams), k * k)[:, pairs]
+    block = grams.reshape(len(grams), k * k)[:, _pair_gather(k)]
     a = block[:, k : k + n_pairs].real
     d = block[:, k + n_pairs : k + 2 * n_pairs].real
     b = block[:, k + 2 * n_pairs :]
-    disc = np.sqrt((a - d) ** 2 + 4.0 * (b.real**2 + b.imag**2))
-    bound = 0.5 * (a + d - disc).min(axis=1)
+    bound = _lambda_min_2x2(a, d, b).min(axis=1)
     margin = _PRUNE_MARGIN * block[:, :k].real.sum(axis=1).max()
     scores = np.full(len(grams), -np.inf)
     n_top = min(_FLOOR_CANDIDATES, len(grams))
@@ -290,7 +288,8 @@ def configure_tiles(
         ``(k, j)`` for ``j <= k``.  The call appends the pairs it lacks
         and reads its first ``K``, so calls of growing ``K`` on the leading
         columns of one ``h_r`` each build only the columns and Gram entries
-        they add.  Each column is one product of its own and each entry
+        they add, and one as wide as the table re-points every column to
+        its own copy.  Each column is one product of its own and each entry
         one fixed-length dot product of two columns, so a pair is the same
         bytes whichever call, ``K`` or build order made it.  ``None``, like
         ``[]``, starts from zero columns.
@@ -328,8 +327,9 @@ def configure_tiles(
     # Every tile's D_g and D_g^H D_g depend only on the channels, not on H.
     # The table holds D_g one UE column at a time, each one (G, q) @ (q, N_t)
     # product for every tile; row k of d_all[t, g] is column k of D_g.  A
-    # column the call adds is written into d_all and the table keeps a view,
-    # beside row k of the lower triangle of every D_g^H D_g: entries
+    # column the call adds is written into d_all and the table keeps a view
+    # (of the widest call's d_all only, so one d_all stays alive), beside
+    # row k of the lower triangle of every D_g^H D_g: entries
     # (k, j <= k), each sum(conj(d_k) d_j) from its own dot over N_t
     # (np.vecdot), so no entry depends on how many the call adds.  The call
     # gathers its K x K stacks from its K rows, the upper triangle as
@@ -346,12 +346,13 @@ def configure_tiles(
             weighted = h_r[tiles, k][:, :, None] * table[0]
             column = np.matmul(codebook.phasors, weighted, out=d_all[:, :, k])
             table.append((column, np.vecdot(column[:, :, None], d_all[:, :, : k + 1])))
+    if len(table) == 1 + n_ue:
+        table[1:] = [(d_all[:, :, k], rows) for k, (_, rows) in enumerate(table[1:])]
     packed = np.concatenate([rows for _, rows in table[1 : 1 + n_ue]], axis=2)
     gather, upper = _packed_lower(n_ue)
     dhd_all = packed[:, :, gather]  # (T, G, K, K)
     np.conjugate(dhd_all, out=dhd_all, where=upper)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
-    pairs = _pair_gather(n_ue) if n_ue >= 3 else None
     offset_phasors = np.exp(-1j * codebook.offsets)
     h_eff = direct.astype(complex)  # (N_t, K)
     chosen = np.empty(len(tiles), dtype=np.intp)
@@ -365,7 +366,7 @@ def configure_tiles(
         # Rows are offset-major, entry (b, g); the scores are reordered to
         # the codebook's gradient-major index g * B + b, not the Gramians.
         grams = (codebook.offset_weights @ terms.view(float).reshape(3, -1)).view(complex)
-        scores = _candidate_scores(grams.reshape(n_off * n_grad, n_ue, n_ue), pairs)
+        scores = _candidate_scores(grams.reshape(n_off * n_grad, n_ue, n_ue))
         best = int(scores.reshape(n_off, n_grad).T.argmax())
         g, b = divmod(best, n_off)
         chosen[t] = best

@@ -109,16 +109,16 @@ class ScenarioConfig:
     def _check_link_budgets(self) -> None:
         """Reject link budgets whose channels overflow the tile search.
 
-        The search squares the trace of each user pair's Gram matrix of the
-        effective channel (``tr * tr`` in the 2 x 2 closed form), so that
-        trace must stay below ``sqrt(F)``, ``F`` the largest float.  An entry
-        of a link with linear budget ``g`` has ``|h|^2 <= T * g`` but with
+        The search forms ``(a - d)^2 + 4 |b|^2 <= tr^2`` of each user pair's
+        Gram minor ``[[a, b], [conj(b), d]]``, ``tr = a + d``, so that trace
+        must stay below ``sqrt(F)``, ``F`` the largest float.  An entry of a
+        link with linear budget ``g`` has ``|h|^2 <= T * g`` but with
         probability ``exp(-T)`` (the exponential tail of CN; ``T = 100``).
         An effective-channel entry adds the direct entry to ``Q`` cascaded
         products, so ``|h_eff|^2 <= 2 * (T * g_d + Q^2 * T^2 * g_c)`` with
         ``g_c`` the product of the ``bs_ris`` and ``ris_ue`` budgets; a Gram
         diagonal sums ``N_t`` of these and the trace is at most twice the
-        larger diagonal.  ``tr * tr < F`` therefore holds when
+        larger diagonal.  ``tr^2 < F`` therefore holds when
         ``N_t * T * g_d`` and ``N_t * Q^2 * T^2 * g_c`` both stay below
         ``sqrt(F) / 8``, at the largest ``Q`` the config can run.  Each
         budget takes its distance term ``(d0/d)^eta`` at the smallest

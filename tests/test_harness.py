@@ -460,10 +460,10 @@ class TestSharedTrialDraw:
 
         slot, table = run(1, 0, a)
         assert len(table) == 2
-        first_column = table[1]
+        first_rows = table[1][1]
         # the K=2 cell appends column 1 to the K=1 cell's table, and the
-        # widest cell columns 2 and 3; the table stays
-        assert run(2, 0, a)[1] is table and len(table) == 3 and table[1] is first_column
+        # widest cell columns 2 and 3; the table and its Gram rows stay
+        assert run(2, 0, a)[1] is table and len(table) == 3 and table[1][1] is first_rows
         assert run(4, 0, a)[1] is table and len(table) == 5
         # another model's draw starts its own table
         slot, table = run(2, 0, b)

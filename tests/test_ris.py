@@ -89,6 +89,14 @@ class TestMinSingularValues:
         )
         np.testing.assert_allclose(min_singular_values(gramians(batch)), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 3e-9 + 4e-9j])
+    def test_k2_close_eigenvalues_to_full_precision(self, eps):
+        # eigenvalues 1 +- |eps|: a trace/determinant form loses up to
+        # sqrt(machine eps) of the smaller one here
+        grams = np.array([[[1.0, eps], [np.conj(eps), 1.0]]], dtype=complex)
+        expected = np.sqrt(np.linalg.eigvalsh(grams)[:, 0])
+        np.testing.assert_allclose(min_singular_values(grams), expected, rtol=1e-14, atol=0)
+
 
 class TestConfigureTiles:
     def make_instance(self, rng, ris=(4, 2), tile=(2, 2), n_t=4, n_ue=2):
@@ -148,7 +156,7 @@ class TestConfigureTiles:
         # Scores come in the Gram product's offset-major order, entry (b, g) at
         # b * G + g.  A tie between (b=0, g=1) and (b=1, g=0) goes to codebook
         # index g * B + b = 1, not to 8, which comes first offset-major.
-        def tied_scores(grams, pairs):
+        def tied_scores(grams):
             scores = np.zeros(len(grams))
             scores[[1, len(grams) // ris.WAVEFRONT_PHASE_COUNT]] = 1.0
             return scores
@@ -334,8 +342,8 @@ class TestCandidateScores:
             tested.append((len(above), int(above.sum())))
             return above
 
-        def checked(grams, pairs):
-            scores = scorer(grams, pairs)
+        def checked(grams):
+            scores = scorer(grams)
             exact = min_singular_values(grams)
             best = np.flatnonzero(exact == exact.max())
             np.testing.assert_array_equal(np.flatnonzero(scores == scores.max()), best)
@@ -390,9 +398,9 @@ class TestReflectionTable:
         grams = []
         scorer = ris._candidate_scores
 
-        def recorded(stack, pairs):
+        def recorded(stack):
             grams.append(stack.tobytes())
-            return scorer(stack, pairs)
+            return scorer(stack)
 
         monkeypatch.setattr(ris, "_candidate_scores", recorded)
 
@@ -439,6 +447,17 @@ class TestReflectionTable:
                 np.testing.assert_allclose(
                     rows[:, :, j], expected, rtol=1e-12, atol=1e-12 * np.abs(rows).max()
                 )
+
+
+    def test_columns_share_one_array(self):
+        # the K=2 and K=4 calls each copy the earlier columns into their own
+        # d_all; the table keeps views of the widest call's copy only
+        direct, h_t, h_r, tiles, codebook = geometric_instance(np.random.default_rng(80), 4)
+        table = []
+        for k in (1, 2, 4):
+            configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
+        base = table[1][0].base
+        assert len(table) == 5 and all(column.base is base for column, _ in table[1:])
 
 
 class TestAssembleGamma:
