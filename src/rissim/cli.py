@@ -25,7 +25,7 @@ from .channels import Box, ChannelModel, draw_clusters, lowrank_from_clusters
 from .correlation import matrix_sqrt_factor, sinc_correlation
 from .geometry import ArrayGeometry
 from .precoding import InfeasibleError, min_power_precoder
-from .ris import configure_tiles, min_singular_values
+from .ris import configure_tiles
 from .scenario import PRESETS, ScenarioConfig, default_config, dump_config, load_config, with_q
 from .seeding import derive_rng
 
@@ -277,16 +277,15 @@ def _check_precoder_gram(seed: int) -> tuple[bool, str]:
 def _check_pipeline_precoder(seed: int) -> tuple[bool, str]:
     # The precoder on the channels the tile search configures from the
     # pipeline draws at K = 1 to 4, with the sweep's SINR target and noise
-    # power; and the search's own score of each configured channel, its
-    # Gram's smallest singular value, against an SVD.  Both the closed forms
-    # (K <= 2) and the eigensolve round the smallest eigenvalue by a few eps
-    # of the Gram's trace, well inside the tolerance on these channels.
+    # power; and the min_sv the search returns, its winning Gram-form score,
+    # against an SVD.  The closed forms (K <= 2) and the eigensolve round the
+    # smallest eigenvalue by a few eps of the Gram's trace, well inside the
+    # tolerance on these channels.
     instances, worst_sv = [], 0.0
     for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
         for k in range(1, 5):
-            _, h = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
+            _, h, score = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
             instances.append(((*key, k), h, ctx.config.gamma_thr, ctx.noise_power))
-            score = min_singular_values((np.conj(h).T @ h)[None])[0]
             sv = np.linalg.svd(h, compute_uv=False).min()
             worst_sv = max(worst_sv, abs(score - sv) / sv)
     mismatches, worst, infeasible, rounded = _compare_precoders(instances)

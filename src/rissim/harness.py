@@ -71,7 +71,7 @@ class TrialResult:
     iterations: int = 0  # precoder iterations; 0 when infeasible
     infeasible_kind: str | None = None  # InfeasibleError.kind, None when feasible
     duality_gap: float = math.nan  # |P - P_dual| / P of the precoder; nan when infeasible
-    min_sv: float = math.nan  # min singular value of the configured channel; nan when infeasible
+    min_sv: float = math.nan  # the tile search's score of the configured channel; recorded for every trial
 
 
 @dataclass(slots=True)
@@ -373,10 +373,11 @@ def run_trial(
 
     The channels come from :func:`trial_channels`, drawn for the draw size,
     and the trial uses their first ``ue_count`` UEs, so every UE-count cell
-    of a sweep sees the same channel bits, whether it runs in the sweep or
-    on its own.  The tile search extends the model's reflection table in
-    the trial's slot, so a cell pays only for the UE columns, and their rows
-    of ``D_g^H D_g``, that no earlier cell of the trial and model built.
+    of a sweep sees the same channel bits, in the sweep or on its own.  The
+    tile search extends the model's reflection table in the trial's slot, so
+    a cell pays only for the UE columns, and their rows of ``D_g^H D_g``,
+    that no earlier cell of the trial and model built.  Its score of the
+    configured channel is the trial's ``min_sv``, feasible or not.
     """
     if model is None:
         if len(config.models) != 1:
@@ -389,11 +390,11 @@ def run_trial(
     h_t, direct, h_r = trial_channels(config, trial_index, model, ctx)
     table = ctx.trial_inputs(config, trial_index)["table"]
     k = config.ue_count
-    _, effective = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook, table)
-    iterations, kind, gap, min_sv = 0, None, math.nan, math.nan
+    _, h_eff, min_sv = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook, table)
+    iterations, kind, gap = 0, None, math.nan
     try:
         solution = min_power_precoder(
-            effective,
+            h_eff,
             config.gamma_thr,
             ctx.noise_power,
             max_iters=config.precoder_max_iters,
@@ -401,7 +402,6 @@ def run_trial(
         )
         feasible, power, iterations = True, solution.total_power, solution.iterations
         gap = abs(power - solution.dual_total_power) / power
-        min_sv = float(np.linalg.svd(effective, compute_uv=False).min())
     except InfeasibleError as exc:
         feasible, power, kind = False, math.nan, exc.kind
 

@@ -269,7 +269,7 @@ def configure_tiles(
     tiles: np.ndarray,
     codebook: Codebook,
     table: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Greedy per-tile codebook selection maximizing the minimum singular value.
 
     Parameters
@@ -294,24 +294,23 @@ def configure_tiles(
         bytes whichever call, ``K`` or build order made it.  ``None``, like
         ``[]``, starts from zero columns.
 
-    Returns the (n_tiles,) chosen codebook indices and the final (N_t, K)
-    effective channel ``H = [h_1, ..., h_K]``; tile ``t``'s elements get
-    phases ``codebook.phases[chosen[t]]``.
+    Returns the (n_tiles,) chosen codebook indices (tile ``t``'s elements get
+    ``codebook.phases[chosen[t]]``), the final (N_t, K) effective channel
+    ``H = [h_1, ..., h_K]`` and the last tile's winning score, ``H``'s minimum
+    singular value through its Gramian (relative error about ``eps cond(H)^2``).
 
-    For every tile, all codebook entries are evaluated against the current
-    effective channel ``H`` and the entry with the largest minimum singular
-    value of ``[h_1, ..., h_K]`` wins (ties broken by lowest index).  Entry
-    ``(g, b)`` turns ``H`` into ``H + e^{-j theta_b} D_g``, where column ``k``
-    of ``D_g = conj(H_t)^T diag(e^{-j g}) h_{r,k}`` is gradient ``g``'s
-    reflected contribution; the candidates are scored from their ``K x K``
-    Gramians, with interlacing pruning for ``K >= 3`` (see the module
-    docstring).  The scores are taken in the Gram product's offset-major
-    order and reordered to the gradient-major codebook index before the
-    ``argmax``, so ties still go to the lowest index.  Requires ``K <= N_t``
-    so the stacked matrix can stay full column rank.
+    For every tile, each codebook entry ``(g, b)`` turns ``H`` into
+    ``H + e^{-j theta_b} D_g``, where column ``k`` of
+    ``D_g = conj(H_t)^T diag(e^{-j g}) h_{r,k}`` is gradient ``g``'s reflected
+    contribution, and the entry whose result has the largest minimum singular
+    value wins.  The candidates are scored from their ``K x K`` Gramians, with
+    interlacing pruning for ``K >= 3`` (see the module docstring), in the Gram
+    product's offset-major order, and reordered to the gradient-major
+    codebook index before the ``argmax`` so ties go to the lowest index.
+    Requires a tile, and ``K <= N_t`` so the stacked matrix can stay full column rank.
     """
-    if len(codebook) == 0:
-        raise ValueError("empty codebook")
+    if len(codebook) == 0 or len(tiles) == 0:
+        raise ValueError("empty codebook or tile partition")
     n_t, n_ue = direct.shape
     if n_ue < 1:
         raise ValueError("need at least one UE")
@@ -371,4 +370,4 @@ def configure_tiles(
         g, b = divmod(best, n_off)
         chosen[t] = best
         h_eff = h_eff + offset_phasors[b] * d_rows[g].T
-    return chosen, h_eff
+    return chosen, h_eff, float(scores.max())

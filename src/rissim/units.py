@@ -9,10 +9,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def watts_to_dbm(p_watts: float) -> float:
     return 10.0 * math.log10(p_watts) + 30.0
 

@@ -195,7 +195,7 @@ def test_criterion_6_tile_selection_oracle():
     direct, h_t, h_r, tiles, codebook = tile_instance(
         np.random.default_rng(6), (4, 2), (2, 2), n_t=4, n_ue=2
     )
-    greedy, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+    greedy, eff, _ = configure_tiles(direct, h_t, h_r, tiles, codebook)
     chosen, _ = brute_force_tiles(direct, h_t, h_r, tiles, codebook)
     mismatches = [(t, int(b), int(g)) for t, (b, g) in enumerate(zip(chosen, greedy)) if b != g]
 

@@ -9,6 +9,7 @@ import pytest
 from rissim import correlation, harness, seeding, units
 from rissim.channels import ChannelModel, LinkRole
 from rissim.geometry import ArrayGeometry, fraunhofer_distance
+from rissim.precoding import InfeasibleError
 from rissim.ris import configure_tiles
 from rissim.harness import (
     SimContext,
@@ -104,15 +105,16 @@ class TestRunTrial:
         assert math.isnan(r.total_power_watts)
         assert r.infeasible_kind == "zero_channel"
         assert r.iterations == 0
-        assert math.isnan(r.duality_gap) and math.isnan(r.min_sv)
+        assert math.isnan(r.duality_gap)
+        assert r.min_sv == 0.0  # the search's score of an all-zero channel
 
     def test_precoder_quality_recorded(self, monkeypatch):
         configured = []
 
         def capture(*args):
-            chosen, effective = configure_tiles(*args)
-            configured.append(effective)
-            return chosen, effective
+            out = configure_tiles(*args)
+            configured.append(out[1])
+            return out
 
         monkeypatch.setattr(harness, "configure_tiles", capture)
         r = run_trial(small_config(), 1, model=ChannelModel.CORRELATED_RAYLEIGH)
@@ -121,6 +123,27 @@ class TestRunTrial:
         # the Gram-form score of the tile search is the same quantity
         gram = np.conj(configured[0]).T @ configured[0]
         assert r.min_sv == pytest.approx(math.sqrt(np.linalg.eigvalsh(gram)[0]), rel=1e-10)
+
+    def test_infeasible_trial_records_the_search_score(self, monkeypatch):
+        configured = []
+
+        def capture(*args):
+            out = configure_tiles(*args)
+            configured.append(out)
+            return out
+
+        def diverge(*args, **kwargs):
+            raise InfeasibleError("forced divergence", "diverged")
+
+        monkeypatch.setattr(harness, "configure_tiles", capture)
+        monkeypatch.setattr(harness, "min_power_precoder", diverge)
+        r = run_trial(small_config(), 1, model=ChannelModel.CORRELATED_RAYLEIGH)
+        assert not r.feasible and r.infeasible_kind == "diverged"
+        assert math.isfinite(r.min_sv) and r.min_sv > 0.0
+        (_, effective, score), = configured
+        assert r.min_sv == score
+        sv = np.linalg.svd(effective, compute_uv=False).min()
+        assert r.min_sv == pytest.approx(sv, rel=1e-10)
 
     def test_result_fields(self):
         cfg = small_config()

@@ -104,10 +104,12 @@ class TestConfigureTiles:
 
     def check_brute_force(self, seed, **sizes):
         args = self.make_instance(np.random.default_rng(seed), **sizes)
-        greedy, eff = configure_tiles(*args)
+        greedy, eff, min_sv = configure_tiles(*args)
         chosen, h_eff = brute_force_tiles(*args)
         np.testing.assert_array_equal(greedy, chosen)
         np.testing.assert_allclose(eff, h_eff, atol=1e-10)
+        # the returned score is the configured channel's minimum singular value
+        assert min_sv == pytest.approx(np.linalg.svd(eff, compute_uv=False).min(), rel=1e-10)
 
     def test_single_entry_codebook(self):
         rng = np.random.default_rng(4)
@@ -116,7 +118,7 @@ class TestConfigureTiles:
         direct = complex_randn(rng, (3, 1))
         h_t = complex_randn(rng, (2, 3))
         h_r = complex_randn(rng, (2, 1))
-        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+        chosen, eff, _ = configure_tiles(direct, h_t, h_r, tiles, codebook)
         assert chosen.tolist() == [0]
         _, expected = brute_force_tiles(direct, h_t, h_r, tiles, codebook)
         np.testing.assert_allclose(eff, expected, atol=1e-12)
@@ -147,7 +149,7 @@ class TestConfigureTiles:
         direct, h_t, h_r, tiles, codebook = self.make_instance(
             rng, ris=(8, 8), tile=(4, 4), n_ue=n_ue
         )
-        chosen, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), tiles, codebook)
+        chosen, eff, _ = configure_tiles(direct, h_t, np.zeros_like(h_r), tiles, codebook)
         assert chosen.tolist() == [0] * len(tiles)
         np.testing.assert_array_equal(eff, direct)
 
@@ -163,7 +165,7 @@ class TestConfigureTiles:
 
         monkeypatch.setattr(ris, "_candidate_scores", tied_scores)
         args = self.make_instance(np.random.default_rng(14), ris=(8, 8), tile=(4, 4), n_ue=n_ue)
-        chosen, _ = configure_tiles(*args)
+        chosen, _, _ = configure_tiles(*args)
         assert chosen.tolist() == [1] * len(args[3])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -177,7 +179,7 @@ class TestConfigureTiles:
         )
         # path-loss scale, with the reflections dominating a blocked direct link
         direct, h_t, h_r = 1e-7 * direct, 1e-3 * h_t, 1e-3 * h_r
-        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+        chosen, eff, _ = configure_tiles(direct, h_t, h_r, tiles, codebook)
         coeffs = np.exp(1j * codebook.phases)  # (512, 64)
         h_cur = direct.copy()
         for t, ids in enumerate(tiles):
@@ -196,7 +198,7 @@ class TestConfigureTiles:
     def test_zero_ris_channels_leave_direct(self):
         rng = np.random.default_rng(7)
         direct, h_t, h_r, tiles, codebook = self.make_instance(rng)
-        _, eff = configure_tiles(direct, h_t, np.zeros_like(h_r), tiles, codebook)
+        _, eff, _ = configure_tiles(direct, h_t, np.zeros_like(h_r), tiles, codebook)
         np.testing.assert_allclose(eff, direct, atol=1e-12)
 
     def test_scaling_invariance(self):
@@ -204,9 +206,9 @@ class TestConfigureTiles:
         # candidate stacked matrix uniformly, so no selection may change
         rng = np.random.default_rng(8)
         direct, h_t, h_r, tiles, codebook = self.make_instance(rng)
-        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+        chosen, eff, _ = configure_tiles(direct, h_t, h_r, tiles, codebook)
         c = 7.3
-        scaled, eff_scaled = configure_tiles(c * direct, h_t, c * h_r, tiles, codebook)
+        scaled, eff_scaled, _ = configure_tiles(c * direct, h_t, c * h_r, tiles, codebook)
         np.testing.assert_array_equal(chosen, scaled)
         np.testing.assert_allclose(eff_scaled, c * eff, rtol=1e-12)
 
@@ -215,6 +217,8 @@ class TestConfigureTiles:
         direct, h_t, h_r, tiles, codebook = self.make_instance(rng)
         with pytest.raises(ValueError):
             configure_tiles(direct, h_t, h_r, tiles, Codebook(np.empty((0, 4)), np.zeros(8)))
+        with pytest.raises(ValueError, match="tile partition"):
+            configure_tiles(direct, h_t[:0], h_r[:0], tiles[:0], codebook)
         with pytest.raises(ValueError):
             configure_tiles(complex_randn(rng, (2, 3)), h_t, h_r, tiles, codebook)
 
@@ -352,7 +356,7 @@ class TestCandidateScores:
 
         monkeypatch.setattr(ris, "_candidate_scores", checked)
         monkeypatch.setattr(ris, "_lambda_min_above", counted)
-        chosen, _ = configure_tiles(*args)
+        chosen, _, _ = configure_tiles(*args)
         return chosen, tested
 
     @pytest.mark.parametrize("seed", range(3))
@@ -406,7 +410,7 @@ class TestReflectionTable:
 
         def search(k, table):
             grams.clear()
-            chosen, eff = configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
+            chosen, eff, _ = configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
             return chosen.tobytes(), eff.tobytes(), list(grams)
 
         built = []
@@ -467,7 +471,7 @@ class TestAssembleGamma:
         direct, h_t, h_r, tiles, codebook = tile_instance(
             np.random.default_rng(seed), (4, 2), (2, 2), n_t=4, n_ue=2
         )
-        chosen, eff = configure_tiles(direct, h_t, h_r, tiles, codebook)
+        chosen, eff, _ = configure_tiles(direct, h_t, h_r, tiles, codebook)
         phases = np.full(tiles.size, np.nan)
         phases[tiles] = codebook.phases[chosen]
         return direct, h_t, h_r, phases, eff
