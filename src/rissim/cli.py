@@ -106,11 +106,11 @@ def _check_codebook(seed: int) -> tuple[bool, str]:
 
 
 def _pipeline_draws(seed: int):
-    """Yield ``(model, Q, trial)``, the trial's ``SimContext`` and ``(h_t, direct, h_r)``.
+    """Yield ``(model, Q, trial)``, the trial's ``SimContext`` and ``(h_t, direct, h_r, table)``.
 
-    These are the channels :func:`rissim.harness.trial_channels` draws for 4
-    UEs in 2 desk-config trials of every model at Q = 64 and 256, with no tile
-    search run: near-collinear columns, unlike the Gaussian instances.
+    What :func:`rissim.harness.trial_channels` returns for 4 UEs in 2
+    desk-config trials of every model at Q = 64 and 256, with no tile search
+    run: near-collinear columns, unlike the Gaussian instances.
     The far-field models' near-field warnings say nothing about the checks
     that read them, so they are not printed until the draws are done.
     """
@@ -133,12 +133,13 @@ def _pipeline_draws(seed: int):
 
 def _check_pipeline_tiles(seed: int) -> tuple[bool, str]:
     # On these channels many K >= 3 candidates survive the interlacing bound
-    # and take the pivot test.
+    # and take the pivot test.  Every K reads the width-4 table, as a sweep's
+    # UE-count cells do.
     mismatches, n_instances = [], 0
-    for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
+    for key, ctx, (h_t, direct, h_r, table) in _pipeline_draws(seed):
         for k in range(1, 5):
             instance = (direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
-            greedy = configure_tiles(*instance)[0].tolist()
+            greedy = configure_tiles(*instance, table)[0].tolist()
             brute = oracles.brute_force_tiles(*instance)[0].tolist()
             n_instances += 1
             if greedy != brute:
@@ -147,7 +148,7 @@ def _check_pipeline_tiles(seed: int) -> tuple[bool, str]:
         return False, f"(model, Q, trial, K, greedy, oracle) mismatches: {mismatches}"
     return True, (
         f"all {n_instances} tile searches on pipeline channels (5 models, Q=64 and 256, "
-        f"K=1 to 4) match the brute-force oracle"
+        f"K=1 to 4 on one width-4 table per trial) match the brute-force oracle"
     )
 
 
@@ -282,9 +283,9 @@ def _check_pipeline_precoder(seed: int) -> tuple[bool, str]:
     # smallest eigenvalue by a few eps of the Gram's trace, well inside the
     # tolerance on these channels.
     instances, worst_sv = [], 0.0
-    for key, ctx, (h_t, direct, h_r) in _pipeline_draws(seed):
+    for key, ctx, (h_t, direct, h_r, table) in _pipeline_draws(seed):
         for k in range(1, 5):
-            _, h, score = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook)
+            _, h, score = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook, table)
             instances.append(((*key, k), h, ctx.config.gamma_thr, ctx.noise_power))
             sv = np.linalg.svd(h, compute_uv=False).min()
             worst_sv = max(worst_sv, abs(score - sv) / sv)

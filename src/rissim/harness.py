@@ -8,16 +8,13 @@ cores and cluster draws depend only on (master seed, trial index, link,
 UE), which isolates the channel-model delta from Monte Carlo noise.  A
 sweep runs each surface size on one :class:`SimContext`, trial by trial,
 within a trial model by model, and within a model UE count by UE count.
-The context's per-trial slot holds three entries.  ``"draw"`` holds the
+The context's per-trial slot holds two entries.  ``"draw"`` holds the
 trial's model-independent inputs, computed once and read by every model:
 the UE positions, each link's power budget and near-field test, its fading
 core or clusters, and its scaled LOS term; it goes once the context's last
 model has drawn.  ``"channels"`` holds the channels of the model drawn
-last, drawn for ``max(n_ue)`` UEs: every UE-count cell of that model takes
-the first ``n_ue`` columns.  ``"table"`` holds that model's tile-search
-reflection table, built one UE column at a time with that column's row of
-every ``D_g^H D_g``, so each UE-count cell pays only for the columns that
-no earlier cell of the trial built.
+last, drawn for ``max(n_ue)`` UEs, and their tile-search reflection table:
+every UE-count cell of that model takes the first ``n_ue`` columns of both.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .channels import (
 from .correlation import sample_matrix_normal_factor, sinc_correlation  # noqa: F401
 from .geometry import ArrayGeometry, fraunhofer_distance
 from .precoding import InfeasibleError, min_power_precoder
-from .ris import build_codebook, build_tile_partition, configure_tiles
+from .ris import build_codebook, build_tile_partition, configure_tiles, reflection_table
 from .scenario import ScenarioConfig, tile_grid_for, with_q
 
 logger = logging.getLogger(__name__)
@@ -67,7 +64,7 @@ class TrialResult:
     feasible: bool
     total_power_watts: float  # nan when infeasible
     seed: int
-    wall_time: float  # shared draws, table columns and their Gram rows: the cell that builds them
+    wall_time: float  # shared draws and the reflection table: the cell that builds them
     iterations: int = 0  # precoder iterations; 0 when infeasible
     infeasible_kind: str | None = None  # InfeasibleError.kind, None when feasible
     duality_gap: float = math.nan  # |P - P_dual| / P of the precoder; nan when infeasible
@@ -117,16 +114,16 @@ class SimContext:
       They depend only on the context's fixed arrays, so at most one
       surface size's factors are held at a time;
     * per trial, one slot (:meth:`trial_inputs`) that holds one trial, and
-      one model of it, at a time (:func:`trial_channels`).  It has three
+      one model of it, at a time (:func:`trial_channels`).  It has two
       entries.  ``"draw"`` is the dict that :func:`draw_links` fills for
       every model that draws: ``"ues"``, the trial's UE geometries, and
       per link its set-up, fading core or clusters and LOS term; it is
       deleted as one when the context's last model,
       ``ctx.config.models[-1]``, draws.  ``"channels"`` is ``(model, h_t,
-      direct, h_r)`` of the model drawn last, for the largest UE count,
-      which the UE-count cells of that model slice; another model's
-      draw replaces it.  ``"table"`` is that model's reflection table
-      (:func:`rissim.ris.configure_tiles`), emptied with it.
+      direct, h_r, table)`` of the model drawn last, for the largest UE
+      count, with ``table`` their :func:`rissim.ris.reflection_table`;
+      the UE-count cells of that model slice them, and another model's
+      draw replaces them.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -330,20 +327,20 @@ def ue_positions(config: ScenarioConfig, trial: int, count: int) -> np.ndarray:
 
 def trial_channels(
     config: ScenarioConfig, trial_index: int, model: ChannelModel, ctx: SimContext
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(h_t, direct, h_r)`` of one trial under ``model``, for the draw size's UEs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``(h_t, direct, h_r, table)`` of one trial under ``model``, for the draw size's UEs.
 
     That is ``max(ue_count, *sweep_n_ue)`` UEs: ``direct`` is ``(N_t, k_draw)``
-    and ``h_r`` ``(Q, k_draw)``, one column per UE, so each UE-count cell
-    slices the same bits.  The channels stay in the trial's slot on ``ctx``
-    until another model asks, which drops them and their reflection table
-    before it draws; the slot's ``"draw"`` dict (:class:`SimContext`) keeps
-    what the models share until ``ctx.config.models[-1]`` has drawn.
+    and ``h_r`` ``(Q, k_draw)``, one column per UE, and ``table`` is their
+    :func:`rissim.ris.reflection_table` on ``ctx``'s tiles and codebook, so
+    each UE-count cell slices the same bits.  They stay in the trial's slot
+    on ``ctx`` until another model asks, which drops them before it draws;
+    the slot's ``"draw"`` dict (:class:`SimContext`) keeps what the models
+    share until ``ctx.config.models[-1]`` has drawn.
     """
     slot = ctx.trial_inputs(config, trial_index)
     if slot.get("channels", (None,))[0] != model:
         slot.pop("channels", None)
-        slot["table"] = []
         k_draw = _draw_size(config)
         draw = slot.setdefault("draw", {})
         if "ues" not in draw:
@@ -357,7 +354,8 @@ def trial_channels(
         # h_{d,k} and h_{r,k} are columns, with h^H the received row
         direct = np.vstack(rows[:k_draw]).T.conj()
         h_r = np.vstack(rows[k_draw:]).T.conj()
-        slot["channels"] = (model, h_t, direct, h_r)
+        table = reflection_table(h_t, h_r, ctx.tiles, ctx.codebook)
+        slot["channels"] = (model, h_t, direct, h_r, table)
         if model == ctx.config.models[-1]:
             del slot["draw"]
     return slot["channels"][1:]
@@ -374,10 +372,9 @@ def run_trial(
     The channels come from :func:`trial_channels`, drawn for the draw size,
     and the trial uses their first ``ue_count`` UEs, so every UE-count cell
     of a sweep sees the same channel bits, in the sweep or on its own.  The
-    tile search extends the model's reflection table in the trial's slot, so
-    a cell pays only for the UE columns, and their rows of ``D_g^H D_g``,
-    that no earlier cell of the trial and model built.  Its score of the
-    configured channel is the trial's ``min_sv``, feasible or not.
+    tile search reads the leading columns of the channels' reflection table.
+    Its score of the configured channel is the trial's ``min_sv``, feasible
+    or not.
     """
     if model is None:
         if len(config.models) != 1:
@@ -387,8 +384,7 @@ def run_trial(
         ctx = SimContext(config)
     t0 = time.perf_counter()
 
-    h_t, direct, h_r = trial_channels(config, trial_index, model, ctx)
-    table = ctx.trial_inputs(config, trial_index)["table"]
+    h_t, direct, h_r, table = trial_channels(config, trial_index, model, ctx)
     k = config.ue_count
     _, h_eff, min_sv = configure_tiles(direct[:, :k], h_t, h_r[:, :k], ctx.tiles, ctx.codebook, table)
     iterations, kind, gap = 0, None, math.nan

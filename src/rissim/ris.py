@@ -9,11 +9,11 @@ size per tile and independent of the total element count otherwise.
 Each codebook entry is a DFT phase gradient ``g`` plus one of eight global
 offsets ``theta_b``, so its reflected contribution to ``H`` is
 ``e^{-j theta_b} D_g``: the offset only scales the gradient's contribution.
-``D_g`` and ``D_g^H D_g`` do not depend on the effective channel, so they
-are computed for every tile before the search: each UE column of ``D_g`` is
-one matrix product per tile, and each entry ``(k, j)`` of ``D_g^H D_g`` one
-dot product over the N_t antennas, made once per UE pair when column ``k``
-joins, so it has the same bytes in every call that reads it.  Each
+``D_g`` and ``D_g^H D_g`` do not depend on the effective channel, so
+:func:`reflection_table` computes them for every tile before the search:
+each UE column of ``D_g`` is one matrix product per tile, and each entry of
+``D_g^H D_g`` one dot product over the N_t antennas, so the leading K
+columns of a wider table have the bytes of a K-column one.  Each
 candidate is scored through its ``K x K`` Gramian
 
     H_gb^H H_gb = H^H H + e^{-j theta_b} H^H D_g + e^{j theta_b} D_g^H H + D_g^H D_g,
@@ -178,22 +178,6 @@ def _lambda_min_above(grams: np.ndarray, tau: float) -> np.ndarray:
 
 
 @lru_cache
-def _packed_lower(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and upper-triangle mask that unpack K x K Hermitian stacks.
-
-    The packed stacks hold the lower triangle row by row, entry ``(r, c)``,
-    ``c <= r``, at ``r (r + 1) / 2 + c``, so the first ``K (K + 1) / 2``
-    entries are those of the leading ``K x K`` block.  Entry ``(r, c)`` of a
-    stack is the packed ``(max, min)`` entry, conjugated where ``r < c``.
-    """
-    rows, cols = np.indices((k, k))
-    hi, lo = np.maximum(rows, cols), np.minimum(rows, cols)
-    gather, upper = hi * (hi + 1) // 2 + lo, rows < cols
-    gather.flags.writeable = upper.flags.writeable = False  # cached: shared by every call
-    return gather, upper
-
-
-@lru_cache
 def _pair_gather(k: int) -> np.ndarray:
     """Flat ``K x K`` indices of the diagonal and of each 2 x 2 principal minor.
 
@@ -262,13 +246,36 @@ def _candidate_scores(grams: np.ndarray) -> np.ndarray:
     return scores
 
 
+def reflection_table(
+    h_t: np.ndarray, h_r: np.ndarray, tiles: np.ndarray, codebook: Codebook
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every tile's gradient contributions ``D_g`` and their Gramians ``D_g^H D_g``.
+
+    Returns ``(d_all, dhd)``: row ``k`` of ``d_all[t, g]``, (n_tiles, G, K,
+    N_t), is column ``k`` of tile ``t``'s ``D_g`` (:func:`configure_tiles`),
+    one ``(G, q) @ (q, N_t)`` product per UE column; ``dhd``, (n_tiles, G, K,
+    K), holds each lower entry as its own dot product over N_t and each upper
+    one as its conjugate.  So the leading ``k`` columns of a table have the
+    bytes of the table of ``h_r[:, :k]``.
+    """
+    n_ue = h_r.shape[1]
+    h_conj = np.conj(h_t)[tiles]  # (T, q, N_t)
+    d_all = np.empty((len(tiles), len(codebook.phasors), n_ue, h_t.shape[1]), dtype=complex)
+    for k in range(n_ue):
+        np.matmul(codebook.phasors, h_r[tiles, k][:, :, None] * h_conj, out=d_all[:, :, k])
+    dhd = np.vecdot(d_all[:, :, :, None], d_all[:, :, None, :])
+    for k in range(1, n_ue):
+        np.conjugate(dhd[:, :, k, :k], out=dhd[:, :, :k, k])
+    return d_all, dhd
+
+
 def configure_tiles(
     direct: np.ndarray,
     h_t: np.ndarray,
     h_r: np.ndarray,
     tiles: np.ndarray,
     codebook: Codebook,
-    table: list | None = None,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Greedy per-tile codebook selection maximizing the minimum singular value.
 
@@ -280,19 +287,9 @@ def configure_tiles(
     tiles : (n_tiles, tile_size) element ids, rows in visit order
         (:func:`build_tile_partition`).
     codebook : per-tile phase configurations.
-    table : the reflection table of these same channels, tiles and codebook
-        built so far, a list that the call extends in place: ``table[0]``
-        is ``conj(h_t)[tiles]`` and ``table[1 + k]`` is UE ``k``'s pair
-        ``(column, rows)``: its (n_tiles, G, N_t) column of every ``D_g``
-        and its (n_tiles, G, k + 1) row of every ``D_g^H D_g``, entries
-        ``(k, j)`` for ``j <= k``.  The call appends the pairs it lacks
-        and reads its first ``K``, so calls of growing ``K`` on the leading
-        columns of one ``h_r`` each build only the columns and Gram entries
-        they add, and one as wide as the table re-points every column to
-        its own copy.  Each column is one product of its own and each entry
-        one fixed-length dot product of two columns, so a pair is the same
-        bytes whichever call, ``K`` or build order made it.  ``None``, like
-        ``[]``, starts from zero columns.
+    table : the :func:`reflection_table` of ``h_t``, ``tiles``, ``codebook``
+        and UE columns whose first ``K`` are ``h_r``; the call reads its
+        first ``K`` columns and does not change it.  ``None`` builds one.
 
     Returns the (n_tiles,) chosen codebook indices (tile ``t``'s elements get
     ``codebook.phases[chosen[t]]``), the final (N_t, K) effective channel
@@ -320,43 +317,25 @@ def configure_tiles(
         raise ValueError("channel dimensions do not match the tile partition")
 
     n_grad, n_off = codebook.gradients.shape[0], codebook.offsets.shape[0]
+    if table is None:
+        table = reflection_table(h_t, h_r, tiles, codebook)
+    d_all, dhd_all = table
+    t_table, g_table, width, n_t_table = d_all.shape
+    if (t_table, g_table, n_t_table) != (len(tiles), n_grad, n_t):
+        raise ValueError("reflection table does not match the tiles, codebook or h_t")
+    if width < n_ue:
+        raise ValueError(f"reflection table has {width} UE columns, fewer than n_ue={n_ue}")
+    d_all, dhd_all = d_all[:, :, :n_ue], dhd_all[:, :, :n_ue, :n_ue]
     # The Gramian of entry (g, b) is S_g + cos(theta_b) U_g + sin(theta_b) V_g
     # with S_g = H^H H + D_g^H D_g, U_g = P_g + P_g^H, V_g = -j (P_g - P_g^H)
     # and P_g = H^H D_g: one real product over the three terms.
-    # Every tile's D_g and D_g^H D_g depend only on the channels, not on H.
-    # The table holds D_g one UE column at a time, each one (G, q) @ (q, N_t)
-    # product for every tile; row k of d_all[t, g] is column k of D_g.  A
-    # column the call adds is written into d_all and the table keeps a view
-    # (of the widest call's d_all only, so one d_all stays alive), beside
-    # row k of the lower triangle of every D_g^H D_g: entries
-    # (k, j <= k), each sum(conj(d_k) d_j) from its own dot over N_t
-    # (np.vecdot), so no entry depends on how many the call adds.  The call
-    # gathers its K x K stacks from its K rows, the upper triangle as
-    # conjugates.
-    if table is None:
-        table = []
-    if not table:
-        table.append(np.conj(h_t)[tiles])  # (T, q, N_t), read by every column
-    d_all = np.empty((len(tiles), n_grad, n_ue, n_t), dtype=complex)
-    for k in range(n_ue):
-        if k + 1 < len(table):
-            d_all[:, :, k] = table[1 + k][0]
-        else:
-            weighted = h_r[tiles, k][:, :, None] * table[0]
-            column = np.matmul(codebook.phasors, weighted, out=d_all[:, :, k])
-            table.append((column, np.vecdot(column[:, :, None], d_all[:, :, : k + 1])))
-    if len(table) == 1 + n_ue:
-        table[1:] = [(d_all[:, :, k], rows) for k, (_, rows) in enumerate(table[1:])]
-    packed = np.concatenate([rows for _, rows in table[1 : 1 + n_ue]], axis=2)
-    gather, upper = _packed_lower(n_ue)
-    dhd_all = packed[:, :, gather]  # (T, G, K, K)
-    np.conjugate(dhd_all, out=dhd_all, where=upper)
     terms = np.empty((3, n_grad, n_ue, n_ue), dtype=complex)
     offset_phasors = np.exp(-1j * codebook.offsets)
     h_eff = direct.astype(complex)  # (N_t, K)
     chosen = np.empty(len(tiles), dtype=np.intp)
     for t, (d_rows, dhd) in enumerate(zip(d_all, dhd_all)):
         h_conj = np.conj(h_eff)
+        d_rows = np.ascontiguousarray(d_rows)
         p_t = (d_rows.reshape(n_grad * n_ue, n_t) @ h_conj).reshape(n_grad, n_ue, n_ue)
         p, p_h = p_t.swapaxes(1, 2), np.conj(p_t)  # P_g = H^H D_g and P_g^H
         terms[0] = h_conj.T @ h_eff + dhd

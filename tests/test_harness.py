@@ -10,7 +10,7 @@ from rissim import correlation, harness, seeding, units
 from rissim.channels import ChannelModel, LinkRole
 from rissim.geometry import ArrayGeometry, fraunhofer_distance
 from rissim.precoding import InfeasibleError
-from rissim.ris import configure_tiles
+from rissim.ris import configure_tiles, reflection_table
 from rissim.harness import (
     SimContext,
     aggregate,
@@ -468,33 +468,22 @@ class TestSharedTrialDraw:
         def run(n_ue, trial, model):
             run_trial(replace(sized, ue_count=n_ue), trial, model=model, ctx=ctx)
             slot = ctx.trial_inputs(sized, trial)
-            assert slot["channels"][0] == model
-            return slot, slot["table"]
+            held, h_t, direct, h_r, table = slot["channels"]
+            assert held == model
+            fresh = reflection_table(h_t, h_r, ctx.tiles, ctx.codebook)
+            assert [part.tobytes() for part in table] == [part.tobytes() for part in fresh]
+            return slot, table
 
-        def table_bytes(table):
-            # the gathered conj(h_t), then each D_g column with its D_g^H D_g row
-            return [table[0].tobytes()] + [(c.tobytes(), rows.tobytes()) for c, rows in table[1:]]
-
-        def fresh_table(slot, n_ue):
-            _, h_t, direct, h_r = slot["channels"]
-            table = []
-            configure_tiles(direct[:, :n_ue], h_t, h_r[:, :n_ue], ctx.tiles, ctx.codebook, table)
-            return table_bytes(table)
-
+        # the K=1 cell's table is built at the draw width, four UEs, and
+        # the wider cells of the trial and model read it
         slot, table = run(1, 0, a)
-        assert len(table) == 2
-        first_rows = table[1][1]
-        # the K=2 cell appends column 1 to the K=1 cell's table, and the
-        # widest cell columns 2 and 3; the table and its Gram rows stay
-        assert run(2, 0, a)[1] is table and len(table) == 3 and table[1][1] is first_rows
-        assert run(4, 0, a)[1] is table and len(table) == 5
-        # another model's draw starts its own table
-        slot, table = run(2, 0, b)
-        assert len(table) == 3 and table_bytes(table) == fresh_table(slot, 2)
+        assert table[0].shape[2] == table[1].shape[3] == 4
+        assert run(2, 0, a)[1] is table and run(4, 0, a)[1] is table
+        # another model's draw builds its own table
+        assert run(2, 0, b)[1] is not table
         # a new trial starts from an empty slot
-        slot, table = run(1, 1, a)
-        assert table_bytes(table) == fresh_table(slot, 1)
-        assert set(slot) == {"draw", "channels", "table"}
+        slot, _ = run(1, 1, a)
+        assert set(slot) == {"draw", "channels"}
 
     def test_slot_holds_the_latest_trial_only(self):
         cfg = replace(small_config(sweep_n_ue=[1, 4]), ue_count=1)
@@ -505,8 +494,9 @@ class TestSharedTrialDraw:
         slot = ctx.trial_inputs(cfg, 1)
         # drawn for max(n_ue) = 4 UEs although the cell uses one
         assert len(slot["draw"]["ues"]) == 4
-        held, h_t, direct, h_r = slot["channels"]
+        held, h_t, direct, h_r, table = slot["channels"]
         assert held == model and direct.shape == (4, 4) and h_r.shape == (8, 4)
+        assert table[0].shape[2] == 4
         # nothing of trial 0 is left: its slot comes back empty
         assert ctx.trial_inputs(cfg, 0) == {}
 
@@ -523,7 +513,7 @@ class TestSharedTrialDraw:
                 assert {"ues", (LinkRole.RIS_TO_RX, 1)} <= set(slot["draw"])
             last = models[-1]
             first = run_trial(cfg, 0, model=last, ctx=ctx)
-            assert set(slot) == {"channels", "table"} and len(slot["table"]) == 2
+            assert set(slot) == {"channels"} and slot["channels"][-1][0].shape[2] == 2
             # the K=2 cell reads the kept channels and gives the fresh result
             wide = replace(cfg, ue_count=2)
             second = run_trial(wide, 0, model=last, ctx=ctx)
@@ -544,33 +534,31 @@ class TestSharedTrialDraw:
             return draw(*args)
 
         monkeypatch.setattr(harness, "draw_links", checking_draw)
-        h_t, direct, h_r = harness.trial_channels(cfg, 0, b, ctx)
+        channels = harness.trial_channels(cfg, 0, b, ctx)
         # model a's arrays are gone before model b draws
         assert alive_at_draw == [False]
         slot = ctx.trial_inputs(cfg, 0)
-        assert set(slot) == {"channels", "table"} and slot["table"] == []
-        held, *channels = slot["channels"]
-        assert held == b and all(x is y for x, y in zip(channels, (h_t, direct, h_r)))
+        assert set(slot) == {"channels"}
+        held, *held_channels = slot["channels"]
+        assert held == b and all(x is y for x, y in zip(held_channels, channels, strict=True))
         # asking for b again reads the slot
         assert all(x is y for x, y in zip(harness.trial_channels(cfg, 0, b, ctx), channels))
         assert alive_at_draw == [False]
 
     def test_unordered_ue_counts_build_each_table_column_once(self, monkeypatch):
-        # Q=256 is four tiles; the K=4 cell runs first, and the K=1 and K=2
-        # cells read its columns
-        built = []
+        # Q=256 is four tiles; each (trial, model) builds one table at the
+        # draw width, and the K=4, K=1 and K=2 cells read its columns
+        widths = []
 
-        def counting(direct, h_t, h_r, tiles, codebook, table):
-            before = max(len(table), 1)  # table[0] is conj(h_t), not a column
-            out = configure_tiles(direct, h_t, h_r, tiles, codebook, table)
-            built.append(len(table) - before)
-            return out
+        def counting(h_t, h_r, tiles, codebook):
+            widths.append(h_r.shape[1])
+            return reflection_table(h_t, h_r, tiles, codebook)
 
-        monkeypatch.setattr(harness, "configure_tiles", counting)
+        monkeypatch.setattr(harness, "reflection_table", counting)
         cfg = replace(default_config(), models=self.MODELS, sweep_q=[256], sweep_n_ue=[4, 1, 2],
                       trials=2)
         run_sweep(cfg)
-        assert built == [4, 0, 0] * (2 * len(self.MODELS))
+        assert widths == [4] * (2 * len(self.MODELS))
 
     @pytest.mark.parametrize(
         "a, b",

@@ -11,6 +11,7 @@ from rissim.ris import (
     build_tile_partition,
     configure_tiles,
     min_singular_values,
+    reflection_table,
 )
 
 
@@ -382,15 +383,28 @@ class TestCandidateScores:
         np.testing.assert_array_equal(chosen, reference)
 
 
-def table_bytes(table):
-    """The bytes of a reflection table: the gathered ``conj(h_t)``, then each
-    UE column of ``D_g`` with its row of the ``D_g^H D_g`` lower triangle."""
-    return [table[0].tobytes()] + [(column.tobytes(), rows.tobytes()) for column, rows in table[1:]]
-
-
 class TestReflectionTable:
-    """A call given the reflection table that narrower or wider calls on the
-    same channels left behind returns the bytes of a call that builds it."""
+    """The tile search reads the leading columns of one reflection table, and
+    they have the bytes of a table built for exactly its UEs."""
+
+    @pytest.mark.parametrize("n_t", [1, 3, 5, 6, 8, 16])
+    def test_gram_rows_do_not_depend_on_the_call_that_adds_them(self, n_t):
+        # Q=256, four 8x8 tiles; the leading k columns of a width-5 table
+        # are the width-k table.  Each UE column is its own product and each
+        # Gram entry its own dot product, so the width does not reach the
+        # bytes; one joint product over every column would.
+        _, h_t, h_r, tiles, codebook = geometric_instance(
+            np.random.default_rng(70 + n_t), 5, n_t=n_t
+        )
+        d_all, dhd = reflection_table(h_t, h_r, tiles, codebook)
+        assert d_all.shape == (4, 64, 5, n_t) and dhd.shape == (4, 64, 5, 5)
+        for k in range(1, 5):
+            fresh_d, fresh_dhd = reflection_table(h_t, h_r[:, :k], tiles, codebook)
+            assert d_all[:, :, :k].tobytes() == fresh_d.tobytes()
+            assert dhd[:, :, :k, :k].tobytes() == fresh_dhd.tobytes()
+        # entry (k, j) of every D_g^H D_g is sum(conj(d_k) d_j)
+        expected = np.conj(d_all) @ d_all.swapaxes(2, 3)
+        np.testing.assert_allclose(dhd, expected, rtol=1e-12, atol=1e-12 * np.abs(dhd).max())
 
     @pytest.mark.parametrize("n_t", [8, 6])
     @pytest.mark.parametrize("n_ue", [3, 4])
@@ -408,60 +422,39 @@ class TestReflectionTable:
 
         monkeypatch.setattr(ris, "_candidate_scores", recorded)
 
-        def search(k, table):
+        def search(table):
             grams.clear()
-            chosen, eff, _ = configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
-            return chosen.tobytes(), eff.tobytes(), list(grams)
+            chosen, eff, min_sv = configure_tiles(
+                direct[:, :n_ue], h_t, h_r[:, :n_ue], tiles, codebook, table
+            )
+            return chosen.tobytes(), eff.tobytes(), min_sv, list(grams)
 
-        built = []
-        fresh = search(n_ue, built)
-        assert search(n_ue, None) == fresh
-        assert len(built) == 1 + n_ue
-        for width in (0, 1, n_ue - 1, n_ue, n_ue + 1):
-            table = []
-            if width:
-                search(width, table)
-            # every candidate's Gramian, so also D_g^H D_g, is the fresh one
-            assert search(n_ue, table) == fresh
-            assert len(table) == 1 + max(width, n_ue)
-            assert table_bytes(table[: 1 + n_ue]) == table_bytes(built)
+        fresh = search(None)
+        table = reflection_table(h_t, h_r, tiles, codebook)
+        before = [part.tobytes() for part in table]
+        # every candidate's Gramian, so also D_g^H D_g, is the fresh one
+        assert search(table) == fresh
+        assert [part.tobytes() for part in table] == before
 
-    @pytest.mark.parametrize("n_t", [3, 6, 8, 16])
-    def test_gram_rows_do_not_depend_on_the_call_that_adds_them(self, n_t):
-        # Q=256; each build order adds column k in calls of other widths,
-        # after other columns, or after a narrower call that only reads
-        n_ue = min(n_t, 4)
-        direct, h_t, h_r, tiles, codebook = geometric_instance(
-            np.random.default_rng(70 + n_t), n_ue, n_t=n_t
-        )
-        orders = {(n_ue,), (1, n_ue), tuple(range(1, n_ue + 1)), (n_ue - 1, 1, n_ue), (2, 1, n_ue)}
-        built = []
-        for order in sorted(orders):
-            table = []
-            for k in order:
-                configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
-            built.append(table_bytes(table))
-        assert len(built[0]) == 1 + n_ue
-        assert all(b == built[0] for b in built)
-        # row k holds entries (k, j <= k) of every tile's D_g^H D_g
-        for k, (column, rows) in enumerate(table[1:]):
-            assert rows.shape == (len(tiles), len(codebook.gradients), k + 1)
-            for j in range(k + 1):
-                expected = np.sum(np.conj(column) * table[1 + j][0], axis=-1)
-                np.testing.assert_allclose(
-                    rows[:, :, j], expected, rtol=1e-12, atol=1e-12 * np.abs(rows).max()
-                )
+    @pytest.mark.parametrize("n_ue", [2, 4])
+    def test_upper_triangle_is_the_conjugate_of_the_lower(self, n_ue):
+        _, h_t, h_r, tiles, codebook = geometric_instance(np.random.default_rng(80), n_ue)
+        _, dhd = reflection_table(h_t, h_r, tiles, codebook)
+        for i, j in zip(*np.triu_indices(n_ue, 1)):
+            assert dhd[:, :, i, j].tobytes() == np.conj(dhd[:, :, j, i]).tobytes()
 
-
-    def test_columns_share_one_array(self):
-        # the K=2 and K=4 calls each copy the earlier columns into their own
-        # d_all; the table keeps views of the widest call's copy only
-        direct, h_t, h_r, tiles, codebook = geometric_instance(np.random.default_rng(80), 4)
-        table = []
-        for k in (1, 2, 4):
-            configure_tiles(direct[:, :k], h_t, h_r[:, :k], tiles, codebook, table)
-        base = table[1][0].base
-        assert len(table) == 5 and all(column.base is base for column, _ in table[1:])
+    @pytest.mark.parametrize("mismatch", ["narrower", "tiles", "codebook", "n_t"])
+    def test_table_must_fit_the_call(self, mismatch):
+        direct, h_t, h_r, tiles, codebook = geometric_instance(np.random.default_rng(90), 3)
+        built_on = {
+            "narrower": (h_t, h_r[:, :2], tiles, codebook),
+            "tiles": (h_t, h_r, tiles[:2], codebook),
+            "codebook": (h_t, h_r, tiles, Codebook(codebook.gradients[::2], codebook.offsets)),
+            "n_t": (h_t[:, :6], h_r, tiles, codebook),
+        }[mismatch]
+        message = "fewer than n_ue=3" if mismatch == "narrower" else "does not match"
+        with pytest.raises(ValueError, match=message):
+            configure_tiles(direct, h_t, h_r, tiles, codebook, reflection_table(*built_on))
 
 
 class TestAssembleGamma:
